@@ -80,13 +80,6 @@ def target_failures(new: dict, tolerance: float) -> list[str]:
     floor = targets.get("drbg_bulk_speedup_min")
     if floor is not None and "drbg_bulk" in new:
         check_min("drbg_bulk.bulk_speedup", new["drbg_bulk"]["bulk_speedup"], floor)
-    floor = targets.get("minicast_mask_sampler_speedup_min")
-    if floor is not None and "mask_sampler_speedup" in new.get("minicast_vector", {}):
-        check_min(
-            "minicast_vector.mask_sampler_speedup",
-            new["minicast_vector"]["mask_sampler_speedup"],
-            floor,
-        )
     floor = targets.get("campaign_parallel_speedup_min")
     min_cores = targets.get("campaign_parallel_min_cores", 4)
     cores = new.get("cpu_count") or 1

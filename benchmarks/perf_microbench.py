@@ -46,12 +46,7 @@ repository root so future PRs have a perf trajectory to compare against:
 7. **DRBG bulk** — whole-buffer keystream and batched dealer-fork
    prefill: scalar T-table refills vs the ``REPRO_VECTOR`` aesbatch
    lane kernel, bit-identical output, kernel-only comparison.
-8. **minicast_vector** — the scalar bitmask slot loop vs the
-   array-formulated ``_run_vector`` loop on a 144-node grid (sparse and
-   wide chains), plus the batched Bernoulli mask sampler vs the scalar
-   one.  The loop ratios are honest (< 1 on CPython — big-int masks are
-   already bit-parallel); the sampler ratio is the tracked win.
-9. **service_transport** — the socket transport against real shard
+8. **service_transport** — the socket transport against real shard
    processes: accepted shares/sec through journal-before-ack over TCP,
    the p99 per-share round trip, and the supervisor's shard-restart
    recovery time after a SIGKILL.  Absolute figures only, no speedup
@@ -213,95 +208,6 @@ def bench_drbg_bulk() -> dict:
         "bulk_speedup": round(t_scalar / t_lane, 2),
         "fork_batch_speedup": round(t_forks_scalar / t_forks_lane, 2),
     }
-
-
-def bench_minicast_vector(iterations: int) -> dict:
-    """Scalar bitmask loop vs the array-formulated vector loop.
-
-    One lossy mid-size round (sparse chain) and one wide-chain round, on
-    the same grid deployment, each run with ``vector=False`` and
-    ``vector=True``.  The tracked ratios are honest: the bitmask loop's
-    big-int masks are already bit-parallel, so the vector loop trails it
-    on CPython (see ``VECTOR_MIN_NODES``) — the tier exists to keep that
-    trade-off measured so a faster future kernel can flip the default on
-    data.  The mask *sampler* itself, the vector loop's building block,
-    is also tracked and does win (one batched draw per receiver set).
-    """
-    import random
-
-    from repro.ct.minicast import MiniCastRound
-    from repro.ct.slots import RoundSchedule
-    from repro.phy.channel import ChannelModel, ChannelParameters
-    from repro.phy.link import LinkTable
-    from repro.phy.radio import NRF52840_154
-    from repro.sim import maskbatch
-    from repro.sim.bitrandom import random_bitmask_quantized
-    from repro.topology.generators import grid
-
-    channel = ChannelModel(
-        ChannelParameters(
-            path_loss_exponent=4.0,
-            reference_loss_db=52.0,
-            shadowing_sigma_db=0.0,
-            noise_floor_dbm=-96.0,
-        )
-    )
-    topology = grid(12, 12, spacing_m=9.0, seed=3)
-    links = LinkTable(topology.positions, channel, 29)
-    n = len(links.node_ids)
-    reps = max(2, iterations)
-    result: dict = {"nodes": n}
-    for label, chain_mult in (("sparse", 2), ("wide", 16)):
-        chain = chain_mult * n
-        schedule = RoundSchedule(
-            chain_length=chain,
-            psdu_bytes=15,
-            ntx=4,
-            num_slots=16,
-            timings=NRF52840_154,
-        )
-        initial = {
-            node: ((1 << chain_mult) - 1) << (chain_mult * i)
-            for i, node in enumerate(links.node_ids)
-        }
-        with fastpath.forced(True), fastpath.forced_vector(True):
-            flat = MiniCastRound(links, schedule, vector=False)
-            vector = MiniCastRound(links, schedule, vector=True)
-
-        def run_round(round_):
-            for seed in range(reps):
-                round_.run(random.Random(seed), initial)
-
-        t_flat = _best_of(lambda: run_round(flat), repeats=3) / reps
-        t_vector = _best_of(lambda: run_round(vector), repeats=3) / reps
-        result[label] = {
-            "chain_bits": chain,
-            "flat_ms": round(t_flat * 1e3, 3),
-            "vector_ms": round(t_vector * 1e3, 3),
-            "vector_loop_speedup": round(t_flat / t_vector, 2),
-        }
-
-    # The maskbatch sampler vs the scalar sampler, at the vector loop's
-    # working shape: one Bernoulli mask per receiver of a slot.
-    if maskbatch.HAVE_NUMPY:
-        receivers, nbits, prec = 512, 2048, 10
-        quantized = [300 + (i * 37) % 600 for i in range(receivers)]
-        gen = maskbatch.generator_from(random.Random(5))
-        q_arr = maskbatch._np.asarray(quantized, dtype=maskbatch._np.int64)
-        t_vec = _best_of(
-            lambda: maskbatch.bernoulli_mask_matrix(gen, q_arr, nbits, prec),
-            repeats=7,
-        )
-        rng = random.Random(5)
-        t_scalar = _best_of(
-            lambda: [
-                random_bitmask_quantized(rng, nbits, q, prec)
-                for q in quantized
-            ],
-            repeats=5,
-        )
-        result["mask_sampler_speedup"] = round(t_scalar / t_vec, 2)
-    return result
 
 
 def bench_sss() -> dict:
@@ -789,10 +695,6 @@ def main() -> int:
     sss = bench_sss()
     print(f"  Shamir SSS:    {sss}")
 
-    print("== minicast_vector (bitmask loop vs array loop) ==")
-    minicast_vector = bench_minicast_vector(iterations)
-    print(f"  {minicast_vector}")
-
     print("== run_figure1 campaigns (FlockLab sweep) ==")
     stub = bench_campaign(CryptoMode.STUB, iterations)
     print(f"  STUB: {stub}")
@@ -839,7 +741,6 @@ def main() -> int:
         "drbg": drbg,
         "drbg_bulk": drbg_bulk,
         "sss": sss,
-        "minicast_vector": minicast_vector,
         "figure1_stub": stub,
         "figure1_real": real,
         "campaign_parallel": parallel,
@@ -861,7 +762,6 @@ def main() -> int:
             "cold_start_warm_vs_steady_max": 3.0,
             "sharded_campaign_speedup_min": 2.0,
             "drbg_bulk_speedup_min": 5.0,
-            "minicast_mask_sampler_speedup_min": 2.0,
         },
     }
     OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
@@ -921,13 +821,6 @@ def main() -> int:
         drbg_bulk["bulk_speedup"],
         targets["drbg_bulk_speedup_min"],
     )
-    sampler = minicast_vector.get("mask_sampler_speedup")
-    if sampler is not None:
-        check_min(
-            "mask sampler speedup",
-            sampler,
-            targets["minicast_mask_sampler_speedup_min"],
-        )
     print("targets met" if ok else "targets NOT met")
     if not ok and os.environ.get("REPRO_BENCH_STRICT", "0") == "1":
         # Lenient by default: shared CI runners jitter, and the JSON

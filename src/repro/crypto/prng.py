@@ -52,7 +52,7 @@ _FAST_REFILL_BLOCKS_MAX = 32
 #: kernel.  Below this the per-call numpy dispatch overhead exceeds the
 #: scalar T-table loop; above it the lane kernel's ~an-order-of-magnitude
 #: per-block advantage dominates.  Bulk consumers (``random_bytes`` of
-#: whole buffers, the maskbatch sampler) blow straight past it.
+#: whole buffers) blow straight past it.
 _LANE_REFILL_BLOCKS_MIN = 16
 
 

@@ -49,26 +49,8 @@ from repro.errors import ConfigurationError
 from repro.phy.capture import CaptureModel
 from repro.phy.link import LinkTable
 from repro.ct.slots import RoundSchedule
-from repro.sim import maskbatch
 from repro.sim.bitrandom import DEFAULT_PRECISION, quantize_probability, random_bitmask
 from repro.sim.trace import TraceRecorder
-
-#: The array-formulated slot loop (``_run_vector``) is *opt-in* per
-#: round: the scalar fast loop's big-int masks are already bit-parallel
-#: (one CPython word op covers 64 sub-slots), and across every regime
-#: the ``minicast_vector`` bench tier measures — sparse/dense links,
-#: 60..2500 nodes, narrow and n²-wide chains — the numpy formulation's
-#: per-dispatch overhead keeps it at 0.4-0.9× the bitmask loop.  It
-#: stays in the tree as the distribution-identical batch formulation
-#: (and the consumer of :mod:`repro.sim.maskbatch`) so a future backend
-#: with cheaper dispatch (GPU, compiled kernels) can flip the default;
-#: the bench tier tracks the ratio so that flip is data-driven.
-VECTOR_MIN_NODES = 48
-
-#: Rank sentinel for links the vector loop never receives on (self-links
-#: and links at or below the capture floor).  Sorts after every real rank.
-_RANK_NONE = 1 << 30
-
 
 class RadioOffPolicy(enum.Enum):
     """When a node may power its radio down within a round."""
@@ -182,8 +164,6 @@ class MiniCastRound:
         "_fast",
         "_index",
         "_rx_fast",
-        "_vector",
-        "_vector_state",
     )
 
     def __init__(
@@ -194,7 +174,6 @@ class MiniCastRound:
         policy: RadioOffPolicy = RadioOffPolicy.ALWAYS_ON,
         tx_probability: float = 0.5,
         force_reference: bool = False,
-        vector: bool | None = None,
     ):
         """``force_reference`` pins this round to the readable loop even
         when the fast path is globally enabled.  Commissioning-time
@@ -203,15 +182,6 @@ class MiniCastRound:
         schedules — are *bit-identical* to the seed implementation
         regardless of the compute path, keeping every downstream
         statistic on the exact configuration the reproduction validated.
-
-        ``vector`` opts this round into the array-formulated slot loop
-        (:meth:`_run_vector`); it additionally requires the
-        ``REPRO_VECTOR`` backend to be on and a capable numpy (see
-        :data:`VECTOR_MIN_NODES` for why it is opt-in rather than the
-        default).  The vector loop is distribution-identical to the
-        scalar fast loop; with ``REPRO_VECTOR=0`` — or without numpy —
-        every round runs the scalar loop bit-exactly, so the flag can
-        never change what a statistic *means*.
         """
         if not 0.0 < tx_probability <= 1.0:
             raise ConfigurationError(
@@ -232,13 +202,6 @@ class MiniCastRound:
             for dst in links.node_ids
         }
         self._fast = fastpath.enabled() and not force_reference
-        self._vector = (
-            self._fast
-            and bool(vector)
-            and fastpath.vector_enabled()
-            and maskbatch.HAVE_NUMPY
-        )
-        self._vector_state: dict | None = None
         # Fast-path precomputation: node ids → dense indices, and one
         # receive list per listener holding (source index, pre-quantized
         # link success probability), strongest first, links at or below
@@ -320,16 +283,6 @@ class MiniCastRound:
             trace: optional event recorder.
         """
         if self._fast:
-            if self._vector and trace is None:
-                return self._run_vector(
-                    rng,
-                    initial_knowledge,
-                    requirements=requirements,
-                    initiators=initiators,
-                    alive=alive,
-                    failures=failures,
-                    arm_schedule=arm_schedule,
-                )
             return self._run_fast(
                 rng,
                 initial_knowledge,
@@ -904,440 +857,6 @@ class MiniCastRound:
             },
             radio_off_slot={
                 node: radio_off_slot[i] for i, node in enumerate(nodes)
-            },
-            slots_run=slots_run,
-            schedule=schedule,
-            failures=actual_failures,
-        )
-
-    def _vector_setup(self) -> dict:
-        """Per-round matrices for the array loop (built once, reused).
-
-        ``rank[l, s]`` is the position of source ``s`` in listener
-        ``l``'s descending-PRR receive order (the same entries as
-        ``_rx_fast``), or the sentinel :data:`_RANK_NONE` for links at or
-        below the capture floor (and self-links); ``quantized`` /
-        ``miss`` carry the aligned pre-quantized success probability and
-        its per-bit complement.  They are dense ``(n, n)`` matrices so a
-        slot's rank selection is two gathers and an argsort over the
-        transmitter subset.
-        """
-        state = self._vector_state
-        if state is None:
-            np = maskbatch._np
-            n = len(self._links.node_ids)
-            width = max(1, maskbatch.words_for(self._schedule.chain_length))
-            # quantized/miss carry a sentinel column ``n`` (q=0, miss=1)
-            # for the padded gathers of the block phase.
-            rank = np.full((n, n), _RANK_NONE, dtype=np.int32)
-            quantized = np.zeros((n, n + 1), dtype=np.int64)
-            miss = np.ones((n, n + 1), dtype=np.float64)
-            for i, row in enumerate(self._rx_fast):
-                for position, (src, q, miss_q) in enumerate(row):
-                    rank[i, src] = position
-                    quantized[i, src] = q
-                    miss[i, src] = miss_q
-            state = {
-                "rank": rank,
-                "quantized": quantized,
-                "miss": miss,
-                "width": width,
-            }
-            self._vector_state = state
-        return state
-
-    def _run_vector(
-        self,
-        rng,
-        initial_knowledge: Mapping[int, int],
-        requirements: Mapping[int, Requirement] | None = None,
-        initiators: Iterable[int] | None = None,
-        alive: set[int] | None = None,
-        failures: Mapping[int, int] | None = None,
-        arm_schedule: Mapping[int, int] | None = None,
-    ) -> MiniCastResult:
-        """Array-formulated slot loop, distribution-identical to the others.
-
-        The per-(listener, transmitter) Python loop becomes per-*rank*
-        matrix steps: every listener's rank-r strongest transmitter of
-        the slot is selected with one gather, their Bernoulli delivery
-        masks are sampled for all listeners at once
-        (:mod:`repro.sim.maskbatch`), and the capture cap's saturating
-        bit-plane counters update as whole matrices.  Like the scalar
-        fast loop it spends randomness differently from the reference —
-        bulk uniform words come from a numpy generator seeded off the
-        caller's rng (:func:`repro.sim.maskbatch.generator_from`), and
-        reception is sampled for every eligible sub-slot the way the
-        reference does — so outcomes agree in distribution, not
-        stream-for-stream (``tests/ct/test_minicast_vector.py``).
-        """
-        np = maskbatch._np
-        nodes = self._links.node_ids
-        index = self._index
-        n = len(nodes)
-        schedule = self._schedule
-        chain_bits = schedule.chain_length
-        ntx = schedule.ntx
-        packet_us = schedule.packet_slot_us
-        chain_slot_us = schedule.chain_slot_us
-        max_div = self._capture.max_diversity
-        early_off = self._policy is RadioOffPolicy.EARLY_OFF
-        tx_probability = self._tx_probability
-        precision = DEFAULT_PRECISION
-        state = self._vector_setup()
-        rank_matrix = state["rank"]
-        q_matrix = state["quantized"]
-        miss_matrix = state["miss"]
-        width = state["width"]
-        gen = maskbatch.generator_from(rng)
-
-        alive_arr = np.ones(n, dtype=bool)
-        if alive is not None:
-            alive_set = set(alive)
-            for i, node in enumerate(nodes):
-                alive_arr[i] = node in alive_set
-
-        # Knowledge lives as little-endian uint64 word rows; row ``n`` is
-        # the all-zeros sentinel the rank gathers land on when a listener
-        # has fewer candidates than the current rank.
-        know = np.zeros((n + 1, width), dtype=np.uint64)
-        masks = []
-        for i, node in enumerate(nodes):
-            mask = initial_knowledge.get(node, 0)
-            if mask >> chain_bits:
-                raise ConfigurationError(
-                    f"initial knowledge of node {node} exceeds chain width"
-                )
-            masks.append(mask if alive_arr[i] else 0)
-        know[:n] = maskbatch.ints_to_words(masks, chain_bits)
-        know_any = np.zeros(n, dtype=bool)
-        know_any[:] = [mask != 0 for mask in masks]
-
-        if initiators is None:
-            candidates = know_any & alive_arr
-            if not candidates.any():
-                raise ConfigurationError("no node has data; cannot start round")
-            initiator_arr = np.zeros(n, dtype=bool)
-            initiator_arr[int(candidates.argmax())] = True
-        else:
-            initiator_set = set(initiators)
-            unknown = initiator_set - set(nodes)
-            if unknown:
-                raise ConfigurationError(f"unknown initiators {sorted(unknown)}")
-            initiator_arr = np.zeros(n, dtype=bool)
-            for node in initiator_set:
-                initiator_arr[index[node]] = True
-
-        armed = initiator_arr & alive_arr & know_any
-        force = armed.copy()
-        tx_count = np.zeros(n, dtype=np.int64)
-        budget = np.full(n, ntx > 0)
-        radio = alive_arr.copy()
-        tx_us = np.zeros(n, dtype=np.int64)
-        radio_off_slot = np.full(n, -1, dtype=np.int64)
-        round_duration_us = schedule.round_duration_us
-        on_until_us = np.where(radio, round_duration_us, 0).astype(np.int64)
-
-        requirements = dict(requirements or {})
-        # completion: -1 = satisfied at start (or no requirement),
-        # -2 = still pending, >= 0 = slot of first satisfaction.
-        completion = np.full(n, -1, dtype=np.int64)
-        req_mask = np.zeros((n, width), dtype=np.uint64)
-        req_min = np.zeros(n, dtype=np.int64)
-        pending = np.zeros(n, dtype=bool)
-        for node, requirement in requirements.items():
-            i = index.get(node)
-            if i is None or requirement.satisfied_by(masks[i]):
-                continue
-            completion[i] = -2
-            pending[i] = True
-            req_mask[i] = maskbatch.ints_to_words(
-                [requirement.mask], chain_bits
-            )[0]
-            req_min[i] = requirement.min_count
-
-        arm_by_slot: dict[int, list[int]] = {}
-        max_arm_slot = -1
-        for node, arm_slot in (arm_schedule or {}).items():
-            i = index.get(node)
-            if i is not None:
-                arm_by_slot.setdefault(arm_slot, []).append(i)
-            if arm_slot > max_arm_slot:
-                max_arm_slot = arm_slot
-        fail_by_slot: dict[int, list[int]] = {}
-        for node, fail_slot in (failures or {}).items():
-            i = index.get(node)
-            if i is not None:
-                fail_by_slot.setdefault(fail_slot, []).append(i)
-        actual_failures: dict[int, int] = {}
-
-        slots_run = 0
-        for slot in range(schedule.num_slots):
-            joiners = arm_by_slot.get(slot)
-            if joiners:
-                for i in joiners:
-                    if alive_arr[i] and know_any[i] and budget[i]:
-                        armed[i] = True
-
-            casualties = fail_by_slot.get(slot)
-            if casualties:
-                for i in casualties:
-                    if alive_arr[i]:
-                        alive_arr[i] = False
-                        radio[i] = False
-                        on_until_us[i] = slot * chain_slot_us
-                        actual_failures[nodes[i]] = slot
-
-            contenders = radio & armed & budget & know_any
-            if not contenders.any():
-                if max_arm_slot > slot:
-                    continue  # a scheduled joiner may still wake the round
-                break
-            slots_run = slot + 1
-
-            # Transmit decision: forced contenders always go, the rest
-            # flip Bernoulli(tx_probability) coins — one vector draw, the
-            # non-contender entries discarded unread.
-            tx = contenders & (force | (gen.random(n) < tx_probability))
-            force &= ~tx
-            if not tx.any():
-                # Every contender's coin flip said "listen"; the slot is
-                # silent but the round is still live.
-                continue
-            tx_count[tx] += 1
-            budget = tx_count < ntx
-            tx_rows = know[:n][tx]
-            tx_us[tx] += (
-                np.bitwise_count(tx_rows).sum(axis=1).astype(np.int64)
-                * packet_us
-            )
-            tx_union = np.bitwise_or.reduce(tx_rows, axis=0)
-
-            # Reception, rank-major over compacted listener rows.  Like
-            # the scalar fast loop, a listener only participates while it
-            # can still change state: fresh sub-slots are sampled per
-            # bit, deliveries of already-known bits fold into one
-            # closed-form arming draw, and rows drop out of the batch as
-            # soon as every reachable fresh bit arrived and the arming
-            # question is settled.
-            listeners = radio & ~tx
-            fresh_matrix = tx_union[None, :] & ~know[:n]
-            can_rearm = ~armed & budget
-            active = listeners & (
-                (fresh_matrix != 0).any(axis=1) | can_rearm
-            )
-            if active.any():
-                lrows = np.flatnonzero(active)
-                tx_idx = np.flatnonzero(tx)
-                # Each row's transmitters in its own descending-PRR
-                # order; floor-dropped links sort to the back as padding.
-                rank_sub = rank_matrix[np.ix_(lrows, tx_idx)]
-                rank_order = np.argsort(rank_sub, axis=1)
-                src_sorted = tx_idx[rank_order]
-                valid_counts = (rank_sub != _RANK_NONE).sum(axis=1)
-                total_ranks = len(tx_idx)
-                rows = lrows
-                m = len(rows)
-                know_c = know[rows]
-                fresh_c = fresh_matrix[rows]
-                rearm_c = can_rearm[rows]
-
-                # Block phase: a bit saturates only after ``max_div``
-                # attempts, so the first ``max_div`` ranks can never be
-                # capture-limited — every (listener, rank) pair in the
-                # block is independent.  One gather, one batched
-                # Bernoulli draw and a handful of reductions replace
-                # ``max_div`` sequential rank steps; for most slots the
-                # block is the whole reception.
-                r0 = min(total_ranks, max_div)
-                blk_valid = np.arange(r0)[None, :] < valid_counts[:, None]
-                src_blk = np.where(blk_valid, src_sorted[:, :r0], n)
-                ksrc = know[src_blk]  # (m, r0, width)
-                fresh_blk = ksrc & ~know_c[:, None, :]
-                q_blk = np.where(
-                    blk_valid, q_matrix[rows[:, None], src_blk], 0
-                )
-                certain_blk = q_blk >= (1 << precision)
-                samp = (fresh_blk != 0).any(axis=2) & ~certain_blk
-                got_blk = np.zeros_like(fresh_blk)
-                flat = np.flatnonzero(samp)
-                if len(flat):
-                    mask = maskbatch.bernoulli_mask_matrix(
-                        gen, q_blk.reshape(-1)[flat], chain_bits, precision
-                    )
-                    got_blk.reshape(-1, width)[flat] = (
-                        fresh_blk.reshape(-1, width)[flat] & mask
-                    )
-                if certain_blk.any():
-                    # Certain links (quantized saturated) deliver every
-                    # eligible bit without a draw, like the fast loop.
-                    got_blk |= np.where(certain_blk[:, :, None], ksrc, 0)
-                hit_rank = (got_blk != 0).any(axis=2)
-                recv_c = np.bitwise_or.reduce(got_blk, axis=1)
-                hit_c = hit_rank.any(axis=1)
-                miss_c = np.ones(m, dtype=np.float64)
-                if rearm_c.any():
-                    # Already-known bits can only re-arm a node; fold
-                    # their delivery odds into one closed-form draw.  A
-                    # rank folds only while no earlier (or own-rank
-                    # fresh) delivery already decoded, like the scalar
-                    # loop's running ``sampled_hit``.
-                    hit_through = np.cumsum(hit_rank, axis=1) > 0
-                    fold = (
-                        rearm_c[:, None]
-                        & ~hit_through
-                        & ~certain_blk
-                        & blk_valid
-                    )
-                    if fold.any():
-                        stale = np.bitwise_count(
-                            ksrc & know_c[:, None, :]
-                        ).sum(axis=2)
-                        missq = miss_matrix[rows[:, None], src_blk]
-                        miss_c = np.where(
-                            fold, missq ** stale, 1.0
-                        ).prod(axis=1)
-                att_c = np.zeros((max_div, m, width), dtype=np.uint64)
-                for j in range(r0):
-                    eligible = np.where(blk_valid[:, j, None], ksrc[:, j], 0)
-                    for plane in range(max_div - 1, 0, -1):
-                        att_c[plane] |= att_c[plane - 1] & eligible
-                    att_c[0] |= eligible
-
-                fin_rows = []
-                fin_recv = []
-                fin_hit = []
-                fin_miss = []
-                fin_rearm = []
-                # Sequential residue: ranks past the block, where the
-                # capture cap is live.  Rows leave the batch (state
-                # banked in ``fin_*``) the moment their outcome is
-                # settled and every still-missing fresh bit is saturated
-                # — no later (weaker) transmitter can deliver it — so
-                # late ranks touch only the few listeners still in play.
-                if total_ranks > r0:
-                    for rank in range(r0, total_ranks):
-                        settled = hit_c | ~rearm_c
-                        not_done = ~settled | (
-                            (fresh_c & ~recv_c & ~att_c[max_div - 1]) != 0
-                        ).any(axis=1)
-                        live = not_done & (valid_counts > rank)
-                        if not live.all():
-                            leave = ~live
-                            fin_rows.append(rows[leave])
-                            fin_recv.append(recv_c[leave])
-                            fin_hit.append(hit_c[leave])
-                            fin_miss.append(miss_c[leave])
-                            fin_rearm.append(rearm_c[leave])
-                            if not live.any():
-                                rows = rows[:0]
-                                break
-                            rows = rows[live]
-                            know_c = know_c[live]
-                            fresh_c = fresh_c[live]
-                            rearm_c = rearm_c[live]
-                            recv_c = recv_c[live]
-                            att_c = att_c[:, live]
-                            miss_c = miss_c[live]
-                            hit_c = hit_c[live]
-                            valid_counts = valid_counts[live]
-                            src_sorted = src_sorted[live]
-                        src = src_sorted[:, rank]
-                        eligible = know[src] & ~att_c[max_div - 1]
-                        fresh = eligible & ~know_c
-                        q = q_matrix[rows, src]
-                        certain_links = q >= (1 << precision)
-                        sample = (fresh != 0).any(axis=1) & ~certain_links
-                        if sample.any():
-                            si = np.flatnonzero(sample)
-                            mask = maskbatch.bernoulli_mask_matrix(
-                                gen, q[si], chain_bits, precision
-                            )
-                            got = fresh[si] & mask
-                            recv_c[si] |= got
-                            hit_c[si] |= (got != 0).any(axis=1)
-                        if certain_links.any():
-                            recv_c |= np.where(
-                                certain_links[:, None], eligible, 0
-                            )
-                            hit_c |= certain_links & (eligible != 0).any(
-                                axis=1
-                            )
-                        fold = rearm_c & ~hit_c & ~certain_links
-                        if fold.any():
-                            stale = np.bitwise_count(
-                                eligible & know_c
-                            ).sum(axis=1)
-                            miss_c = np.where(
-                                fold,
-                                miss_c * miss_matrix[rows, src] ** stale,
-                                miss_c,
-                            )
-                        for plane in range(max_div - 1, 0, -1):
-                            att_c[plane] |= att_c[plane - 1] & eligible
-                        att_c[0] |= eligible
-                if len(rows):
-                    fin_rows.append(rows)
-                    fin_recv.append(recv_c)
-                    fin_hit.append(hit_c)
-                    fin_miss.append(miss_c)
-                    fin_rearm.append(rearm_c)
-                out_rows = np.concatenate(fin_rows)
-                out_recv = np.concatenate(fin_recv)
-                out_hit = np.concatenate(fin_hit)
-                out_miss = np.concatenate(fin_miss)
-                out_rearm = np.concatenate(fin_rearm)
-                decoded = out_hit
-                undecided = out_rearm & ~out_hit & (out_miss < 1.0)
-                if undecided.any():
-                    decoded = decoded | (
-                        undecided
-                        & (gen.random(len(out_rows)) >= out_miss)
-                    )
-                if decoded.any():
-                    hit_rows = out_rows[decoded]
-                    know[hit_rows] |= out_recv[decoded]
-                    know_any[hit_rows] = True
-                    armed[hit_rows] |= budget[hit_rows]
-                    if pending.any():
-                        check = pending & radio
-                        if check.any():
-                            satisfied = check & (
-                                np.bitwise_count(know[:n] & req_mask)
-                                .sum(axis=1)
-                                .astype(np.int64)
-                                >= req_min
-                            )
-                            if satisfied.any():
-                                completion[satisfied] = slot
-                                pending &= ~satisfied
-
-            if early_off:
-                off = radio & ~budget & (completion != -2)
-                if off.any():
-                    radio &= ~off
-                    radio_off_slot[off] = slot
-                    on_until_us[off] = (slot + 1) * chain_slot_us
-
-        tx_us_list = tx_us.tolist()
-        on_until_list = on_until_us.tolist()
-        completion_list = completion.tolist()
-        off_list = radio_off_slot.tolist()
-        knowledge_ints = maskbatch.masks_to_ints(know[:n])
-        return MiniCastResult(
-            knowledge={node: knowledge_ints[i] for i, node in enumerate(nodes)},
-            completion_slot={
-                node: (None if completion_list[i] == -2 else completion_list[i])
-                for i, node in enumerate(nodes)
-            },
-            tx_us={node: tx_us_list[i] for i, node in enumerate(nodes)},
-            rx_us={
-                node: max(0, on_until_list[i] - tx_us_list[i])
-                for i, node in enumerate(nodes)
-            },
-            radio_off_slot={
-                node: (None if off_list[i] < 0 else off_list[i])
-                for i, node in enumerate(nodes)
             },
             slots_run=slots_run,
             schedule=schedule,

@@ -43,11 +43,11 @@ _FALSE_VALUES = {"0", "false", "off", "no"}
 
 _enabled: bool = os.environ.get("REPRO_FASTPATH", "1").strip().lower() not in _FALSE_VALUES
 
-#: The numpy-vectorized backend (PR 4) layered *on top of* the fast path:
-#: lane-kernel DRBG refills, batched dealer-fork keystream, and the
-#: array-formulated MiniCast slot loop.  ``REPRO_VECTOR=0`` pins the
-#: PR 1 scalar fast loop (bit-exact with the no-numpy fallback) while
-#: leaving the rest of the fast path on.  The flag is advisory when
+#: The numpy-vectorized backend layered *on top of* the fast path: the
+#: :mod:`repro.crypto.aesbatch` lane kernels behind DRBG refills and the
+#: batched dealer-fork keystream.  ``REPRO_VECTOR=0`` pins the scalar
+#: keystream (bit-exact with the no-numpy fallback) while leaving the
+#: rest of the fast path on.  The flag is advisory when
 #: numpy is absent: every consumer also guards on its module's
 #: ``HAVE_NUMPY`` and degrades to the scalar path.
 _vector: bool = os.environ.get("REPRO_VECTOR", "1").strip().lower() not in _FALSE_VALUES

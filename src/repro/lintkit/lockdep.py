@@ -55,8 +55,8 @@ SERVICE_LOCK_RANKS: Dict[str, int] = {
     "ingest.close": 12,  # IngestFront._close_lock
     "supervisor.spawn": 20,  # ShardSupervisor._spawn_locks[i]
     "daemon.shard": 30,  # ShardedServiceDaemon._shard_locks[i]
-    "shardserver.state": 38,  # ShardServer._lock (child process)
-    "daemon.state": 40,  # ServiceDaemon._state
+    "shardserver.state": 38,  # ShardServer._lock (its ShardCore; child process)
+    "daemon.state": 40,  # ShardedServiceDaemon._state (its FoldHost side)
     "supervisor.state": 40,  # ShardSupervisor._state
     "transport.endpoint": 50,  # ShardEndpoint._lock (blocks on the socket)
 }

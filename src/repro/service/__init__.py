@@ -19,12 +19,16 @@ own):
 * :mod:`repro.service.windows` — deterministic window aggregation:
   sliced cells (:func:`~repro.service.windows.aggregate_window`) and the
   shard-as-cell fold (:func:`~repro.service.windows.aggregate_shards`).
-* :mod:`repro.service.daemon` — :class:`ShardedServiceDaemon`: one WAL
-  per shard, a fold journal for closes, thread-safe admission control
-  (accepted / retry-after / shed / late / duplicate), per-window
-  deadlines, graceful drain vs hard-kill recovery.  (The single-journal
-  :class:`~repro.service.daemon.ServiceDaemon` remains for direct use,
-  deprecated at this package's surface.)
+* :mod:`repro.service.shard` — :class:`~repro.service.shard.ShardCore`,
+  the one admission state machine every transport runs per shard
+  (accepted / retry-after / shed / late / duplicate, deadlines, WAL
+  replay checks), and :class:`~repro.service.shard.FoldHost`, the
+  fold side both hosts share (close records, tallies, recovery
+  re-verification).
+* :mod:`repro.service.daemon` — :class:`ShardedServiceDaemon`: the
+  in-process host, one shard core and WAL per shard plus a fold
+  journal for closes, thread-safe, graceful drain vs hard-kill
+  recovery.
 * :mod:`repro.service.ingest` — :class:`IngestFront`: the bounded-queue
   thread-pool ingestion front between concurrent producers and the
   shard WALs.
@@ -37,8 +41,9 @@ own):
   transport: framed records over TCP localhost, per-request deadlines,
   and the client-side :class:`RetryPolicy` (decorrelated-jitter
   backoff, ``retry_after_s`` honoured, total-deadline capped).
-* :mod:`repro.service.supervisor` — :class:`ShardSupervisor`: one OS
-  process per shard journal plus a fold coordinator, heartbeat
+* :mod:`repro.service.supervisor` — :class:`ShardSupervisor`: the
+  cross-process host, one OS process per shard core plus a fold
+  coordinator, heartbeat
   liveness monitoring, and WAL-replay restart of crashed shards into
   bit-identical state.
 * :mod:`repro.service.soak` — the soak driver interpreting
@@ -83,19 +88,4 @@ def __getattr__(name: str):
         from repro.service.supervisor import ShardSupervisor
 
         return ShardSupervisor
-    if name == "ServiceDaemon":
-        # Direct daemon use still works, but the supported surface is
-        # ServiceClient; steer imports there without breaking them.
-        import warnings
-
-        from repro.service.daemon import ServiceDaemon
-
-        warnings.warn(
-            "importing ServiceDaemon from repro.service is deprecated; "
-            "use repro.service.ServiceClient (or import ServiceDaemon "
-            "explicitly from repro.service.daemon)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ServiceDaemon
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

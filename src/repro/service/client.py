@@ -1,7 +1,6 @@
 """ServiceClient: the one API in front of the sharded service.
 
-Everything that used to talk to :class:`ServiceDaemon` directly — the
-soak driver, the smoke benches, tests, the CLI — now goes through
+The soak driver, the smoke benches, tests and the CLI all go through
 :class:`ServiceClient`, which wires the three service halves together
 behind one surface:
 
@@ -15,7 +14,10 @@ behind one surface:
   it — including after a hard kill, because the client heals the store
   from the daemon's journals on construction.
 
-The three transports share one interface.  ``transport="inproc"`` calls
+The three transports share one interface and one admission state
+machine (:class:`~repro.service.shard.ShardCore`, one per shard), so the
+same submission sequence gets the same answers on each.
+``transport="inproc"`` calls
 the daemon inline (submission admitted on the caller's thread);
 ``transport="queue"`` routes through the front (submission admitted on
 a dispatcher thread, the caller blocks on the acknowledgment future);
@@ -23,7 +25,7 @@ a dispatcher thread, the caller blocks on the acknowledgment future);
 :class:`~repro.service.supervisor.ShardSupervisor` — one daemon
 *process* per shard journal, reached over TCP localhost, supervised and
 restarted on crash.  Every transport returns the daemon's explicit
-:class:`~repro.service.daemon.AdmissionResult` and an acknowledged
+:class:`~repro.service.shard.AdmissionResult` and an acknowledged
 ``ACCEPTED`` means a journaled share — queue and socket add concurrency
 and a process boundary, not new semantics.
 
@@ -73,7 +75,7 @@ class ServiceClient:
     fold journal and the result store all live under it, so "the same
     service" across restarts means "the same directory".  ``shards``,
     ``transport``, ``capacity`` and ``dispatchers`` size the scale-out;
-    defaults give the PR-7 shape (one shard, in-process calls).
+    defaults give one shard and in-process calls.
     """
 
     def __init__(

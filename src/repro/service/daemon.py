@@ -1,22 +1,24 @@
-"""The aggregation daemon: admission control, deadlines, crash recovery.
+"""The in-process aggregation daemon: one journal per shard, one fold journal.
 
-:class:`ServiceDaemon` is the long-lived form of a metering campaign.
-Devices stream :class:`~repro.service.wire.ShareSubmission` records at
-it; the daemon journals every accepted share **before acknowledging
-it**, folds each billing window's accepted set through the deterministic
-aggregation core (:mod:`repro.service.windows`) at window close, and
-journals the resulting :class:`~repro.core.metrics.WindowSummary`.
+:class:`ShardedServiceDaemon` is the long-lived form of a metering
+campaign.  Devices stream :class:`~repro.service.wire.ShareSubmission`
+records at it; each lands on its shard (``device % shards``), whose
+:class:`~repro.service.shard.ShardCore` journals every accepted share
+**before acknowledging it**.  At window close every shard's accepted set
+becomes one cell of the cross-cell Shamir fold (:mod:`repro.service
+.windows`) and the resulting :class:`~repro.core.metrics.WindowSummary`
+is journaled to ``fold.wal`` — the authoritative close record.
 
 The crash-safety contract, in order of events:
 
-1. ``submit`` → journal append (fsync) → acknowledge ``ACCEPTED``.  A
-   crash between append and ack leaves a journaled-but-unacked share;
+1. ``submit`` → shard journal append (fsync) → acknowledge ``ACCEPTED``.
+   A crash between append and ack leaves a journaled-but-unacked share;
    the client re-sends and is answered ``DUPLICATE`` — never counted
    twice.
-2. ``close_window`` → aggregate → journal ``WINDOW_CLOSE`` → retire the
+2. ``close_window`` → fold → journal ``WINDOW_CLOSE`` → retire the
    window from memory.  A crash before the close record lands leaves
    the window open; recovery re-closes it and — because the total is a
-   pure function of the journaled accepted set — lands on the same
+   pure function of the journaled accepted sets — lands on the same
    bits.  A crash after leaves a closed window; recovery *re-verifies*
    the journaled total against recomputation and raises
    :class:`~repro.errors.ServiceError` on any mismatch.
@@ -25,397 +27,57 @@ The crash-safety contract, in order of events:
    client's to re-send.
 
 Admission is explicit: every ``submit`` returns an
-:class:`AdmissionResult` naming one of the :class:`Admission` outcomes —
-``ACCEPTED``, ``DUPLICATE`` (the ``(device, seq)`` identity is already
-journaled), ``LATE`` (the window's deadline has passed; deterministic
-and final), ``SHED`` (the window's admission cap is full; retrying the
-same window cannot help), or ``RETRY_AFTER`` (transient pressure —
-ingest paused or the global pending queue at capacity — with a hint for
-when to retry).  Backpressure never degrades correctness: a share is
-either durably in a window's accepted set or deterministically refused.
+:class:`~repro.service.shard.AdmissionResult` naming one of the
+:class:`~repro.service.shard.Admission` outcomes — ``ACCEPTED``,
+``DUPLICATE``, ``LATE`` (the window's deadline has passed; final),
+``SHED`` (the shard's window cap is full; final) or ``RETRY_AFTER``
+(transient pressure — ingest paused or the shard's pending queue at
+capacity — with a hint for when to retry).  Backpressure never degrades
+correctness: a share is either durably in a window's accepted set or
+deterministically refused.
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
-import time
-from dataclasses import dataclass, replace
-from enum import Enum
 
 from repro.core.metrics import WindowSummary
-from repro.errors import ServiceError, WireError
 from repro.lintkit.lockdep import ordered_lock
 from repro.service import wal
-from repro.service.windows import aggregate_shards, aggregate_window
-from repro.service.wire import ShareSubmission
+from repro.service.shard import (
+    FOLD_NAME,
+    Admission,
+    AdmissionResult,
+    FoldHost,
+    ServiceConfig,
+    make_submission,
+    shard_journal_paths,
+)
+from repro.service.windows import aggregate_shards
 
 __all__ = [
     "Admission",
     "AdmissionResult",
     "ServiceConfig",
-    "ServiceDaemon",
     "ShardedServiceDaemon",
 ]
 
 
-class Admission(Enum):
-    """Every answer the daemon's admission control can give."""
-
-    ACCEPTED = "accepted"
-    DUPLICATE = "duplicate"
-    LATE = "late"
-    SHED = "shed"
-    RETRY_AFTER = "retry_after"
-
-
-@dataclass(frozen=True, slots=True)
-class AdmissionResult:
-    """One ``submit`` outcome.
-
-    ``retry_after_s`` is set only for ``RETRY_AFTER`` (the transient
-    outcomes); ``LATE``/``SHED``/``DUPLICATE`` are final for that
-    ``(device, seq, window)`` and retrying them is pointless, which the
-    load generator relies on.
-    """
-
-    admission: Admission
-    window: int
-    retry_after_s: float | None = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.admission is Admission.ACCEPTED
-
-    @property
-    def retryable(self) -> bool:
-        return self.admission is Admission.RETRY_AFTER
-
-
-@dataclass(frozen=True, slots=True)
-class ServiceConfig:
-    """Daemon policy knobs (all admission behaviour lives here).
-
-    Attributes:
-        seed: campaign seed; the only entropy the window totals depend
-            on besides the accepted sets.
-        cells: MPC cells per window aggregation.
-        queue_capacity: global bound on pending (accepted, un-closed)
-            submissions across all open windows; beyond it, admission
-            answers ``RETRY_AFTER`` (closing a window frees space).
-        window_capacity: per-window bound on accepted submissions;
-            beyond it, admission answers ``SHED`` (final — the window
-            can never take more).
-        retry_after_s: the hint attached to ``RETRY_AFTER`` answers.
-        fsync: fsync the journal on every append (tests may disable for
-            speed; the soak and CI smoke keep it on).
-    """
-
-    seed: int = 1
-    cells: int = 1
-    queue_capacity: int = 4096
-    window_capacity: int = 1024
-    retry_after_s: float = 0.05
-    fsync: bool = True
-
-    def __post_init__(self) -> None:
-        if self.cells < 1:
-            raise ServiceError(f"cells must be >= 1, got {self.cells}")
-        if self.queue_capacity < 1:
-            raise ServiceError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        if self.window_capacity < 1:
-            raise ServiceError(
-                f"window_capacity must be >= 1, got {self.window_capacity}"
-            )
-        if self.retry_after_s <= 0:
-            raise ServiceError(
-                f"retry_after_s must be > 0, got {self.retry_after_s}"
-            )
-
-
-class ServiceDaemon:
-    """A crash-safe, backpressured window-aggregation daemon."""
-
-    def __init__(
-        self,
-        config: ServiceConfig,
-        journal: str | os.PathLike | None = None,
-    ):
-        self.config = config
-        path = wal.journal_path("daemon") if journal is None else journal
-        self.journal = wal.WindowJournal(path, fsync=config.fsync)
-        #: (device, seq) identities ever journaled (dedup across windows).
-        self._seen: set[tuple[int, int]] = set()
-        #: window -> accepted submissions, insertion order (open windows).
-        self._open: dict[int, list[ShareSubmission]] = {}
-        #: window -> journaled close record.
-        self._closed: dict[int, WindowSummary] = {}
-        #: highest closed window; every window <= this is past deadline.
-        self._deadline = -1
-        #: per-window admission counters (open windows only).
-        self._duplicates: dict[int, int] = {}
-        self._shed: dict[int, int] = {}
-        self._retried: dict[int, int] = {}
-        self._late: dict[int, int] = {}
-        #: late rejections across all windows (incl. already-closed ones).
-        self.late_total = 0
-        #: open windows flagged coverage-degraded by the soak driver.
-        self._degraded_windows: set[int] = set()
-        self._paused = False
-        self._pending = 0
-        self.recovered = self.journal.records > 0
-        self._recover()
-
-    # -- recovery --------------------------------------------------------------
-
-    def _recover(self) -> None:
-        """Rebuild state from the journal; verify every closed total."""
-        state = self.journal.replay()
-        if state.skipped:
-            raise ServiceError(
-                f"journal {self.journal.path} holds {state.skipped} "
-                "undecodable records"
-            )
-        by_window: dict[int, list[ShareSubmission]] = {}
-        for submission in state.accepted:
-            identity = (submission.device, submission.seq)
-            if identity in self._seen:
-                raise ServiceError(
-                    f"journal {self.journal.path} holds a duplicate "
-                    f"submission identity {identity}"
-                )
-            self._seen.add(identity)
-            by_window.setdefault(submission.window, []).append(submission)
-        for window, summary in sorted(state.closes.items()):
-            submissions = by_window.pop(window, [])
-            if len(submissions) != summary.accepted:
-                raise ServiceError(
-                    f"window {window} close record counts "
-                    f"{summary.accepted} submissions; journal holds "
-                    f"{len(submissions)}"
-                )
-            check = aggregate_window(
-                submissions, self.config.seed, window, self.config.cells
-            )
-            if check.total != summary.total or check.expected != summary.expected:
-                raise ServiceError(
-                    f"window {window} journaled total {summary.total} does "
-                    f"not match its recomputation {check.total}"
-                )
-            self._closed[window] = replace(summary, recovered=self.recovered)
-            self._deadline = max(self._deadline, window)
-        for window, submissions in sorted(by_window.items()):
-            if window <= self._deadline:
-                raise ServiceError(
-                    f"journal holds submissions for window {window} past "
-                    f"the recovered deadline {self._deadline}"
-                )
-            self._open[window] = submissions
-            self._pending += len(submissions)
-
-    # -- admission -------------------------------------------------------------
-
-    def submit(
-        self, device: int, seq: int, window: int, value: int
-    ) -> AdmissionResult:
-        """Admit one share submission; journal before acknowledging."""
-        try:
-            submission = ShareSubmission(
-                device=device, seq=seq, window=window, value=value
-            )
-        except WireError as exc:
-            raise ServiceError(f"malformed submission: {exc}") from exc
-        if window <= self._deadline or window in self._closed:
-            self.late_total += 1
-            self._late[window] = self._late.get(window, 0) + 1
-            return AdmissionResult(Admission.LATE, window)
-        if (device, seq) in self._seen:
-            self._duplicates[window] = self._duplicates.get(window, 0) + 1
-            return AdmissionResult(Admission.DUPLICATE, window)
-        if self._paused:
-            self._retried[window] = self._retried.get(window, 0) + 1
-            return AdmissionResult(
-                Admission.RETRY_AFTER, window,
-                retry_after_s=self.config.retry_after_s,
-            )
-        accepted = self._open.get(window, ())
-        if len(accepted) >= self.config.window_capacity:
-            self._shed[window] = self._shed.get(window, 0) + 1
-            return AdmissionResult(Admission.SHED, window)
-        if self._pending >= self.config.queue_capacity:
-            self._retried[window] = self._retried.get(window, 0) + 1
-            return AdmissionResult(
-                Admission.RETRY_AFTER, window,
-                retry_after_s=self.config.retry_after_s,
-            )
-        self.journal.append_submission(submission)
-        self._seen.add((device, seq))
-        self._open.setdefault(window, []).append(submission)
-        self._pending += 1
-        return AdmissionResult(Admission.ACCEPTED, window)
-
-    # -- backpressure / fault hooks --------------------------------------------
-
-    def pause(self) -> None:
-        """Stop admitting (``RETRY_AFTER``) until :meth:`resume`."""
-        self._paused = True
-
-    def resume(self) -> None:
-        self._paused = False
-
-    @property
-    def paused(self) -> bool:
-        return self._paused
-
-    @property
-    def pending(self) -> int:
-        """Accepted submissions whose window has not closed yet."""
-        return self._pending
-
-    @property
-    def open_windows(self) -> tuple[int, ...]:
-        return tuple(sorted(self._open))
-
-    @property
-    def accepted_total(self) -> int:
-        """Submissions ever journaled (identities seen)."""
-        return len(self._seen)
-
-    # -- window lifecycle ------------------------------------------------------
-
-    def close_window(self, window: int) -> WindowSummary:
-        """Close one window's deadline: aggregate, journal, retire.
-
-        Closing window ``w`` moves the deadline to ``w``: every window
-        at or below it — including empty ones that never saw a share —
-        becomes ``LATE`` territory.  Windows must close in increasing
-        order (the deadline is monotone wall time).
-        """
-        if window in self._closed or window <= self._deadline:
-            raise ServiceError(f"window {window} is already closed")
-        skipped = [w for w in self._open if w < window]
-        if skipped:
-            raise ServiceError(
-                f"cannot close window {window} past open windows "
-                f"{sorted(skipped)}; windows close in order"
-            )
-        submissions = self._open.pop(window, [])
-        started = time.perf_counter_ns()
-        result = aggregate_window(
-            submissions, self.config.seed, window, self.config.cells
-        )
-        close_latency_us = (time.perf_counter_ns() - started) // 1000
-        summary = WindowSummary(
-            window=window,
-            accepted=len(submissions),
-            devices=len({s.device for s in submissions}),
-            duplicates=self._duplicates.pop(window, 0),
-            late=self._late.pop(window, 0),
-            shed=self._shed.pop(window, 0),
-            retried=self._retried.pop(window, 0),
-            total=result.total,
-            expected=result.expected,
-            degraded=window in self._degraded_windows,
-            close_latency_us=close_latency_us,
-            recovered=self.recovered,
-        )
-        self.journal.append_close(summary)
-        self._closed[window] = summary
-        self._degraded_windows.discard(window)
-        self._deadline = window
-        self._pending -= len(submissions)
-        return summary
-
-    def mark_degraded(self, window: int) -> None:
-        """Flag an open window as coverage-degraded at its deadline.
-
-        The soak driver calls this when known contributors missed the
-        window (stragglers past the deadline).  Degradation is a
-        coverage statement, never a correctness one: the close still
-        aggregates exactly the accepted set.
-        """
-        if window in self._closed or window <= self._deadline:
-            raise ServiceError(f"window {window} is already closed")
-        self._degraded_windows.add(window)
-
-    def drain(self) -> list[WindowSummary]:
-        """Graceful shutdown (SIGTERM): close every open window, in order.
-
-        Returns the close records; afterwards the journal is synced and
-        closed, and the daemon refuses further work.
-        """
-        summaries = [self.close_window(w) for w in sorted(self._open)]
-        self.stop()
-        return summaries
-
-    def stop(self) -> None:
-        """Release the journal (graceful; windows stay as they are)."""
-        self.journal.sync()
-        self.journal.close()
-
-    def hard_stop(self) -> None:
-        """Simulate a hard kill: drop the journal handle, no drain.
-
-        Open windows are abandoned mid-flight exactly as ``kill -9``
-        would abandon them; a new daemon on the same journal path must
-        recover them bit-identically.
-        """
-        self.journal.close()
-
-    # -- reporting -------------------------------------------------------------
-
-    def window_records(self) -> list[WindowSummary]:
-        """Closed windows, in window order."""
-        return [self._closed[w] for w in sorted(self._closed)]
-
-    def __enter__(self) -> "ServiceDaemon":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-class ShardedServiceDaemon:
-    """The scaled-out daemon: one journal per shard, one fold journal.
-
-    Shards are MPC cells with *routed* membership: submission for device
-    ``d`` lands on shard ``d % shards``, is journaled in that shard's own
-    WAL (``shard-NNN.wal``) before acknowledgment, and stays there until
-    the window closes.  At close every shard's accepted set becomes one
-    cell of the cross-cell Shamir fold (:func:`~repro.service.windows
-    .aggregate_shards`) and the folded :class:`WindowSummary` is
-    journaled to ``fold.wal`` — the authoritative close record.
+class ShardedServiceDaemon(FoldHost):
+    """The in-process host: one shard core and journal per shard.
 
     Concurrency: the class is **thread-safe**, and each shard's WAL is
     the serialization point — per-shard locks serialize journal-
     before-ack within a shard while producers for different shards run
     concurrently; window closes take every shard lock (in index order)
-    so a close is a consistent cut across shards.
+    so a close is a consistent cut across shards.  ``_state`` guards the
+    fold side (:class:`~repro.service.shard.FoldHost`).
 
-    Crash safety is the single-journal contract, shard by shard:
-
-    * kill between a shard append and its ack → the share is journaled;
-      the client re-sends and is answered ``DUPLICATE``;
-    * kill before the fold record lands → the window is still open on
-      recovery (every shard's accepted set replays from its own WAL) and
-      re-closing re-derives the same bits, because the folded total is a
-      pure function of the per-shard accepted sets and the seed;
-    * kill after → recovery re-verifies the journaled fold against
-      recomputation from the shard WALs and fails loudly on mismatch.
-
-    ``config.window_capacity`` bounds each *shard's* per-window accepted
-    set (the shed decision is shard-local so it never needs cross-shard
-    coordination); ``config.queue_capacity`` stays a global bound.  With
-    ``shards=1`` aggregation uses ``config.cells`` exactly like
-    :class:`ServiceDaemon`, so single-shard runs are bit-identical to
-    the single-journal daemon.
+    ``config.window_capacity`` and ``config.queue_capacity`` bound each
+    *shard* (see :class:`~repro.service.shard.ServiceConfig`).  With
+    ``shards=1`` a window is sliced into ``config.cells`` cells.
     """
-
-    #: Shard journal filename pattern (index-stable across restarts).
-    SHARD_PATTERN = "shard-{index:03d}.wal"
-    FOLD_NAME = "fold.wal"
 
     def __init__(
         self,
@@ -423,23 +85,11 @@ class ShardedServiceDaemon:
         journal_dir: str | os.PathLike,
         shards: int = 1,
     ):
-        if shards < 1:
-            raise ServiceError(f"shards must be >= 1, got {shards}")
         self.config = config
         self.shards = shards
         self.journal_dir = pathlib.Path(journal_dir)
         self.journal_dir.mkdir(parents=True, exist_ok=True)
-        for existing in self.journal_dir.glob("shard-*.wal"):
-            try:
-                index = int(existing.stem.split("-", 1)[1])
-            except (IndexError, ValueError):
-                continue
-            if index >= shards:
-                raise ServiceError(
-                    f"journal dir {self.journal_dir} holds {existing.name} "
-                    f"but this daemon runs {shards} shard(s); resharding a "
-                    "journal directory is not supported"
-                )
+        paths = shard_journal_paths(self.journal_dir, shards)
         # Locks are created here, not in _init_state: every thread must
         # see one lock object per role for the object's whole lifetime,
         # and the lockdep watchdog learns each lock's rank at creation.
@@ -454,135 +104,22 @@ class ShardedServiceDaemon:
         self._dirlock = wal.ServiceDirLock(self.journal_dir)
         self._dirlock.acquire()
         try:
-            self._init_state()
+            self._init_state(paths)
         except BaseException:
             self._dirlock.release()
             raise
 
-    def _init_state(self) -> None:
+    def _init_state(self, paths: list[pathlib.Path]) -> None:
         """Open the journals, rebuild state, verify (lock already held)."""
-        config, shards = self.config, self.shards
-        self._journals = [
-            wal.WindowJournal(
-                self.journal_dir / self.SHARD_PATTERN.format(index=index),
-                fsync=config.fsync,
-            )
-            for index in range(shards)
-        ]
-        self._fold = wal.WindowJournal(
-            self.journal_dir / self.FOLD_NAME, fsync=config.fsync
+        fsync = self.config.fsync
+        self._journals = [wal.WindowJournal(path, fsync=fsync) for path in paths]
+        self._fold = wal.WindowJournal(self.journal_dir / FOLD_NAME, fsync=fsync)
+        self._cores = self._recover(
+            self._fold.replay(),
+            [journal.replay() for journal in self._journals],
+            aggregate_shards,
+            journals=self._journals,
         )
-        #: per-shard (device, seq) identities ever journaled.
-        self._seen: list[set[tuple[int, int]]] = [set() for _ in range(shards)]
-        #: per-shard window -> accepted submissions, append order.
-        self._open: list[dict[int, list[ShareSubmission]]] = [
-            {} for _ in range(shards)
-        ]
-        self._closed: dict[int, WindowSummary] = {}
-        self._deadline = -1
-        self._duplicates: dict[int, int] = {}
-        self._shed: dict[int, int] = {}
-        self._retried: dict[int, int] = {}
-        self._late: dict[int, int] = {}
-        self.late_total = 0
-        self._degraded_windows: set[int] = set()
-        self._paused = False
-        self._pending = 0
-        #: submissions folded by the most recent close (store publication).
-        self.last_close_submissions: tuple[ShareSubmission, ...] = ()
-        self.recovered = (
-            any(journal.records for journal in self._journals)
-            or self._fold.records > 0
-        )
-        self._recover()
-
-    # -- routing ---------------------------------------------------------------
-
-    def shard_of(self, device: int) -> int:
-        """The shard (journal, cell) a device's submissions live on."""
-        return device % self.shards
-
-    def _aggregate(self, shard_subs: dict[int, list[ShareSubmission]], window: int):
-        if self.shards == 1:
-            # Bit-identical to the single-journal daemon: one shard's set
-            # sliced into config.cells cells, exactly ServiceDaemon's fold.
-            return aggregate_window(
-                shard_subs.get(0, []), self.config.seed, window, self.config.cells
-            )
-        return aggregate_shards(shard_subs, self.config.seed, window)
-
-    # -- recovery --------------------------------------------------------------
-
-    def _recover(self) -> None:
-        """Rebuild per-shard state; re-verify every folded close."""
-        pending: dict[tuple[int, int], list[ShareSubmission]] = {}
-        for index, journal in enumerate(self._journals):
-            state = journal.replay()
-            if state.skipped:
-                raise ServiceError(
-                    f"shard journal {journal.path} holds {state.skipped} "
-                    "undecodable records"
-                )
-            if state.closes:
-                raise ServiceError(
-                    f"shard journal {journal.path} holds close records; "
-                    "closes belong to the fold journal"
-                )
-            for submission in state.accepted:
-                if submission.device % self.shards != index:
-                    raise ServiceError(
-                        f"shard journal {journal.path} holds device "
-                        f"{submission.device}, which routes to shard "
-                        f"{submission.device % self.shards}"
-                    )
-                identity = (submission.device, submission.seq)
-                if identity in self._seen[index]:
-                    raise ServiceError(
-                        f"shard journal {journal.path} holds a duplicate "
-                        f"submission identity {identity}"
-                    )
-                self._seen[index].add(identity)
-                pending.setdefault((index, submission.window), []).append(
-                    submission
-                )
-        fold_state = self._fold.replay()
-        if fold_state.skipped:
-            raise ServiceError(
-                f"fold journal {self._fold.path} holds {fold_state.skipped} "
-                "undecodable records"
-            )
-        if fold_state.accepted:
-            raise ServiceError(
-                f"fold journal {self._fold.path} holds submissions; "
-                "shares belong to the shard journals"
-            )
-        for window, summary in sorted(fold_state.closes.items()):
-            shard_subs = {
-                index: pending.pop((index, window), [])
-                for index in range(self.shards)
-            }
-            count = sum(len(subs) for subs in shard_subs.values())
-            if count != summary.accepted:
-                raise ServiceError(
-                    f"window {window} fold record counts {summary.accepted} "
-                    f"submissions; shard journals hold {count}"
-                )
-            check = self._aggregate(shard_subs, window)
-            if check.total != summary.total or check.expected != summary.expected:
-                raise ServiceError(
-                    f"window {window} journaled total {summary.total} does "
-                    f"not match its recomputation {check.total}"
-                )
-            self._closed[window] = replace(summary, recovered=self.recovered)
-            self._deadline = max(self._deadline, window)
-        for (index, window), submissions in sorted(pending.items()):
-            if window <= self._deadline:
-                raise ServiceError(
-                    f"shard {index} journal holds submissions for window "
-                    f"{window} past the recovered deadline {self._deadline}"
-                )
-            self._open[index][window] = submissions
-            self._pending += len(submissions)
 
     # -- admission -------------------------------------------------------------
 
@@ -590,85 +127,57 @@ class ShardedServiceDaemon:
         self, device: int, seq: int, window: int, value: int
     ) -> AdmissionResult:
         """Admit one submission on its shard; journal before acknowledging."""
-        try:
-            submission = ShareSubmission(
-                device=device, seq=seq, window=window, value=value
-            )
-        except WireError as exc:
-            raise ServiceError(f"malformed submission: {exc}") from exc
-        shard = submission.device % self.shards
+        submission = make_submission(device, seq, window, value)
+        shard = device % self.shards
         with self._shard_locks[shard]:
-            with self._state:
-                if window <= self._deadline or window in self._closed:
-                    self.late_total += 1
-                    self._late[window] = self._late.get(window, 0) + 1
-                    return AdmissionResult(Admission.LATE, window)
-            if (device, seq) in self._seen[shard]:
+            result = self._cores[shard].admit(submission)
+            if not result.accepted:
+                # Tallied under the shard lock, so a close (which holds
+                # every shard lock) never misses a refusal it precedes.
                 with self._state:
-                    self._duplicates[window] = self._duplicates.get(window, 0) + 1
-                return AdmissionResult(Admission.DUPLICATE, window)
-            with self._state:
-                if self._paused:
-                    self._retried[window] = self._retried.get(window, 0) + 1
-                    return AdmissionResult(
-                        Admission.RETRY_AFTER, window,
-                        retry_after_s=self.config.retry_after_s,
-                    )
-            accepted = self._open[shard].get(window, ())
-            if len(accepted) >= self.config.window_capacity:
-                with self._state:
-                    self._shed[window] = self._shed.get(window, 0) + 1
-                return AdmissionResult(Admission.SHED, window)
-            with self._state:
-                if self._pending >= self.config.queue_capacity:
-                    self._retried[window] = self._retried.get(window, 0) + 1
-                    return AdmissionResult(
-                        Admission.RETRY_AFTER, window,
-                        retry_after_s=self.config.retry_after_s,
-                    )
-            self._journals[shard].append_submission(submission)
-            self._seen[shard].add((device, seq))
-            self._open[shard].setdefault(window, []).append(submission)
-            with self._state:
-                self._pending += 1
-            return AdmissionResult(Admission.ACCEPTED, window)
+                    self._tally(result)
+        return result
 
     # -- backpressure / fault hooks --------------------------------------------
 
     def pause(self) -> None:
         """Stop admitting (``RETRY_AFTER``) until :meth:`resume`."""
-        with self._state:
-            self._paused = True
+        self._set_paused(True)
 
     def resume(self) -> None:
-        with self._state:
-            self._paused = False
+        self._set_paused(False)
+
+    def _set_paused(self, paused: bool) -> None:
+        for lock, core in zip(self._shard_locks, self._cores):
+            with lock:
+                core.paused = paused
 
     @property
     def paused(self) -> bool:
-        return self._paused
+        return self._cores[0].paused
 
     @property
     def pending(self) -> int:
         """Accepted submissions whose window has not closed yet."""
-        return self._pending
+        return sum(core.pending for core in self._cores)
 
     @property
     def open_windows(self) -> tuple[int, ...]:
         windows: set[int] = set()
-        for per_shard in self._open:
-            windows.update(per_shard)
+        for lock, core in zip(self._shard_locks, self._cores):
+            with lock:
+                windows.update(core.windows)
         return tuple(sorted(windows))
 
     @property
     def accepted_total(self) -> int:
         """Submissions ever journaled, across every shard."""
-        return sum(len(seen) for seen in self._seen)
+        return sum(len(core.seen) for core in self._cores)
 
     @property
     def accepted_per_shard(self) -> tuple[int, ...]:
         """Per-shard journaled identity counts (shard-aware fault anchors)."""
-        return tuple(len(seen) for seen in self._seen)
+        return tuple(len(core.seen) for core in self._cores)
 
     @property
     def journal_records(self) -> int:
@@ -686,70 +195,22 @@ class ShardedServiceDaemon:
             lock.release()
 
     def close_window(self, window: int) -> WindowSummary:
-        """Close one window everywhere: fold across shards, journal, retire."""
+        """Close one window everywhere: fold across shards, journal, retire.
+
+        Closing window ``w`` moves the deadline to ``w``: every window at
+        or below it — including empty ones that never saw a share —
+        becomes ``LATE`` territory.  Windows close in increasing order.
+        """
         self._acquire_all()
         try:
             with self._state:
-                if window in self._closed or window <= self._deadline:
-                    raise ServiceError(f"window {window} is already closed")
-                skipped = sorted(
-                    w
-                    for per_shard in self._open
-                    for w in per_shard
-                    if w < window
-                )
-                if skipped:
-                    raise ServiceError(
-                        f"cannot close window {window} past open windows "
-                        f"{skipped}; windows close in order"
-                    )
-            shard_subs = {
-                index: self._open[index].pop(window, [])
-                for index in range(self.shards)
-            }
-            count = sum(len(subs) for subs in shard_subs.values())
-            started = time.perf_counter_ns()
-            result = self._aggregate(shard_subs, window)
-            close_latency_us = (time.perf_counter_ns() - started) // 1000
-            with self._state:
-                summary = WindowSummary(
-                    window=window,
-                    accepted=count,
-                    devices=len(
-                        {s.device for subs in shard_subs.values() for s in subs}
-                    ),
-                    duplicates=self._duplicates.pop(window, 0),
-                    late=self._late.pop(window, 0),
-                    shed=self._shed.pop(window, 0),
-                    retried=self._retried.pop(window, 0),
-                    total=result.total,
-                    expected=result.expected,
-                    degraded=window in self._degraded_windows,
-                    close_latency_us=close_latency_us,
-                    recovered=self.recovered,
-                )
-            self._fold.append_close(summary)
-            with self._state:
-                self._closed[window] = summary
-                self._degraded_windows.discard(window)
-                self._deadline = window
-                self._pending -= count
-            self.last_close_submissions = tuple(
-                sorted(
-                    (s for subs in shard_subs.values() for s in subs),
-                    key=lambda s: (s.device, s.seq),
-                )
-            )
-            return summary
+                self._check_open(window)
+            for core in self._cores:
+                core.check_close(window)
+            shard_subs = {core.index: core.close(window) for core in self._cores}
+            return self._fold_close(window, shard_subs, aggregate_shards)
         finally:
             self._release_all()
-
-    def mark_degraded(self, window: int) -> None:
-        """Flag an open window as coverage-degraded at its deadline."""
-        with self._state:
-            if window in self._closed or window <= self._deadline:
-                raise ServiceError(f"window {window} is already closed")
-            self._degraded_windows.add(window)
 
     def drain(self) -> list[WindowSummary]:
         """Graceful shutdown: close every open window, in order."""
@@ -783,13 +244,6 @@ class ShardedServiceDaemon:
         finally:
             self._release_all()
         self._dirlock.release()
-
-    # -- reporting -------------------------------------------------------------
-
-    def window_records(self) -> list[WindowSummary]:
-        """Closed windows, in window order."""
-        with self._state:
-            return [self._closed[w] for w in sorted(self._closed)]
 
     def __enter__(self) -> "ShardedServiceDaemon":
         return self

@@ -5,7 +5,7 @@ producer threads (device gateways, load generators, test harnesses)
 call :meth:`submit` concurrently; each call enqueues one submission on a
 bounded :class:`queue.Queue` and returns a :class:`concurrent.futures
 .Future` that resolves to the daemon's explicit
-:class:`~repro.service.daemon.AdmissionResult`.  Dispatcher threads
+:class:`~repro.service.shard.AdmissionResult`.  Dispatcher threads
 drain the queue into the sharded daemon, whose per-shard WAL remains the
 **serialization point**: a submission's fate is decided exactly when its
 journal append lands, never by queue position, so journal-before-ack
@@ -34,7 +34,7 @@ from concurrent.futures import Future
 
 from repro.errors import ServiceError
 from repro.lintkit.lockdep import ordered_lock
-from repro.service.daemon import Admission, AdmissionResult
+from repro.service.shard import Admission, AdmissionResult
 
 __all__ = ["IngestFront"]
 
@@ -45,8 +45,8 @@ _STOP = object()
 class IngestFront:
     """Bounded-queue, multi-dispatcher front end over one daemon.
 
-    ``daemon`` is anything with the daemon ``submit`` signature
-    (:class:`ServiceDaemon` or :class:`ShardedServiceDaemon`); the front
+    ``daemon`` is anything with the daemon ``submit`` signature (a
+    :class:`~repro.service.daemon.ShardedServiceDaemon`); the front
     never inspects daemon state beyond calling ``submit``.
 
     ``dispatchers`` bounds write concurrency *into* the daemon.  The

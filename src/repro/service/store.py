@@ -191,22 +191,16 @@ class ResultStore:
     def ingest(self, journal_dir: str | os.PathLike) -> int:
         """Idempotently pull journaled closes out of a daemon directory.
 
-        Reads every ``*.wal`` under ``journal_dir`` (a sharded daemon's
-        directory; a single-journal file path works too) through the
-        read-only scanner, commits each close record the store does not
-        already hold together with its journaled submissions, and
-        returns how many windows were added.  Only durably journaled
+        Reads every ``*.wal`` under ``journal_dir`` (a service directory)
+        through the read-only scanner, commits each close record the store
+        does not already hold together with its journaled submissions,
+        and returns how many windows were added.  Only durably journaled
         closes are visible — a window a hard kill left open contributes
         nothing, which is exactly the query-after-kill contract.
         """
-        journal_dir = pathlib.Path(journal_dir)
-        if journal_dir.is_file():
-            paths = [journal_dir]
-        else:
-            paths = sorted(journal_dir.glob("*.wal"))
         closes: dict[int, WindowSummary] = {}
         submissions: list[ShareSubmission] = []
-        for path in paths:
+        for path in sorted(pathlib.Path(journal_dir).glob("*.wal")):
             state = wal.replay_journal(path)
             closes.update(state.closes)
             submissions.extend(state.accepted)

@@ -3,7 +3,8 @@
 :class:`ShardSupervisor` is the cross-process form of
 :class:`~repro.service.daemon.ShardedServiceDaemon`: the same WAL
 layout (``shard-NNN.wal`` per shard, ``fold.wal`` for authoritative
-closes), the same admission state machine, the same recovery
+closes), the same :class:`~repro.service.shard.ShardCore` admission
+state machine, the same :class:`~repro.service.shard.FoldHost` recovery
 verification — but each shard journal is owned by its *own daemon
 process* (:func:`_shard_main`), reached over the localhost socket
 transport (:mod:`repro.service.transport`), and the fold is coordinated
@@ -15,10 +16,9 @@ Responsibilities, by half:
   replays its WAL on start (truncating any torn tail — it is the
   journal's owner), binds an ephemeral TCP port, publishes
   ``{pid, port}`` through an atomically-replaced port file, and then
-  serves admission with the daemon's exact journal-before-ack
-  discipline.  ``CLOSE`` is idempotent (accepted submissions are kept
-  by window after the deadline advances), so a supervisor whose close
-  request lost its reply can simply re-send it.
+  serves its shard core.  ``CLOSE`` is idempotent for the last closed
+  window, so a supervisor whose close request lost its reply can simply
+  re-send it.
 * **Supervisor** (parent): holds the service-directory lock, re-verifies
   every journaled fold close against recomputation *before* spawning
   anything, spawns one process per shard, monitors liveness (process
@@ -44,17 +44,26 @@ import pathlib
 import signal
 import threading
 import time
-from dataclasses import replace
 
 from repro.core.metrics import WindowSummary
 from repro.errors import ServiceError, TransportError, WireError
 from repro.lintkit.lockdep import ordered_lock
 from repro.service import wal, wire
-from repro.service.daemon import Admission, AdmissionResult, ServiceConfig
+from repro.service.shard import (
+    FOLD_NAME,
+    Admission,
+    AdmissionResult,
+    FoldHost,
+    ServiceConfig,
+    ShardCore,
+    make_submission,
+    shard_journal_paths,
+)
 from repro.service.transport import (
     OP_CLOSE_WINDOW,
     OP_FAULT_DELAY,
     OP_FAULT_DROP,
+    OP_OPEN_WINDOWS,
     OP_PAUSE,
     OP_PING,
     OP_RESUME,
@@ -67,7 +76,7 @@ from repro.service.transport import (
     admission_from_reply,
     admission_to_reply,
 )
-from repro.service.windows import aggregate_shards, aggregate_window
+from repro.service.windows import aggregate_shards
 from repro.service.wire import ShareSubmission
 
 __all__ = ["ShardServer", "ShardSupervisor"]
@@ -101,16 +110,14 @@ def _read_port_file(path: pathlib.Path) -> dict | None:
 
 
 class ShardServer:
-    """One shard's in-process state machine (runs inside the child).
+    """One shard process: a :class:`~repro.service.shard.ShardCore` served
+    over the socket transport (runs inside the child).
 
-    The admission ladder is the daemon's, shard-locally: LATE (against
-    the shard's own deadline) ≺ DUPLICATE ≺ paused RETRY_AFTER ≺ SHED at
-    ``window_capacity`` ≺ RETRY_AFTER at ``queue_capacity`` (which on
-    the socket path bounds *this shard's* pending set — shards share no
-    memory, so the bound cannot be global) ≺ journal-append-fsync ≺
-    ACCEPTED.  Accepted submissions are retained by window even after
-    the deadline advances, which makes ``CLOSE`` idempotent under
-    supervisor retries.
+    The core runs the admission ladder against this shard's own deadline
+    and pending set, so ``queue_capacity`` bounds this shard alone — the
+    same per-shard meaning it has in-process.  ``CLOSE`` is idempotent
+    for the last closed window, so a supervisor whose close request lost
+    its reply can simply re-send it.
     """
 
     def __init__(
@@ -118,42 +125,21 @@ class ShardServer:
         index: int,
         shards: int,
         journal_path: str | os.PathLike,
-        deadline: int,
-        paused: bool,
-        window_capacity: int,
-        queue_capacity: int,
-        retry_after_s: float,
-        fsync: bool,
+        config: ServiceConfig,
+        deadline: int = -1,
+        paused: bool = False,
     ):
         self.index = index
-        self.shards = shards
-        self.journal = wal.WindowJournal(journal_path, fsync=fsync)
-        self.window_capacity = window_capacity
-        self.queue_capacity = queue_capacity
-        self.retry_after_s = retry_after_s
+        self.journal = wal.WindowJournal(journal_path, fsync=config.fsync)
         self._lock = ordered_lock("shardserver.state")
-        self._seen: set[tuple[int, int]] = set()
-        self._by_window: dict[int, list[ShareSubmission]] = {}
-        self._deadline = deadline
-        self._paused = paused
-        self._pending = 0
+        self.core = ShardCore(
+            index, shards, config, self.journal, deadline=deadline, paused=paused
+        )
+        self.core.replay(self.journal.replay())
         self._drop_pending = 0
         self._delay_pending = 0
         self._delay_s = 0.0
         self._server: SocketRecordServer | None = None
-        self._replay()
-
-    def _replay(self) -> None:
-        state = self.journal.replay()
-        if state.skipped or state.closes:
-            raise ServiceError(
-                f"shard journal {self.journal.path} holds foreign records"
-            )
-        for submission in state.accepted:
-            self._seen.add((submission.device, submission.seq))
-            self._by_window.setdefault(submission.window, []).append(submission)
-            if submission.window > self._deadline:
-                self._pending += 1
 
     # -- request handling ------------------------------------------------------
 
@@ -166,35 +152,9 @@ class ShardServer:
             f"shard {self.index} cannot serve {type(record).__name__} frames"
         )
 
-    def _admit(self, s: ShareSubmission) -> AdmissionResult:
-        if s.device % self.shards != self.index:
-            raise ServiceError(
-                f"device {s.device} routes to shard {s.device % self.shards}, "
-                f"not {self.index}"
-            )
-        if s.window <= self._deadline:
-            return AdmissionResult(Admission.LATE, s.window)
-        if (s.device, s.seq) in self._seen:
-            return AdmissionResult(Admission.DUPLICATE, s.window)
-        if self._paused:
-            return AdmissionResult(
-                Admission.RETRY_AFTER, s.window, retry_after_s=self.retry_after_s
-            )
-        if len(self._by_window.get(s.window, ())) >= self.window_capacity:
-            return AdmissionResult(Admission.SHED, s.window)
-        if self._pending >= self.queue_capacity:
-            return AdmissionResult(
-                Admission.RETRY_AFTER, s.window, retry_after_s=self.retry_after_s
-            )
-        self.journal.append_submission(s)
-        self._seen.add((s.device, s.seq))
-        self._by_window.setdefault(s.window, []).append(s)
-        self._pending += 1
-        return AdmissionResult(Admission.ACCEPTED, s.window)
-
     def _handle_submit(self, s: ShareSubmission):
         with self._lock:
-            result = self._admit(s)
+            result = self.core.admit(s)
             drop = delay = False
             if result.accepted and self._drop_pending > 0:
                 self._drop_pending -= 1
@@ -214,57 +174,37 @@ class ShardServer:
         op = request.op
         if op == OP_PING:
             return [wire.ServiceReply(op=op, ok=True, value=self.index)]
-        if op == OP_CLOSE_WINDOW:
-            return self._handle_close(request.window)
-        if op == OP_PAUSE:
-            with self._lock:
-                self._paused = True
-            return [wire.ServiceReply(op=op, ok=True)]
-        if op == OP_RESUME:
-            with self._lock:
-                self._paused = False
-            return [wire.ServiceReply(op=op, ok=True)]
         if op == OP_STAT_RECORDS:
             return [wire.ServiceReply(op=op, ok=True, value=self.journal.records)]
         if op == OP_STAT_ACCEPTED:
-            return [wire.ServiceReply(op=op, ok=True, value=len(self._seen))]
-        if op == OP_FAULT_DROP:
+            return [wire.ServiceReply(op=op, ok=True, value=len(self.core.seen))]
+        # CLOSE and OPEN_WINDOWS stream records after the reply.
+        records: list = []
+        if op == OP_CLOSE_WINDOW:
+            with self._lock:
+                records = list(self.core.close(request.window))
+        elif op == OP_OPEN_WINDOWS:
+            with self._lock:
+                records = [
+                    wire.ServiceReply(op=op, ok=True, value=window)
+                    for window in self.core.open_windows
+                ]
+        elif op in (OP_PAUSE, OP_RESUME):
+            with self._lock:
+                self.core.paused = op == OP_PAUSE
+        elif op == OP_FAULT_DROP:
             with self._lock:
                 self._drop_pending += max(0, request.value)
-            return [wire.ServiceReply(op=op, ok=True)]
-        if op == OP_FAULT_DELAY:
+        elif op == OP_FAULT_DELAY:
             with self._lock:
                 self._delay_pending += max(0, request.window)
                 self._delay_s = request.value / 1_000_000.0
-            return [wire.ServiceReply(op=op, ok=True)]
-        if op == OP_SHUTDOWN:
+        elif op == OP_SHUTDOWN:
             if self._server is not None:
                 self._server.stop()
-            return [wire.ServiceReply(op=op, ok=True)]
-        raise ServiceError(f"unknown control op {op}")
-
-    def _handle_close(self, window: int):
-        with self._lock:
-            strays = sorted(
-                w
-                for w, subs in self._by_window.items()
-                if self._deadline < w < window and subs
-            )
-            if strays:
-                raise ServiceError(
-                    f"shard {self.index} cannot close window {window} past "
-                    f"open windows {strays}; windows close in order"
-                )
-            submissions = list(self._by_window.get(window, ()))
-            if window > self._deadline:
-                for w, subs in self._by_window.items():
-                    if self._deadline < w <= window:
-                        self._pending -= len(subs)
-                self._deadline = window
-        return [
-            wire.ServiceReply(op=OP_CLOSE_WINDOW, ok=True, value=len(submissions)),
-            *submissions,
-        ]
+        else:
+            raise ServiceError(f"unknown control op {op}")
+        return [wire.ServiceReply(op=op, ok=True, value=len(records)), *records]
 
     # -- lifetime --------------------------------------------------------------
 
@@ -288,32 +228,19 @@ def _shard_main(
     shards: int,
     journal_path: str,
     port_file: str,
+    config: ServiceConfig,
     deadline: int,
     paused: bool,
-    window_capacity: int,
-    queue_capacity: int,
-    retry_after_s: float,
-    fsync: bool,
 ) -> None:
-    """Child-process entry point (spawn-safe: flat picklable args only)."""
+    """Child-process entry point (spawn-safe: picklable args only)."""
     # The supervisor owns process-group signals; a shard dies by SIGKILL
     # or by SHUTDOWN, never by an inherited SIGINT from a test runner.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    server = ShardServer(
-        index=index,
-        shards=shards,
-        journal_path=journal_path,
-        deadline=deadline,
-        paused=paused,
-        window_capacity=window_capacity,
-        queue_capacity=queue_capacity,
-        retry_after_s=retry_after_s,
-        fsync=fsync,
-    )
+    server = ShardServer(index, shards, journal_path, config, deadline, paused)
     server.run(pathlib.Path(port_file))
 
 
-class ShardSupervisor:
+class ShardSupervisor(FoldHost):
     """Own one daemon process per shard journal; coordinate the fold.
 
     Presents the :class:`~repro.service.daemon.ShardedServiceDaemon`
@@ -323,9 +250,6 @@ class ShardSupervisor:
     socket-only surface: :meth:`kill_shard`, :meth:`inject_drop`,
     :meth:`inject_delay`, and ``restarts``.
     """
-
-    SHARD_PATTERN = "shard-{index:03d}.wal"
-    FOLD_NAME = "fold.wal"
 
     def __init__(
         self,
@@ -337,8 +261,6 @@ class ShardSupervisor:
         heartbeat_s: float = 0.05,
         heartbeat_misses: int = 5,
     ):
-        if shards < 1:
-            raise ServiceError(f"shards must be >= 1, got {shards}")
         if heartbeat_s <= 0 or heartbeat_misses < 1:
             raise ServiceError("heartbeat settings must be positive")
         self.config = config
@@ -349,42 +271,28 @@ class ShardSupervisor:
         self.control_deadline_s = control_deadline_s
         self.heartbeat_s = heartbeat_s
         self.heartbeat_misses = heartbeat_misses
-        for existing in self.journal_dir.glob("shard-*.wal"):
-            try:
-                index = int(existing.stem.split("-", 1)[1])
-            except (IndexError, ValueError):
-                continue
-            if index >= shards:
-                raise ServiceError(
-                    f"journal dir {self.journal_dir} holds {existing.name} "
-                    f"but this service runs {shards} shard(s); resharding a "
-                    "journal directory is not supported"
-                )
+        self._paths = shard_journal_paths(self.journal_dir, shards)
         self._lock = wal.ServiceDirLock(self.journal_dir)
         self._lock.acquire()
         try:
             self._state = ordered_lock("supervisor.state")
             self._close_lock = ordered_lock("service.close")
-            self._closed: dict[int, WindowSummary] = {}
-            self._deadline = -1
-            self._shard_accepted = [0] * shards
-            self._closed_accepted = 0
-            self._duplicates: dict[int, int] = {}
-            self._shed: dict[int, int] = {}
-            self._retried: dict[int, int] = {}
-            self._late: dict[int, int] = {}
-            self.late_total = 0
-            self._degraded_windows: set[int] = set()
             self._paused = False
             self._stopped = False
-            self.last_close_submissions: tuple[ShareSubmission, ...] = ()
             self.restarts = 0
             self.restart_log: list[dict] = []
-            self.recovered = False
-            self._recover()
-            self._fold = wal.WindowJournal(
-                self.journal_dir / self.FOLD_NAME, fsync=config.fsync
+            # Verify before spawning: a shard process is never handed a
+            # journal that disagrees with the authoritative fold.  The
+            # read-only cores only count; each shard process replays its
+            # own journal into a live core.
+            fold_path = self.journal_dir / FOLD_NAME
+            cores = self._recover(
+                wal.replay_journal(fold_path),
+                [wal.replay_journal(path) for path in self._paths],
+                aggregate_shards,
             )
+            self._shard_accepted = [len(core.seen) for core in cores]
+            self._fold = wal.WindowJournal(fold_path, fsync=config.fsync)
             self._ctx = multiprocessing.get_context("spawn")
             self._processes: list = [None] * shards
             self._spawn_locks = [
@@ -414,101 +322,6 @@ class ShardSupervisor:
         except BaseException:
             self._lock.release()
             raise
-
-    # -- recovery --------------------------------------------------------------
-
-    def _recover(self) -> None:
-        """Read-only pre-spawn verification, mirroring the daemon's.
-
-        Every fold close must recompute bit-for-bit from the shard WALs
-        (the same invariants ``ShardedServiceDaemon._recover`` enforces)
-        — a supervisor never hands a shard process a journal it has not
-        proven consistent with the authoritative fold.
-        """
-        shard_states = []
-        for index in range(self.shards):
-            path = self.journal_dir / self.SHARD_PATTERN.format(index=index)
-            state = wal.replay_journal(path)
-            if state.skipped:
-                raise ServiceError(
-                    f"shard journal {path} holds {state.skipped} "
-                    "undecodable records"
-                )
-            if state.closes:
-                raise ServiceError(
-                    f"shard journal {path} holds close records; closes "
-                    "belong to the fold journal"
-                )
-            seen: set[tuple[int, int]] = set()
-            for submission in state.accepted:
-                if submission.device % self.shards != index:
-                    raise ServiceError(
-                        f"shard journal {path} holds device "
-                        f"{submission.device}, which routes to shard "
-                        f"{submission.device % self.shards}"
-                    )
-                identity = (submission.device, submission.seq)
-                if identity in seen:
-                    raise ServiceError(
-                        f"shard journal {path} holds a duplicate "
-                        f"submission identity {identity}"
-                    )
-                seen.add(identity)
-            shard_states.append(state)
-            self._shard_accepted[index] = len(state.accepted)
-        fold_state = wal.replay_journal(self.journal_dir / self.FOLD_NAME)
-        if fold_state.skipped:
-            raise ServiceError(
-                f"fold journal {self.journal_dir / self.FOLD_NAME} holds "
-                f"{fold_state.skipped} undecodable records"
-            )
-        if fold_state.accepted:
-            raise ServiceError(
-                "fold journal holds submissions; shares belong to the "
-                "shard journals"
-            )
-        self.recovered = bool(fold_state.closes) or any(
-            s.accepted for s in shard_states
-        )
-        by_shard_window: dict[tuple[int, int], list[ShareSubmission]] = {}
-        for index, state in enumerate(shard_states):
-            for submission in state.accepted:
-                by_shard_window.setdefault(
-                    (index, submission.window), []
-                ).append(submission)
-        for window, summary in sorted(fold_state.closes.items()):
-            shard_subs = {
-                index: by_shard_window.pop((index, window), [])
-                for index in range(self.shards)
-            }
-            count = sum(len(subs) for subs in shard_subs.values())
-            if count != summary.accepted:
-                raise ServiceError(
-                    f"window {window} fold record counts {summary.accepted} "
-                    f"submissions; shard journals hold {count}"
-                )
-            check = self._aggregate(shard_subs, window)
-            if check.total != summary.total or check.expected != summary.expected:
-                raise ServiceError(
-                    f"window {window} journaled total {summary.total} does "
-                    f"not match its recomputation {check.total}"
-                )
-            self._closed[window] = replace(summary, recovered=self.recovered)
-            self._closed_accepted += summary.accepted
-            self._deadline = max(self._deadline, window)
-        for (index, window), _subs in sorted(by_shard_window.items()):
-            if window <= self._deadline:
-                raise ServiceError(
-                    f"shard {index} journal holds submissions for window "
-                    f"{window} past the recovered deadline {self._deadline}"
-                )
-
-    def _aggregate(self, shard_subs: dict[int, list[ShareSubmission]], window: int):
-        if self.shards == 1:
-            return aggregate_window(
-                shard_subs.get(0, []), self.config.seed, window, self.config.cells
-            )
-        return aggregate_shards(shard_subs, self.config.seed, window)
 
     # -- process lifecycle -----------------------------------------------------
 
@@ -542,14 +355,11 @@ class ShardSupervisor:
             args=(
                 index,
                 self.shards,
-                str(self.journal_dir / self.SHARD_PATTERN.format(index=index)),
+                str(self._paths[index]),
                 str(port_file),
+                self.config,
                 deadline,
                 paused,
-                self.config.window_capacity,
-                self.config.queue_capacity,
-                self.config.retry_after_s,
-                self.config.fsync,
             ),
             name=f"repro-shard-{index:03d}",
             daemon=True,
@@ -624,9 +434,6 @@ class ShardSupervisor:
 
     # -- admission -------------------------------------------------------------
 
-    def shard_of(self, device: int) -> int:
-        return device % self.shards
-
     def submit(
         self, device: int, seq: int, window: int, value: int
     ) -> AdmissionResult:
@@ -636,19 +443,14 @@ class ShardSupervisor:
         fold deadline, so a shard that restarted with a stale deadline
         can never accept a share for a closed window.
         """
-        try:
-            submission = ShareSubmission(
-                device=device, seq=seq, window=window, value=value
-            )
-        except WireError as exc:
-            raise ServiceError(f"malformed submission: {exc}") from exc
+        submission = make_submission(device, seq, window, value)
         with self._state:
             if self._stopped:
                 raise ServiceError("shard supervisor is stopped")
-            if window <= self._deadline or window in self._closed:
-                self.late_total += 1
-                self._late[window] = self._late.get(window, 0) + 1
-                return AdmissionResult(Admission.LATE, window)
+            if window <= self._deadline:
+                late = AdmissionResult(Admission.LATE, window)
+                self._tally(late)
+                return late
         shard = self.shard_of(device)
         reply = self._endpoints[shard].request(submission)
         if not isinstance(reply, wire.AdmissionReply):
@@ -660,15 +462,8 @@ class ShardSupervisor:
         with self._state:
             if result.accepted:
                 self._shard_accepted[shard] += 1
-            elif result.admission is Admission.DUPLICATE:
-                self._duplicates[window] = self._duplicates.get(window, 0) + 1
-            elif result.admission is Admission.SHED:
-                self._shed[window] = self._shed.get(window, 0) + 1
-            elif result.admission is Admission.RETRY_AFTER:
-                self._retried[window] = self._retried.get(window, 0) + 1
-            elif result.admission is Admission.LATE:
-                self.late_total += 1
-                self._late[window] = self._late.get(window, 0) + 1
+            else:
+                self._tally(result)
         return result
 
     # -- control plane ---------------------------------------------------------
@@ -714,7 +509,9 @@ class ShardSupervisor:
     def pending(self) -> int:
         """Accepted-but-unclosed submissions, exact even across lost acks
         (shard journals are the ground truth, not supervisor counters)."""
-        return self._stat(OP_STAT_ACCEPTED) - self._closed_accepted
+        with self._state:
+            closed = sum(s.accepted for s in self._closed.values())
+        return self._stat(OP_STAT_ACCEPTED) - closed
 
     @property
     def accepted_total(self) -> int:
@@ -726,9 +523,22 @@ class ShardSupervisor:
 
     @property
     def open_windows(self) -> tuple[int, ...]:
-        # The supervisor does not mirror per-window sets; closes are
-        # driven by the soak/client on a schedule, not by introspection.
-        return ()
+        """Windows any shard core holds accepted shares for."""
+        windows: set[int] = set()
+        for index in range(self.shards):
+            _reply, records = self._control(
+                index,
+                wire.ServiceRequest(op=OP_OPEN_WINDOWS),
+                trailing=OP_OPEN_WINDOWS,
+            )
+            for record in records:
+                if not isinstance(record, wire.ServiceReply):
+                    raise WireError(
+                        f"shard {index} streamed {type(record).__name__} "
+                        "inside an open-windows reply"
+                    )
+                windows.add(record.value)
+        return tuple(sorted(windows))
 
     @property
     def journal_records(self) -> int:
@@ -769,12 +579,6 @@ class ShardSupervisor:
 
     # -- window lifecycle ------------------------------------------------------
 
-    def mark_degraded(self, window: int) -> None:
-        with self._state:
-            if window in self._closed or window <= self._deadline:
-                raise ServiceError(f"window {window} is already closed")
-            self._degraded_windows.add(window)
-
     def close_window(self, window: int) -> WindowSummary:
         """Close one window across every shard process; fold; journal.
 
@@ -790,8 +594,7 @@ class ShardSupervisor:
             with self._state:
                 if self._stopped:
                     raise ServiceError("shard supervisor is stopped")
-                if window in self._closed or window <= self._deadline:
-                    raise ServiceError(f"window {window} is already closed")
+                self._check_open(window)
             shard_subs: dict[int, list[ShareSubmission]] = {}
             for index in range(self.shards):
                 reply, extras = self._control(
@@ -813,44 +616,7 @@ class ShardSupervisor:
                         )
                     submissions.append(record)
                 shard_subs[index] = submissions
-            count = sum(len(subs) for subs in shard_subs.values())
-            started = time.perf_counter_ns()
-            result = self._aggregate(shard_subs, window)
-            close_latency_us = (time.perf_counter_ns() - started) // 1000
-            with self._state:
-                summary = WindowSummary(
-                    window=window,
-                    accepted=count,
-                    devices=len(
-                        {s.device for subs in shard_subs.values() for s in subs}
-                    ),
-                    duplicates=self._duplicates.pop(window, 0),
-                    late=self._late.pop(window, 0),
-                    shed=self._shed.pop(window, 0),
-                    retried=self._retried.pop(window, 0),
-                    total=result.total,
-                    expected=result.expected,
-                    degraded=window in self._degraded_windows,
-                    close_latency_us=close_latency_us,
-                    recovered=self.recovered,
-                )
-            self._fold.append_close(summary)
-            with self._state:
-                self._closed[window] = summary
-                self._closed_accepted += count
-                self._degraded_windows.discard(window)
-                self._deadline = window
-            self.last_close_submissions = tuple(
-                sorted(
-                    (s for subs in shard_subs.values() for s in subs),
-                    key=lambda s: (s.device, s.seq),
-                )
-            )
-            return summary
-
-    def window_records(self) -> list[WindowSummary]:
-        with self._state:
-            return [self._closed[w] for w in sorted(self._closed)]
+            return self._fold_close(window, shard_subs, aggregate_shards)
 
     # -- shutdown --------------------------------------------------------------
 

@@ -45,7 +45,7 @@ from typing import Any, Callable
 from repro.errors import ServiceError, TransportError, WireError
 from repro.lintkit.lockdep import ordered_lock
 from repro.service import wire
-from repro.service.daemon import Admission, AdmissionResult
+from repro.service.shard import Admission, AdmissionResult
 
 __all__ = [
     "DROP_CONNECTION",
@@ -75,6 +75,7 @@ OP_STAT_ACCEPTED = 6
 OP_FAULT_DROP = 7
 OP_FAULT_DELAY = 8
 OP_SHUTDOWN = 9
+OP_OPEN_WINDOWS = 10
 
 #: Handler return sentinel: close the connection without replying.
 DROP_CONNECTION = object()
@@ -327,7 +328,7 @@ class ShardEndpoint:
 
         With ``trailing=op``, and the reply being a successful
         ``ServiceReply`` for that op, also reads ``reply.value``
-        trailing frames (the close-window submission stream).  An
+        trailing frames (a close's submissions, a shard's open windows).  An
         :class:`~repro.service.wire.ErrorReply` re-raises as the named
         error class; a mid-request failure of any kind drops the
         connection before propagating.

@@ -15,9 +15,9 @@ scalar wire format of :mod:`repro.service.wire`.  Replay therefore never
 depends on pickle or on wall clocks: a restarted daemon reconstructs its
 accepted sets and closed windows purely from what was durably framed.
 
-Journals default to living under the disk-cache root
-(``<cache_dir>/service/<name>.wal``) so service state shares the cache's
-directory conventions and lifecycle tooling.
+Service directories default to living under the disk-cache root
+(``<cache_dir>/service/<name>/``, :func:`service_dir`) so service state
+shares the cache's directory conventions and lifecycle tooling.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "LOCK_NAME",
     "ServiceDirLock",
     "WindowJournal",
-    "journal_path",
     "live_service_pid",
     "replay_journal",
     "service_dir",
@@ -133,11 +132,6 @@ def live_service_pid(directory: str | os.PathLike) -> int | None:
     return None
 
 
-def journal_path(name: str) -> pathlib.Path:
-    """Default journal location under the active disk-cache root."""
-    return diskcache.cache_dir() / "service" / f"{name}.wal"
-
-
 def service_dir(name: str) -> pathlib.Path:
     """Default journal *directory* for a sharded service instance."""
     return diskcache.cache_dir() / "service" / name
@@ -151,8 +145,22 @@ def replay_journal(path: str | os.PathLike) -> JournalState:
     the read side the result store and ``repro query`` build on.  A
     missing file replays as empty.
     """
+    return _decode(diskcache.read_log_records(path))
+
+
+def _decode(payloads) -> JournalState:
+    """Type a journal's valid record payloads.
+
+    Records that frame correctly at the log layer but fail to decode as
+    wire records (a version skew, a corrupted-but-CRC-colliding frame)
+    are counted in ``skipped`` rather than aborting recovery: the
+    journal's durability contract is per-record, and one bad record must
+    not take down every window behind it.  So is a decodable wire record
+    that is not a journal record (e.g. a result-store ``DeviceTotal``
+    written to the wrong file): foreign, not fatal.
+    """
     state = JournalState()
-    for payload in diskcache.read_log_records(path):
+    for payload in payloads:
         try:
             record = wire.decode_record(payload)
         except WireError:
@@ -213,31 +221,8 @@ class WindowJournal:
         return self._log.append(wire.encode_record(summary))
 
     def replay(self) -> JournalState:
-        """Reconstruct journal state from the valid record prefix.
-
-        Records that frame correctly at the log layer but fail to decode
-        as wire records (a version skew, a corrupted-but-CRC-colliding
-        frame) are counted in ``skipped`` rather than aborting recovery:
-        the journal's durability contract is per-record, and one bad
-        record must not take down every window behind it.
-        """
-        state = JournalState()
-        for payload in self._log.replay():
-            try:
-                record = wire.decode_record(payload)
-            except WireError:
-                state.skipped += 1
-                continue
-            if isinstance(record, ShareSubmission):
-                state.accepted.append(record)
-            elif isinstance(record, WindowSummary):
-                state.closes[record.window] = record
-            else:
-                # A decodable wire record that is not a journal record
-                # (e.g. a result-store DeviceTotal written to the wrong
-                # file) is foreign, not fatal — same per-record stance.
-                state.skipped += 1
-        return state
+        """Reconstruct journal state from the valid record prefix."""
+        return _decode(self._log.replay())
 
     def sync(self) -> None:
         """Explicit durability barrier."""

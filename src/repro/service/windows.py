@@ -97,6 +97,46 @@ def _cell_sum(
     return value.value
 
 
+def _fold_cells(
+    cells: list[tuple[int, list[ShareSubmission]]], seed: int, window: int
+) -> WindowAggregate:
+    """Deal each ``(cell index, ordered submissions)`` cell, then fold.
+
+    Every cell's deal is seeded by ``child_seed(window_seed, "cell",
+    index)`` and the cell sums fold through :func:`cross_cell_aggregate`
+    under the window seed.
+    """
+    if not cells:
+        return WindowAggregate(total=None, expected=0, cells=0, degree=0)
+    prime = PrimeField().prime
+    wseed = window_seed(seed, window)
+    cell_results: list[CellResult] = []
+    for index, ordered in cells:
+        values = [s.value % prime for s in ordered]
+        cell_sum = _cell_sum(
+            values,
+            [s.device for s in ordered],
+            child_seed(wseed, "cell", index),
+        )
+        cell_results.append(
+            CellResult(
+                index=index,
+                node_ids=tuple(s.device for s in ordered),
+                sums=(cell_sum,),
+                expected=(sum(values) % prime,),
+            )
+        )
+    totals, degree = cross_cell_aggregate(cell_results, iterations=1, seed=wseed)
+    expected = sum(cell.expected[0] for cell in cell_results) % prime
+    return WindowAggregate(
+        total=totals[0], expected=expected, cells=len(cell_results), degree=degree
+    )
+
+
+def _canonical(submissions: Sequence[ShareSubmission]) -> list[ShareSubmission]:
+    return sorted(submissions, key=lambda s: (s.device, s.seq))
+
+
 def aggregate_window(
     submissions: Sequence[ShareSubmission],
     seed: int,
@@ -106,98 +146,54 @@ def aggregate_window(
     """Aggregate one window's accepted submissions, deterministically.
 
     ``submissions`` may arrive in any order; they are canonicalised by
-    ``(device, seq)`` first.  ``cells`` bounds the slicing — windows with
-    fewer submissions than cells use one cell per submission.
+    ``(device, seq)`` first, then sliced into ``cells`` contiguous,
+    near-even cells — windows with fewer submissions than cells use one
+    cell per submission.
     """
     if cells < 1:
         raise ServiceError(f"cells must be >= 1, got {cells}")
-    ordered = sorted(submissions, key=lambda s: (s.device, s.seq))
-    prime = PrimeField().prime
-    values = [s.value % prime for s in ordered]
-    expected = sum(values) % prime
-    if not ordered:
-        return WindowAggregate(total=None, expected=0, cells=0, degree=0)
-
-    wseed = window_seed(seed, window)
+    ordered = _canonical(submissions)
     num_cells = min(cells, len(ordered))
-    base, extra = divmod(len(ordered), num_cells)
-    cell_results: list[CellResult] = []
+    chunks = []
     start = 0
     for index in range(num_cells):
-        size = base + (1 if index < extra else 0)
-        chunk = ordered[start : start + size]
-        chunk_values = values[start : start + size]
+        size = len(ordered) // num_cells + (index < len(ordered) % num_cells)
+        chunks.append((index, ordered[start : start + size]))
         start += size
-        cell_sum = _cell_sum(
-            chunk_values,
-            [s.device for s in chunk],
-            child_seed(wseed, "cell", index),
-        )
-        cell_results.append(
-            CellResult(
-                index=index,
-                node_ids=tuple(s.device for s in chunk),
-                sums=(cell_sum,),
-                expected=(sum(chunk_values) % prime,),
-            )
-        )
-    totals, degree = cross_cell_aggregate(cell_results, iterations=1, seed=wseed)
-    return WindowAggregate(
-        total=totals[0], expected=expected, cells=num_cells, degree=degree
-    )
+    return _fold_cells(chunks, seed, window)
 
 
 def aggregate_shards(
     shard_submissions: dict[int, Sequence[ShareSubmission]],
     seed: int,
     window: int,
+    cells: int = 1,
 ) -> WindowAggregate:
-    """Fold per-shard accepted sets into one window total (sharded daemon).
+    """Fold per-shard accepted sets into one window total (sharded service).
 
     Each shard is one MPC cell whose membership is fixed by routing
     (``device % shards``), not by sorted slicing — but the determinism
     discipline is identical to :func:`aggregate_window`: submissions are
     canonicalised by ``(device, seq)`` *within* each shard, every cell's
-    deal is seeded by ``child_seed(window_seed, "cell", shard_index)``
-    (the shard index, stable however many shards sat empty), and cell
-    sums fold through :func:`cross_cell_aggregate` under the window
-    seed.  The folded total is therefore a pure function of the
-    per-shard accepted sets and the campaign seed — the kill-anywhere
-    recovery contract, per shard and for the fold.
+    deal is seeded by the shard index (stable however many shards sat
+    empty), and cell sums fold under the window seed.  The folded total
+    is therefore a pure function of the per-shard accepted sets and the
+    campaign seed — the kill-anywhere recovery contract, per shard and
+    for the fold.
 
-    For one shard this is bit-identical to
-    ``aggregate_window(submissions, seed, window, cells=1)``.
+    A service with one shard (the only key is ``0``) slices that shard's
+    set into ``cells`` cells through :func:`aggregate_window`; with
+    ``cells=1`` that is bit-identical to the shard-as-cell fold.  With
+    several shards each shard is one cell and ``cells`` is unused.
     """
-    prime = PrimeField().prime
-    per_shard = [
-        (shard, sorted(shard_submissions[shard], key=lambda s: (s.device, s.seq)))
-        for shard in sorted(shard_submissions)
-        if shard_submissions[shard]
-    ]
-    expected = sum(
-        s.value % prime for _, ordered in per_shard for s in ordered
-    ) % prime
-    if not per_shard:
-        return WindowAggregate(total=None, expected=0, cells=0, degree=0)
-
-    wseed = window_seed(seed, window)
-    cell_results: list[CellResult] = []
-    for shard, ordered in per_shard:
-        chunk_values = [s.value % prime for s in ordered]
-        cell_sum = _cell_sum(
-            chunk_values,
-            [s.device for s in ordered],
-            child_seed(wseed, "cell", shard),
-        )
-        cell_results.append(
-            CellResult(
-                index=shard,
-                node_ids=tuple(s.device for s in ordered),
-                sums=(cell_sum,),
-                expected=(sum(chunk_values) % prime,),
-            )
-        )
-    totals, degree = cross_cell_aggregate(cell_results, iterations=1, seed=wseed)
-    return WindowAggregate(
-        total=totals[0], expected=expected, cells=len(per_shard), degree=degree
+    if list(shard_submissions) == [0]:
+        return aggregate_window(shard_submissions[0], seed, window, cells)
+    return _fold_cells(
+        [
+            (shard, _canonical(subs))
+            for shard, subs in sorted(shard_submissions.items())
+            if subs
+        ],
+        seed,
+        window,
     )

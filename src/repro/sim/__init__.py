@@ -6,8 +6,6 @@
   accounting (the paper's second metric).
 * :mod:`repro.sim.node` — the per-node container protocols hang state off.
 * :mod:`repro.sim.trace` — bounded in-memory trace recording.
-* :mod:`repro.sim.maskbatch` — numpy-vectorized batch form of the
-  Bernoulli mask sampler (one mask per receiver of a slot);
 * :mod:`repro.sim.bitrandom` — fast sampling of Bernoulli bit-masks over
   big integers, the trick that lets pure Python simulate per-packet losses
   on 2000-packet chains at acceptable speed.

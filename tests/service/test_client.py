@@ -1,4 +1,4 @@
-"""ServiceClient tests: one API, two transports, restart-resume queries."""
+"""ServiceClient tests: one API, three transports, restart-resume queries."""
 
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ def service_dir(tmp_path):
 
 
 class TestTransportsShareOneInterface:
-    @pytest.mark.parametrize("transport", ["inproc", "queue"])
+    @pytest.mark.parametrize("transport", ["inproc", "queue", "socket"])
     def test_submit_close_query_round_trip(self, tmp_path, transport):
         with ServiceClient(
             config(), tmp_path / transport, shards=2, transport=transport
@@ -56,6 +56,59 @@ class TestTransportsShareOneInterface:
                     {d: b.total for d, b in client.billing_extract().items()}
                 )
         assert extracts[0] == extracts[1]
+
+    def test_admission_sequence_is_identical_on_every_transport(self, tmp_path):
+        # Both bounds are per shard on every transport: with shards=2 and
+        # queue_capacity=3, shard 0 holds three pending shares while
+        # shard 1 still has room.
+        def drive(client):
+            answers = [client.submit(d, 0, 0, 100 + d) for d in range(4)]
+            answers.append(client.submit(0, 0, 0, 100))  # duplicate
+            answers.append(client.submit(4, 0, 0, 104))  # shard 0 full: shed
+            answers.append(client.submit(4, 1, 1, 204))  # shard 0 at 3 pending
+            answers.append(client.submit(6, 1, 1, 206))  # queue full: retry
+            answers.append(client.submit(5, 1, 1, 205))  # shard 1 has room
+            client.pause()
+            answers.append(client.submit(7, 1, 1, 207))
+            client.resume()
+            client.close_window(0)
+            answers.append(client.submit(6, 1, 1, 206))  # space freed
+            answers.append(client.submit(8, 2, 0, 108))  # late
+            client.close_window(1)
+            return answers
+
+        runs = {}
+        for transport in ("inproc", "queue", "socket"):
+            with ServiceClient(
+                config(window_capacity=2, queue_capacity=3),
+                tmp_path / transport,
+                shards=2,
+                transport=transport,
+            ) as client:
+                answers = drive(client)
+                bills = {d: b.total for d, b in client.billing_extract().items()}
+                tallies = [
+                    (s.accepted, s.duplicates, s.late, s.shed, s.retried, s.total)
+                    for s in client.window_records()
+                ]
+            runs[transport] = (answers, bills, tallies)
+        answers, bills, tallies = runs["inproc"]
+        assert [a.admission for a in answers] == [
+            Admission.ACCEPTED,
+            Admission.ACCEPTED,
+            Admission.ACCEPTED,
+            Admission.ACCEPTED,
+            Admission.DUPLICATE,
+            Admission.SHED,
+            Admission.ACCEPTED,
+            Admission.RETRY_AFTER,
+            Admission.ACCEPTED,
+            Admission.RETRY_AFTER,
+            Admission.ACCEPTED,
+            Admission.LATE,
+        ]
+        assert runs["queue"] == runs["inproc"]
+        assert runs["socket"] == runs["inproc"]
 
     def test_submit_async_resolves_on_both_transports(self, tmp_path):
         for transport in ("inproc", "queue"):
@@ -186,8 +239,11 @@ class TestQueriesAndLifecycle:
             assert [w["window"] for w in after["windows"]] == [3]
             assert after["devices"] == before
 
-    def test_drain_closes_every_open_window(self, service_dir):
-        client = ServiceClient(config(), service_dir, shards=2)
+    @pytest.mark.parametrize("transport", ["inproc", "queue", "socket"])
+    def test_drain_closes_every_open_window(self, service_dir, transport):
+        client = ServiceClient(
+            config(), service_dir, shards=2, transport=transport
+        )
         feed_window(client, 0, devices=2)
         feed_window(client, 1, devices=3)
         summaries = client.drain()
@@ -286,15 +342,6 @@ class TestContextManagerExitPaths:
 
 
 class TestDeprecatedDaemonImport:
-    def test_package_level_daemon_import_warns(self):
-        import repro.service as service
-
-        with pytest.warns(DeprecationWarning, match="ServiceClient"):
-            daemon_cls = service.ServiceDaemon
-        from repro.service.daemon import ServiceDaemon
-
-        assert daemon_cls is ServiceDaemon
-
     def test_other_missing_names_raise_attribute_error(self):
         import repro.service as service
 

@@ -130,16 +130,6 @@ class TestWindowJournal:
         assert state.skipped == 1
         assert [s.device for s in state.accepted] == [1, 2]
 
-    def test_journal_path_lives_under_cache_dir(self, tmp_path, monkeypatch):
-        from repro.service import wal
-
-        diskcache.set_cache_dir(None)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        try:
-            assert wal.journal_path("x") == tmp_path / "service" / "x.wal"
-        finally:
-            diskcache.set_cache_dir(None)
-
     def test_wire_payloads_identical_across_reopen(self, tmp_path):
         sub = ShareSubmission(4, 2, 1, 77)
         journal = WindowJournal(tmp_path / "bits.wal", fsync=False)
