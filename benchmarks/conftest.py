@@ -19,10 +19,9 @@ import pathlib
 
 import pytest
 
-from repro.analysis.experiments import run_figure1
 from repro.analysis.reporting import format_figure1_table
 from repro.core.config import CryptoMode
-from repro.topology.testbeds import dcube, flocklab
+from repro.scenarios import Figure1Spec, Session
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -45,12 +44,14 @@ def register_report(name: str, text: str) -> None:
 @pytest.fixture(scope="session")
 def fig1_flocklab():
     """The Fig. 1(a)+(b) campaign, computed once per session."""
-    result = run_figure1(
-        flocklab(),
+    spec = Figure1Spec(
+        testbed="flocklab",
         iterations=bench_iterations(),
         seed=101,
         crypto_mode=CryptoMode.STUB,
     )
+    with Session() as session:
+        result = session.run(spec).payload
     register_report("fig1_flocklab", format_figure1_table(result))
     return result
 
@@ -58,12 +59,14 @@ def fig1_flocklab():
 @pytest.fixture(scope="session")
 def fig1_dcube():
     """The Fig. 1(c)+(d) campaign, computed once per session."""
-    result = run_figure1(
-        dcube(),
+    spec = Figure1Spec(
+        testbed="dcube",
         iterations=bench_iterations(),
         seed=202,
         crypto_mode=CryptoMode.STUB,
     )
+    with Session() as session:
+        result = session.run(spec).payload
     register_report("fig1_dcube", format_figure1_table(result))
     return result
 

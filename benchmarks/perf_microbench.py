@@ -10,7 +10,7 @@ repository root so future PRs have a perf trajectory to compare against:
 1. **Primitives** — AES-128 block throughput (reference vs. T-table vs.
    numpy-batched), DRBG keystream, Shamir split/reconstruct ops/sec
    (scalar vs. batched).
-2. **Campaign, cold** — one `run_figure1` FlockLab sweep per crypto mode
+2. **Campaign, cold** — one `figure1` FlockLab sweep per crypto mode
    as the first fast-path run in the current process state: the fast path
    pays commissioning it has not yet amortised (bootstrap probes run the
    bit-identical reference loop; the REAL stage may legitimately reuse
@@ -80,11 +80,11 @@ import time
 
 from repro import diskcache, fastpath
 from repro.analysis.campaign import CampaignExecutor
-from repro.analysis.experiments import run_figure1
 from repro.core.config import CryptoMode
 from repro.crypto.aes import AES128
 from repro.crypto.prng import AesCtrDrbg
 from repro.field.prime_field import PrimeField
+from repro.scenarios import Figure1Spec, Session, ShardedSpec
 from repro.sss.scheme import ShamirScheme
 from repro.sss.aggregation import reconstruct_from_sums, reconstruct_many_from_sums
 from repro.topology.testbeds import flocklab
@@ -254,11 +254,18 @@ def bench_sss() -> dict:
 # -- tier 2+3: end-to-end campaigns --------------------------------------------
 
 
+def _run(spec, deployment, **session_options):
+    """One scenario run through a fresh Session; the scenario payload."""
+    with Session(**session_options) as session:
+        return session.run(spec, deployment=deployment).payload
+
+
 def bench_campaign(mode: CryptoMode, iterations: int) -> dict:
-    spec = flocklab()
+    bed = flocklab()
+    spec = Figure1Spec(iterations=iterations, seed=1, crypto_mode=mode)
 
     def campaign():
-        run_figure1(spec, iterations=iterations, seed=1, crypto_mode=mode)
+        _run(spec, bed)
 
     # Seed-equivalent implementation: the reference path recomputes
     # everything per campaign, so cold and steady state coincide; take
@@ -289,7 +296,8 @@ def bench_campaign(mode: CryptoMode, iterations: int) -> dict:
 
 def bench_campaign_parallel(iterations: int, workers: int) -> dict:
     """Serial steady-state vs a warmed N-worker pool over a warm disk cache."""
-    spec = flocklab()
+    bed = flocklab()
+    spec = Figure1Spec(iterations=iterations, seed=1, crypto_mode=CryptoMode.REAL)
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache:
         diskcache.set_cache_dir(cache)
         previous_enabled = diskcache.set_enabled(True)
@@ -297,11 +305,9 @@ def bench_campaign_parallel(iterations: int, workers: int) -> dict:
             with fastpath.forced(True):
 
                 def campaign(executor=None):
-                    run_figure1(
+                    _run(
                         spec,
-                        iterations=iterations,
-                        seed=1,
-                        crypto_mode=CryptoMode.REAL,
+                        bed,
                         # Explicit workers=1 so a REPRO_WORKERS env setting
                         # cannot leak parallelism into the serial baseline.
                         workers=None if executor is not None else 1,
@@ -347,7 +353,6 @@ def bench_sharded(iterations: int) -> dict:
     degree-(n/3) polynomials over n/3+1 collector points, the cells deal
     degree-(n/3k) polynomials — the quadratic win sharding exists for.
     """
-    from repro.analysis.sharding import run_sharded_campaign
     from repro.topology.generators import grid
 
     nodes = int(os.environ.get("REPRO_BENCH_SHARDED_NODES", "180"))
@@ -355,27 +360,19 @@ def bench_sharded(iterations: int) -> dict:
     rounds = max(2, iterations)
     columns = max(1, round(nodes**0.5))
     topology = grid(columns, -(-nodes // columns), spacing_m=10.0, seed=7)
+    flat_spec = ShardedSpec(cells=1, iterations=rounds, seed=1)
+    sharded_spec = ShardedSpec(cells=cells, iterations=rounds, seed=1)
 
     with fastpath.forced(True):
-        flat = run_sharded_campaign(
-            topology, cells=1, iterations=rounds, seed=1
-        )
+        flat = _run(flat_spec, topology, metrics="summary")
         # Same repeats on both sides: best-of takes a min, so asymmetric
         # repeat counts would bias the tracked speedup.
         flat_s = _best_of(
-            lambda: run_sharded_campaign(
-                topology, cells=1, iterations=rounds, seed=1
-            ),
-            repeats=3,
+            lambda: _run(flat_spec, topology, metrics="summary"), repeats=3
         )
-        sharded = run_sharded_campaign(
-            topology, cells=cells, iterations=rounds, seed=1
-        )
+        sharded = _run(sharded_spec, topology, metrics="summary")
         sharded_s = _best_of(
-            lambda: run_sharded_campaign(
-                topology, cells=cells, iterations=rounds, seed=1
-            ),
-            repeats=3,
+            lambda: _run(sharded_spec, topology, metrics="summary"), repeats=3
         )
     if not (flat.all_match and sharded.all_match):
         raise RuntimeError("sharded bench: aggregates failed to reconstruct")
@@ -405,7 +402,6 @@ def bench_chaos(iterations: int) -> dict:
     the regression gate records it without enforcing it: overhead is the
     price of the robustness contract, not a perf trajectory.
     """
-    from repro.analysis.sharding import run_sharded_campaign
     from repro.chaos import FaultPlan, run_chaos_campaign
     from repro.topology.generators import grid
 
@@ -417,14 +413,10 @@ def bench_chaos(iterations: int) -> dict:
     plan = FaultPlan.sample(1, cells, rounds)
 
     with fastpath.forced(True):
-        baseline = run_sharded_campaign(
-            topology, cells=cells, iterations=rounds, seed=1
-        )
+        baseline_spec = ShardedSpec(cells=cells, iterations=rounds, seed=1)
+        baseline = _run(baseline_spec, topology, metrics="summary")
         baseline_s = _best_of(
-            lambda: run_sharded_campaign(
-                topology, cells=cells, iterations=rounds, seed=1
-            ),
-            repeats=3,
+            lambda: _run(baseline_spec, topology, metrics="summary"), repeats=3
         )
         chaos = run_chaos_campaign(
             topology,
@@ -614,12 +606,14 @@ def bench_service_transport(iterations: int) -> dict:
 _CHILD_SNIPPET = """
 import json, sys, time
 import repro.crypto.aesbatch  # numpy import paid before the clock starts
-from repro.analysis.experiments import run_figure1
 from repro.core.config import CryptoMode
+from repro.scenarios import Figure1Spec, Session
 from repro.topology.testbeds import flocklab
 mode = CryptoMode.REAL if sys.argv[1] == "real" else CryptoMode.STUB
+spec = Figure1Spec(iterations=int(sys.argv[2]), seed=1, crypto_mode=mode)
 start = time.perf_counter()
-run_figure1(flocklab(), iterations=int(sys.argv[2]), seed=1, crypto_mode=mode)
+with Session() as session:
+    session.run(spec, deployment=flocklab())
 print(json.dumps({"campaign_s": time.perf_counter() - start}))
 """
 
@@ -695,7 +689,7 @@ def main() -> int:
     sss = bench_sss()
     print(f"  Shamir SSS:    {sss}")
 
-    print("== run_figure1 campaigns (FlockLab sweep) ==")
+    print("== figure1 campaigns (FlockLab sweep) ==")
     stub = bench_campaign(CryptoMode.STUB, iterations)
     print(f"  STUB: {stub}")
     real = bench_campaign(CryptoMode.REAL, iterations)

@@ -14,16 +14,17 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import bench_iterations, register_report
-from repro.analysis.experiments import run_optimization_ablation
 from repro.analysis.reporting import format_table
-from repro.topology.testbeds import dcube
+from repro.scenarios import AblationSpec, Session
 
 
 @pytest.fixture(scope="module")
 def ablation_rows():
-    rows = run_optimization_ablation(
-        dcube(), iterations=max(5, bench_iterations() // 2), seed=77
+    spec = AblationSpec(
+        testbed="dcube", iterations=max(5, bench_iterations() // 2), seed=77
     )
+    with Session() as session:
+        rows = session.run(spec).payload
     register_report(
         "ablation_a2_optimizations",
         format_table(

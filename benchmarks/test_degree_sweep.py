@@ -12,19 +12,20 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import bench_iterations, register_report
-from repro.analysis.experiments import run_degree_sweep
 from repro.analysis.reporting import format_table
-from repro.topology.testbeds import dcube, flocklab
+from repro.scenarios import DegreeSweepSpec, Session
 
 
 @pytest.fixture(scope="module", params=["flocklab", "dcube"])
 def sweep_case(request):
-    spec = flocklab() if request.param == "flocklab" else dcube()
-    rows = run_degree_sweep(
-        spec, iterations=max(6, bench_iterations() // 2), seed=55
+    sweep = DegreeSweepSpec(
+        testbed=request.param, iterations=max(6, bench_iterations() // 2), seed=55
     )
+    with Session() as session:
+        result = session.run(sweep)
+    name, rows = result.deployment, result.payload
     register_report(
-        f"claim_c4_degree_sweep_{spec.name.lower()}",
+        f"claim_c4_degree_sweep_{name.lower()}",
         format_table(
             ["degree", "chain", "latency ms", "radio ms", "success"],
             [
@@ -37,16 +38,16 @@ def sweep_case(request):
                 ]
                 for r in rows
             ],
-            title=f"Claim C4 — S4 cost vs polynomial degree, {spec.name} "
+            title=f"Claim C4 — S4 cost vs polynomial degree, {name} "
             "(full network)",
         ),
     )
-    return spec, rows
+    return name, rows
 
 
 def test_lower_degree_is_cheaper(benchmark, sweep_case):
     """Latency and radio-on fall monotonically with the degree."""
-    spec, rows = sweep_case
+    _, rows = sweep_case
     benchmark.pedantic(lambda: rows, rounds=1, iterations=1)
 
     degrees = [r["degree"] for r in rows]

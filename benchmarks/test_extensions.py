@@ -19,19 +19,17 @@ import math
 import pytest
 
 from benchmarks.conftest import bench_iterations, register_report
-from repro.analysis.experiments import (
-    run_interference_sweep,
-    run_lifetime_projection,
-)
 from repro.analysis.reporting import format_table
-from repro.topology.testbeds import dcube, flocklab
+from repro.scenarios import InterferenceSpec, LifetimeSpec, Session
 
 
 @pytest.fixture(scope="module")
 def interference_rows():
-    rows = run_interference_sweep(
-        dcube(), levels=(0, 1, 2, 3), iterations=max(10, bench_iterations() // 2)
+    spec = InterferenceSpec(
+        testbed="dcube", levels=(0, 1, 2, 3), iterations=max(10, bench_iterations() // 2)
     )
+    with Session() as session:
+        rows = session.run(spec).payload
     register_report(
         "extension_e1_interference",
         format_table(
@@ -91,10 +89,11 @@ def test_interference_stretches_s4_margin(benchmark, interference_rows):
 @pytest.fixture(scope="module")
 def lifetime_outcomes():
     outcomes = {}
-    for spec in (flocklab(), dcube()):
-        outcomes[spec.name] = run_lifetime_projection(
-            spec, rounds=max(4, bench_iterations() // 3)
-        )
+    with Session() as session:
+        for testbed in ("flocklab", "dcube"):
+            spec = LifetimeSpec(testbed=testbed, rounds=max(4, bench_iterations() // 3))
+            result = session.run(spec)
+            outcomes[result.deployment] = result.payload
     register_report(
         "extension_e2_lifetime",
         format_table(

@@ -12,20 +12,20 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import bench_iterations, register_report
-from repro.analysis.experiments import run_fault_tolerance
 from repro.analysis.reporting import format_table
-from repro.topology.testbeds import flocklab
+from repro.scenarios import FaultToleranceSpec, Session
 
 
 @pytest.fixture(scope="module")
 def fault_rows():
-    spec = flocklab()
-    rows = run_fault_tolerance(
-        spec,
+    spec = FaultToleranceSpec(
+        testbed="flocklab",
         failure_counts=(0, 1, 2, 3, 4),
         iterations=max(6, bench_iterations() // 2),
         seed=66,
     )
+    with Session() as session:
+        rows = session.run(spec).payload
     register_report(
         "ablation_a1_fault_tolerance",
         format_table(

@@ -1,23 +1,23 @@
-"""Experiment harness: run campaigns, summarize, render paper-style output.
+"""Experiment harness: campaign vocabulary, persistence, paper-style output.
+
+Experiments run as registered scenarios through
+:meth:`repro.scenarios.session.Session.run`; this package holds what
+they build on.
 
 * :mod:`repro.analysis.stats` — summary statistics (mean, median,
   percentiles, confidence intervals) without heavyweight dependencies.
-* :mod:`repro.analysis.experiments` — the paper's evaluation campaigns:
-  the Fig. 1 node-count sweep on each testbed, the NTX coverage curves,
-  the degree sweep, fault-tolerance and ablation experiments.
+* :mod:`repro.analysis.experiments` — the shared campaign vocabulary:
+  sub-deployment carving, the degree rule, paper-parameter engines,
+  per-round secrets and the Fig. 1 result dataclasses.
+* :mod:`repro.analysis.campaign` — seeded work units and the executor
+  that runs them serially or over worker processes.
+* :mod:`repro.analysis.io` — the uniform scenario-result JSON record.
 * :mod:`repro.analysis.reporting` — fixed-width tables and CSV export
   that mirror the rows/series the paper reports.
 """
 
 from repro.analysis.stats import SummaryStats, mean, median, percentile, summarize
-from repro.analysis.experiments import (
-    Figure1Point,
-    Figure1Result,
-    run_degree_sweep,
-    run_fault_tolerance,
-    run_figure1,
-    run_ntx_coverage_curve,
-)
+from repro.analysis.experiments import Figure1Point, Figure1Result
 from repro.analysis.reporting import format_figure1_table, format_table, to_csv
 
 __all__ = [
@@ -28,10 +28,6 @@ __all__ = [
     "summarize",
     "Figure1Point",
     "Figure1Result",
-    "run_figure1",
-    "run_ntx_coverage_curve",
-    "run_degree_sweep",
-    "run_fault_tolerance",
     "format_table",
     "format_figure1_table",
     "to_csv",

@@ -1,8 +1,8 @@
 """Parallel campaign execution: seeded work units over worker processes.
 
 The paper's campaigns repeat every sweep point thousands of times; our
-reproduction's sweeps (`run_figure1`, the NTX-coverage curve, the degree
-sweep) decompose naturally into **independent seeded work units** —
+reproduction's sweeps (the ``figure1``, ``coverage`` and ``degrees``
+scenarios) decompose naturally into **independent seeded work units** —
 ``(spec, size, variant, iteration chunk, seed)`` and friends — because
 every round's randomness is derived from the *absolute* iteration index
 via :func:`repro.sim.seeds.iteration_seeds`.  Chunking therefore cannot

@@ -1,28 +1,15 @@
-"""The paper's evaluation campaigns, as runnable experiment functions.
+"""The shared vocabulary of the paper's evaluation campaigns.
 
-The central one is :func:`run_figure1`: the node-count sweep of Fig. 1.
-The paper's x-axis is "Number of Nodes" (3/6/10/24 on FlockLab, 5/7/12/45
-on D-Cube) — sub-deployments of the testbed in which every node sources a
-secret, with polynomial degree ⌊n/3⌋ per point.  For each point we run
-S3 and S4 for a configurable number of iterations and record the paper's
-two metrics.
+The paper's x-axis in Fig. 1 is "Number of Nodes" (3/6/10/24 on
+FlockLab, 5/7/12/45 on D-Cube) — sub-deployments of the testbed in which
+every node sources a secret, with polynomial degree ⌊n/3⌋ per point.
 
-Also here: the NTX-coverage curve (§III's non-linearity / claim C3+C5),
-the degree sweep (the paper's closing remark, claim C4), fault-tolerance
-(§III's resilience argument, ablation A1) and the optimization split
-(ablation A2).
-
-Since the Scenario API landed (:mod:`repro.scenarios`), every ``run_*``
-function here is a **thin back-compat wrapper**: it builds the
-scenario's declarative spec and delegates to
-:meth:`repro.scenarios.session.Session.run`, passing the caller's live
-:class:`~repro.topology.testbeds.TestbedSpec` through as the deployment
-override.  Results are bit-identical to the registry path —
-``tests/scenarios/test_session.py`` pins that equivalence for STUB and
-REAL crypto.  What stays in this module is the shared experiment
-*vocabulary* the scenarios and campaign units build on: sub-deployment
-carving, engine construction, per-round secrets/seeds, and the Fig. 1
-result dataclasses.
+Every experiment is a registered scenario (:mod:`repro.scenarios`) run
+through :meth:`repro.scenarios.session.Session.run`.  This module holds
+what those scenarios and the campaign work units build on:
+sub-deployment carving, the degree rule, the paper's S3/S4 parameters
+and engines, per-round secrets and seeds, and the Fig. 1 result
+dataclasses.
 """
 
 from __future__ import annotations
@@ -70,22 +57,33 @@ def degree_for(num_nodes: int) -> int:
     return max(1, num_nodes // 3)
 
 
+def paper_configs(
+    spec: TestbedSpec,
+    crypto_mode: CryptoMode = CryptoMode.STUB,
+    degree: int | None = None,
+) -> tuple[S3Config, S4Config]:
+    """The paper's S3 and S4 parameters for one (sub-)deployment."""
+    if degree is None:
+        degree = degree_for(len(spec.topology))
+    base = ProtocolConfig(degree=degree, crypto_mode=crypto_mode)
+    return (
+        S3Config(base=base, ntx=spec.full_coverage_ntx),
+        S4Config(
+            base=base,
+            sharing_ntx=spec.extras.get("s4_sharing_ntx", spec.sharing_ntx),
+            reconstruction_ntx=spec.full_coverage_ntx,
+            collector_redundancy=spec.extras.get("s4_redundancy", 1),
+        ),
+    )
+
+
 def build_engines(
     spec: TestbedSpec,
     crypto_mode: CryptoMode = CryptoMode.STUB,
     degree: int | None = None,
 ) -> tuple[S3Engine, S4Engine]:
     """S3 and S4 engines for one (sub-)deployment with paper parameters."""
-    if degree is None:
-        degree = degree_for(len(spec.topology))
-    base = ProtocolConfig(degree=degree, crypto_mode=crypto_mode)
-    s3_config = S3Config(base=base, ntx=spec.full_coverage_ntx)
-    s4_config = S4Config(
-        base=base,
-        sharing_ntx=spec.extras.get("s4_sharing_ntx", spec.sharing_ntx),
-        reconstruction_ntx=spec.full_coverage_ntx,
-        collector_redundancy=spec.extras.get("s4_redundancy", 1),
-    )
+    s3_config, s4_config = paper_configs(spec, crypto_mode, degree)
     return (
         S3Engine(spec.topology, spec.channel, s3_config),
         S4Engine(spec.topology, spec.channel, s4_config),
@@ -248,237 +246,5 @@ def _engine_without_early_off(spec: TestbedSpec, crypto_mode: CryptoMode):
                 schedule=plan.schedule, policy=RadioOffPolicy.ALWAYS_ON
             )
 
-    degree = degree_for(len(spec.topology))
-    base = ProtocolConfig(degree=degree, crypto_mode=crypto_mode)
-    config = S4Config(
-        base=base,
-        sharing_ntx=spec.extras.get("s4_sharing_ntx", spec.sharing_ntx),
-        reconstruction_ntx=spec.full_coverage_ntx,
-        collector_redundancy=spec.extras.get("s4_redundancy", 1),
-    )
+    _, config = paper_configs(spec, crypto_mode)
     return S4AlwaysOn(spec.topology, spec.channel, config)
-
-
-# -- back-compat wrappers over the Scenario API --------------------------------
-#
-# Each wrapper builds the declarative spec for its scenario and runs it
-# through a Session, passing the caller's deployment object through as
-# the resolution override (specs in files select testbeds by *name*;
-# programmatic callers keep handing in ad-hoc TestbedSpecs).
-
-
-def _run_scenario(scenario_spec, deployment, workers=None, executor=None, metrics="full"):
-    from repro.scenarios import Session
-
-    with Session(workers=workers, metrics=metrics, executor=executor) as session:
-        return session.run(scenario_spec, deployment=deployment).payload
-
-
-def run_figure1(
-    spec: TestbedSpec,
-    iterations: int = 30,
-    seed: int = 1,
-    crypto_mode: CryptoMode = CryptoMode.STUB,
-    sizes: Sequence[int] | None = None,
-    workers: int | None = None,
-    executor=None,
-    metrics: str = "full",
-) -> Figure1Result:
-    """Reproduce Fig. 1 for one testbed (wrapper over scenario ``figure1``).
-
-    The paper repeats each point 2000 times on hardware; the default 30
-    seeded simulation iterations give the same central tendency (the
-    distributions are tightly concentrated — see the p5/p95 columns).
-
-    The sweep executes as independent seeded work units
-    (:mod:`repro.analysis.campaign`).  ``workers`` — or the
-    ``REPRO_WORKERS`` environment variable — fans them out over worker
-    processes; results are bit-identical to the serial path for the same
-    seeds, because per-round randomness depends only on the absolute
-    iteration index.  Pass an existing
-    :class:`~repro.analysis.campaign.CampaignExecutor` as ``executor`` to
-    amortise worker start-up across many campaigns.
-
-    ``metrics="summary"`` makes workers stream reduced
-    :class:`~repro.core.metrics.RoundSummary` rounds instead of dense
-    per-node maps; the resulting :class:`Figure1Result` is identical (its
-    statistics only consume the shared summary API).
-    """
-    from repro.scenarios import Figure1Spec
-
-    scenario_spec = Figure1Spec(
-        testbed=spec.name,
-        iterations=iterations,
-        seed=seed,
-        crypto_mode=crypto_mode,
-        sizes=tuple(sizes) if sizes is not None else None,
-    )
-    return _run_scenario(
-        scenario_spec, spec, workers=workers, executor=executor, metrics=metrics
-    )
-
-
-def run_ntx_coverage_curve(
-    spec: TestbedSpec,
-    ntx_values: Sequence[int] = (1, 2, 3, 4, 5, 6, 8, 10, 12),
-    iterations: int = 20,
-    seed: int = 3,
-    workers: int | None = None,
-    executor=None,
-) -> list[dict[str, float]]:
-    """Mean reachability / full-coverage fraction as NTX grows (§III).
-
-    Wrapper over scenario ``coverage``: each NTX value is an independent
-    work unit (probe randomness is seeded per NTX), so the curve
-    parallelises point-wise with results identical to the serial sweep.
-    """
-    from repro.scenarios import CoverageSpec
-
-    scenario_spec = CoverageSpec(
-        testbed=spec.name,
-        ntx_values=tuple(int(ntx) for ntx in ntx_values),
-        iterations=iterations,
-        seed=seed,
-    )
-    return _run_scenario(scenario_spec, spec, workers=workers, executor=executor)
-
-
-def run_degree_sweep(
-    spec: TestbedSpec,
-    degrees: Sequence[int] | None = None,
-    iterations: int = 15,
-    seed: int = 5,
-    crypto_mode: CryptoMode = CryptoMode.STUB,
-    workers: int | None = None,
-    executor=None,
-) -> list[dict[str, float]]:
-    """S4 latency/radio-on vs polynomial degree (wrapper over ``degrees``).
-
-    The paper's closing observation: "further improvement in the latency
-    and radio-on time would be visible in S4 ... for an even lesser
-    degree of the polynomial used."  Each degree is an independent seeded
-    work unit (:func:`repro.sim.seeds.child_seed` per degree), so the
-    sweep parallelises degree-wise.
-    """
-    from repro.scenarios import DegreeSweepSpec
-
-    scenario_spec = DegreeSweepSpec(
-        testbed=spec.name,
-        degrees=tuple(int(d) for d in degrees) if degrees is not None else None,
-        iterations=iterations,
-        seed=seed,
-        crypto_mode=crypto_mode,
-    )
-    return _run_scenario(scenario_spec, spec, workers=workers, executor=executor)
-
-
-def run_fault_tolerance(
-    spec: TestbedSpec,
-    failure_counts: Sequence[int] = (0, 1, 2, 3),
-    iterations: int = 15,
-    seed: int = 7,
-    crypto_mode: CryptoMode = CryptoMode.STUB,
-) -> list[dict[str, float]]:
-    """Kill collectors mid-sharing; measure S4 reconstruction survival.
-
-    Wrapper over scenario ``faults``.  §III: with degree ``p < n`` "even
-    the final polynomial can be formed by combining any k+1 sum values",
-    so up to ``m − (p+1)`` collector losses are survivable by
-    construction.
-    """
-    from repro.scenarios import FaultToleranceSpec
-
-    scenario_spec = FaultToleranceSpec(
-        testbed=spec.name,
-        failure_counts=tuple(int(c) for c in failure_counts),
-        iterations=iterations,
-        seed=seed,
-        crypto_mode=crypto_mode,
-    )
-    return _run_scenario(scenario_spec, spec)
-
-
-def run_optimization_ablation(
-    spec: TestbedSpec,
-    iterations: int = 10,
-    seed: int = 11,
-    crypto_mode: CryptoMode = CryptoMode.STUB,
-) -> list[dict[str, float]]:
-    """Which S4 optimization buys what (wrapper over scenario ``ablation``).
-
-    Three configurations at full network size:
-
-    * ``s3`` — the naive baseline;
-    * ``s4_no_early_off`` — trimmed chain + low NTX but radios stay on
-      (isolates the schedule/chain gains);
-    * ``s4`` — the full variant.
-    """
-    from repro.scenarios import AblationSpec
-
-    scenario_spec = AblationSpec(
-        testbed=spec.name,
-        iterations=iterations,
-        seed=seed,
-        crypto_mode=crypto_mode,
-    )
-    return _run_scenario(scenario_spec, spec)
-
-
-def run_interference_sweep(
-    spec: TestbedSpec,
-    levels: Sequence[int] = (0, 1, 2, 3),
-    iterations: int = 10,
-    seed: int = 13,
-    crypto_mode: CryptoMode = CryptoMode.STUB,
-) -> list[dict[str, float]]:
-    """S3/S4 under D-Cube-style jamming levels (wrapper over ``interference``).
-
-    The paper evaluates at jamming level 0; the D-Cube testbed exists to
-    ask what happens at levels 1-3.  Jammers degrade link PRRs (averaged
-    duty-cycle model, :mod:`repro.phy.interference`), which stretches
-    delivery and erodes reliability — more for S4, whose NTX margin is
-    deliberately thin.
-    """
-    from repro.scenarios import InterferenceSpec
-
-    scenario_spec = InterferenceSpec(
-        testbed=spec.name,
-        levels=tuple(int(level) for level in levels),
-        iterations=iterations,
-        seed=seed,
-        crypto_mode=crypto_mode,
-    )
-    return _run_scenario(scenario_spec, spec)
-
-
-def run_lifetime_projection(
-    spec: TestbedSpec,
-    rounds: int = 10,
-    seed: int = 17,
-    crypto_mode: CryptoMode = CryptoMode.STUB,
-) -> dict[str, float]:
-    """Battery-lifetime comparison (wrapper over scenario ``lifetime``).
-
-    Runs a small campaign per variant and projects first-node-death
-    lifetime under a standard duty cycle (96 rounds/day, AA-class cell).
-    """
-    from repro.scenarios import LifetimeSpec
-
-    scenario_spec = LifetimeSpec(
-        testbed=spec.name,
-        rounds=rounds,
-        seed=seed,
-        crypto_mode=crypto_mode,
-    )
-    return _run_scenario(scenario_spec, spec)
-
-
-# Warm the Scenario API at import time.  NOT redundant with the lazy
-# `from repro.scenarios import Session` in _run_scenario: that lazy
-# import fires inside the caller's *first campaign*, which the
-# cold-start bench (and any user timing a fresh process) measures —
-# spec-dataclass creation is a one-time ~tens-of-ms cost that belongs
-# with module imports, before the clock starts.  Bottom-of-module on
-# purpose — scenarios.builtin imports the helpers defined above, so this
-# is the one spot where neither import direction sees a partial module.
-import repro.scenarios  # noqa: E402,F401  (registers the built-in scenarios)

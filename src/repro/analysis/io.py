@@ -1,18 +1,20 @@
-"""Persistence for experiment results.
+"""Persistence for experiment results: the uniform scenario record.
 
-Campaigns are expensive; their results should outlive the process.  This
-module serializes :class:`Figure1Result` (and generic row-lists) to a
-stable JSON schema with enough metadata to tell two campaigns apart, and
-loads them back into the same dataclasses for comparison tooling.
+Campaigns are expensive; their results should outlive the process.
+Every scenario run saves one JSON record format
+(:meth:`repro.scenarios.session.ExperimentResult.to_dict`): an envelope
+with enough metadata to tell two campaigns apart around the scenario's
+encoded payload.  :func:`figure1_to_dict` is the figure1 payload
+encoding; ``repro compare`` diffs records loaded by :func:`load_record`.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
-from repro.analysis.experiments import Figure1Point, Figure1Result
+from repro.analysis.experiments import Figure1Result
 from repro.analysis.stats import SummaryStats
 from repro.errors import ReproError
 
@@ -30,22 +32,8 @@ def _summary_to_dict(summary: SummaryStats) -> dict[str, float]:
     }
 
 
-def _summary_from_dict(data: Mapping[str, Any]) -> SummaryStats:
-    try:
-        return SummaryStats(
-            count=int(data["count"]),
-            mean=float(data["mean"]),
-            median=float(data["median"]),
-            p5=float(data["p5"]),
-            p95=float(data["p95"]),
-            stdev=float(data["stdev"]),
-        )
-    except KeyError as missing:
-        raise ReproError(f"summary record missing field {missing}") from None
-
-
 def figure1_to_dict(result: Figure1Result) -> dict[str, Any]:
-    """Serializable form of a Fig. 1 campaign."""
+    """Serializable form of a Fig. 1 campaign (the figure1 record payload)."""
     return {
         "schema": SCHEMA_VERSION,
         "kind": "figure1",
@@ -65,52 +53,6 @@ def figure1_to_dict(result: Figure1Result) -> dict[str, Any]:
             for p in result.points
         ],
     }
-
-
-def figure1_from_dict(data: Mapping[str, Any]) -> Figure1Result:
-    """Inverse of :func:`figure1_to_dict` (validates schema)."""
-    if data.get("kind") != "figure1":
-        raise ReproError(f"not a figure1 record: kind={data.get('kind')!r}")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ReproError(
-            f"schema {data.get('schema')} not supported (want {SCHEMA_VERSION})"
-        )
-    points = tuple(
-        Figure1Point(
-            num_nodes=int(p["num_nodes"]),
-            degree=int(p["degree"]),
-            s3_latency_ms=_summary_from_dict(p["s3_latency_ms"]),
-            s4_latency_ms=_summary_from_dict(p["s4_latency_ms"]),
-            s3_radio_ms=_summary_from_dict(p["s3_radio_ms"]),
-            s4_radio_ms=_summary_from_dict(p["s4_radio_ms"]),
-            s3_success=float(p["s3_success"]),
-            s4_success=float(p["s4_success"]),
-        )
-        for p in data["points"]
-    )
-    return Figure1Result(
-        testbed=str(data["testbed"]),
-        points=points,
-        iterations=int(data["iterations"]),
-    )
-
-
-def save_figure1(result: Figure1Result, path: str | pathlib.Path) -> None:
-    """Write a campaign to a JSON file."""
-    payload = json.dumps(figure1_to_dict(result), indent=2, sort_keys=True)
-    pathlib.Path(path).write_text(payload + "\n")
-
-
-def load_figure1(path: str | pathlib.Path) -> Figure1Result:
-    """Read a campaign back from disk."""
-    file_path = pathlib.Path(path)
-    if not file_path.exists():
-        raise ReproError(f"no result file at {file_path}")
-    try:
-        data = json.loads(file_path.read_text())
-    except json.JSONDecodeError as error:
-        raise ReproError(f"corrupt result file {file_path}: {error}") from None
-    return figure1_from_dict(data)
 
 
 #: ``kind`` tag shared by every Scenario-API result record
@@ -149,30 +91,3 @@ def load_record(path: str | pathlib.Path) -> dict[str, Any]:
             f"file holds {data.get('kind')!r}"
         )
     return data
-
-
-def save_rows(
-    rows: Sequence[Mapping[str, Any]],
-    path: str | pathlib.Path,
-    kind: str,
-) -> None:
-    """Persist generic experiment rows (coverage, sweeps, ablations)."""
-    payload = json.dumps(
-        {"schema": SCHEMA_VERSION, "kind": kind, "rows": list(map(dict, rows))},
-        indent=2,
-        sort_keys=True,
-    )
-    pathlib.Path(path).write_text(payload + "\n")
-
-
-def load_rows(path: str | pathlib.Path, kind: str) -> list[dict[str, Any]]:
-    """Load generic experiment rows, checking the declared kind."""
-    file_path = pathlib.Path(path)
-    if not file_path.exists():
-        raise ReproError(f"no result file at {file_path}")
-    data = json.loads(file_path.read_text())
-    if data.get("kind") != kind:
-        raise ReproError(
-            f"expected kind {kind!r}, file holds {data.get('kind')!r}"
-        )
-    return list(data["rows"])

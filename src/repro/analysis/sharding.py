@@ -43,7 +43,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.analysis.campaign import CampaignExecutor, CampaignUnit
+from repro.analysis.campaign import CampaignUnit
+from repro.analysis.experiments import build_engines, round_secrets, run_rounds
+
+# The paper's ⌊n/3⌋ rule, applied to a cell's members and to the cells
+# of the cross-cell round alike.
+from repro.analysis.experiments import degree_for as degree_for_cell
 from repro.core.config import CryptoMode
 from repro.core.metrics import (
     METRICS_MODES,
@@ -62,19 +67,35 @@ from repro.topology.graph import Topology
 from repro.topology.testbeds import TestbedSpec
 
 
-def degree_for_cell(num_members: int) -> int:
-    """The paper's ⌊n/3⌋ degree rule applied inside one cell."""
-    return max(1, num_members // 3)
-
-
-def cross_cell_degree(num_cells: int) -> int:
-    """Degree of the cross-cell polynomial: ⌊k/3⌋ over k cell dealers."""
-    return max(1, num_cells // 3)
-
-
 def _round_rng(cell_seed: int, iteration: int) -> AesCtrDrbg:
     """The dealer DRBG for one cell round (chunk- and worker-invariant)."""
     return AesCtrDrbg.from_seed(child_seed(cell_seed, "round", iteration))
+
+
+def cell_point_sums(
+    values: Sequence[int],
+    dealer_ids: Sequence[int],
+    degree: int,
+    rng: AesCtrDrbg,
+) -> dict[int, int]:
+    """One cell round's share algebra: deal every value, sum per point.
+
+    Each member deals its value over the ``degree + 1`` collector points
+    ``1..degree+1`` (batched, :meth:`ShamirScheme.split_many`) and every
+    collector sums what it receives.  Any ``degree + 1`` point sums
+    reconstruct the cell's sum; the caller does that, so batch and
+    service folds each keep their own reconstruction call.
+    """
+    scheme = ShamirScheme(PrimeField(), degree)
+    points = list(range(1, degree + 2))
+    prime = scheme.field.prime
+    point_sums = dict.fromkeys(points, 0)
+    batches = scheme.split_many(list(values), points, rng, dealer_ids=list(dealer_ids))
+    for shares in batches:
+        for share in shares:
+            x = share.x.value
+            point_sums[x] = (point_sums[x] + share.y.value) % prime
+    return point_sums
 
 
 def _mpc_cell_rounds(
@@ -85,34 +106,25 @@ def _mpc_cell_rounds(
 ) -> tuple[list[int], list[int]]:
     """Run one cell's aggregation rounds on the MPC data path only.
 
-    Exactly the share algebra of a protocol round, minus the radio: each
-    member deals its secret over ``degree + 1`` collector points
-    (batched, :meth:`ShamirScheme.split_many`), collectors sum what they
-    receive, and the batched reconstruction recovers every round's cell
-    sum in one pass.  Returns ``(sums, expected)`` per round.
+    Exactly the share algebra of a protocol round, minus the radio
+    (:func:`cell_point_sums` per round); the batched reconstruction then
+    recovers every round's cell sum in one pass.  Returns
+    ``(sums, expected)`` per round.
     """
-    from repro.analysis.experiments import round_secrets
-
     field = PrimeField()
-    scheme = ShamirScheme(field, degree)
-    points = list(range(1, degree + 2))
-    prime = field.prime
     sums_batch: list[dict[int, int]] = []
     expected: list[int] = []
     for iteration in range(iterations):
         secrets = round_secrets(node_ids, iteration)
-        rng = _round_rng(seed, iteration)
-        batches = scheme.split_many(
-            list(secrets.values()), points, rng, dealer_ids=list(secrets)
+        sums_batch.append(
+            cell_point_sums(
+                list(secrets.values()),
+                list(secrets),
+                degree,
+                _round_rng(seed, iteration),
+            )
         )
-        point_sums = dict.fromkeys(points, 0)
-        for shares in batches:
-            for share in shares:
-                point_sums[share.x.value] = (
-                    point_sums[share.x.value] + share.y.value
-                ) % prime
-        sums_batch.append(point_sums)
-        expected.append(sum(secrets.values()) % prime)
+        expected.append(sum(secrets.values()) % field.prime)
     values = reconstruct_many_from_sums(field, sums_batch, degree)
     return [value.value for value in values], expected
 
@@ -180,8 +192,6 @@ class CellUnit(CampaignUnit):
                 sums=tuple(sums),
                 expected=tuple(expected),
             )
-        from repro.analysis.experiments import build_engines, run_rounds
-
         _, s4 = build_engines(
             self.spec, crypto_mode=self.crypto_mode, degree=self.degree
         )
@@ -251,8 +261,6 @@ def flat_expected_sums(
     secrets are pure functions of (node id, iteration), so the flat
     deployment's expected aggregate never needs the flat campaign run.
     """
-    from repro.analysis.experiments import round_secrets
-
     prime = PrimeField().prime
     return tuple(
         sum(round_secrets(node_ids, iteration).values()) % prime
@@ -348,7 +356,7 @@ def cross_cell_aggregate(
     """
     num_cells = len(cell_results)
     if degree is None:
-        degree = cross_cell_degree(num_cells)
+        degree = degree_for_cell(num_cells)
     field = PrimeField()
     scheme = ShamirScheme(field, degree)
     threshold = degree + 1
@@ -398,39 +406,3 @@ def cross_cell_aggregate(
     for position, round_index in enumerate(live):
         totals[round_index] = values[position].value
     return tuple(totals), degree
-
-
-def run_sharded_campaign(
-    deployment: TestbedSpec | Topology,
-    cells: int,
-    iterations: int = 10,
-    seed: int = 1,
-    metrics: str = "summary",
-    simulate: bool | None = None,
-    crypto_mode: CryptoMode = CryptoMode.STUB,
-    workers: int | None = None,
-    executor: CampaignExecutor | None = None,
-) -> ShardedResult:
-    """Run a deployment as sharded MPC cells plus a cross-cell round.
-
-    Back-compat wrapper over scenario ``sharded``
-    (:mod:`repro.scenarios.builtin`): cells execute as independent seeded
-    work units over the campaign executor — serially, or fanned out with
-    ``workers`` / ``REPRO_WORKERS`` — and the per-cell aggregates are
-    combined by :func:`cross_cell_aggregate`.  Results are bit-identical
-    however the cells are scheduled: every cell's stream depends only on
-    ``(seed, cell index)``, and the cross-cell deal only on
-    ``(seed, cell index)`` as well.
-    """
-    from repro.scenarios import Session, ShardedSpec
-
-    scenario_spec = ShardedSpec(
-        testbed=getattr(deployment, "name", "") or "topology",
-        cells=cells,
-        iterations=iterations,
-        seed=seed,
-        crypto_mode=crypto_mode,
-        simulate=simulate,
-    )
-    with Session(workers=workers, metrics=metrics, executor=executor) as session:
-        return session.run(scenario_spec, deployment=deployment).payload

@@ -66,7 +66,7 @@ from repro.analysis.sharding import (
     CellResult,
     CellUnit,
     cross_cell_aggregate,
-    cross_cell_degree,
+    degree_for_cell,
     plan_cell_units,
 )
 from repro.core.config import CryptoMode
@@ -100,7 +100,7 @@ class InjectedWorkerKill(ChaosError):
 
 def survivable_losses(num_cells: int) -> int:
     """Collector-point losses one cross-cell round tolerates: k - (⌊k/3⌋+1)."""
-    threshold = cross_cell_degree(num_cells) + 1
+    threshold = degree_for_cell(num_cells) + 1
     return max(0, num_cells - threshold)
 
 
@@ -447,7 +447,7 @@ def run_chaos_campaign(
         for r in range(iterations)
     )
 
-    degree = cross_cell_degree(k)
+    degree = degree_for_cell(k)
     threshold = degree + 1
     num_points = max(k, threshold)
     degraded: list[DegradedRound] = []

@@ -158,14 +158,3 @@ def lagrange_weight_values(
         numerator * inverse % prime
         for numerator, inverse in zip(numerators, inverses)
     )
-
-
-def interpolate_value(
-    xs: Sequence[int], ys: Sequence[int], prime: int, at: int = 0
-) -> int:
-    """Value at ``at`` of the polynomial through ``(xs, ys)``, on raw ints."""
-    weights = lagrange_weight_values(xs, prime, at)
-    total = 0
-    for weight, y in zip(weights, ys):
-        total += weight * y
-    return total % prime

@@ -19,8 +19,8 @@ pipeline::
 * :mod:`repro.scenarios.builtin` — all shipped scenarios (importing this
   package registers them).
 
-The legacy ``run_*`` functions in :mod:`repro.analysis` delegate here,
-so both surfaces stay bit-identical.
+This is the one front door: the CLI, spec files and Python callers all
+run experiments through :meth:`Session.run`.
 """
 
 from repro.scenarios import registry

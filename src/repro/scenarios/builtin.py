@@ -4,9 +4,8 @@ This module is where the experiment *orchestration* bodies live — the
 code that turns a declarative spec into
 :class:`~repro.analysis.campaign.CampaignUnit` batches (via the existing
 planners), runs them on the session's executor, and folds the results.
-The legacy ``run_*`` functions in :mod:`repro.analysis.experiments` and
-:mod:`repro.analysis.sharding` are thin wrappers over these entries, so
-both call paths are byte-for-byte the same computation.
+:meth:`repro.scenarios.session.Session.run` is the one way to run them,
+from the CLI, a spec file or Python.
 
 Each registration also carries the presentation the old hand-rolled CLI
 commands used to inline: a JSON encoder for the uniform record, a table
@@ -29,6 +28,7 @@ from repro.analysis.experiments import (
     _point_from_rounds,
     build_engines,
     degree_for,
+    paper_configs,
     round_secrets,
     run_rounds,
 )
@@ -110,7 +110,7 @@ def _encode_figure1(result: Figure1Result) -> dict:
     smoke={"testbed": "flocklab", "iterations": 2, "sizes": [3]},
     legacy_alias=True,
 )
-def _run_figure1(spec: Figure1Spec, ctx) -> Figure1Result:
+def _run_figure1_sweep(spec: Figure1Spec, ctx) -> Figure1Result:
     bed = ctx.deployment
     sizes = tuple(spec.sizes) if spec.sizes is not None else tuple(bed.source_sweep)
     executor = ctx.executor()
@@ -395,35 +395,18 @@ def _interference_table(result) -> str:
     legacy_alias=True,
 )
 def _run_interference(spec: InterferenceSpec, ctx) -> list[dict[str, float]]:
-    from repro.core.config import ProtocolConfig, S3Config, S4Config
     from repro.core.s3 import S3Engine
     from repro.core.s4 import S4Engine
     from repro.phy.interference import dcube_jamming
 
     bed = ctx.deployment
     nodes = bed.topology.node_ids
-    degree = degree_for(len(nodes))
-    base = ProtocolConfig(degree=degree, crypto_mode=spec.crypto_mode)
+    s3_config, s4_config = paper_configs(bed, spec.crypto_mode)
     rows = []
     for level in spec.levels:
         field = dcube_jamming(level, bed.topology.bounding_box())
-        s3 = S3Engine(
-            bed.topology,
-            bed.channel,
-            S3Config(base=base, ntx=bed.full_coverage_ntx),
-            interference=field,
-        )
-        s4 = S4Engine(
-            bed.topology,
-            bed.channel,
-            S4Config(
-                base=base,
-                sharing_ntx=bed.extras.get("s4_sharing_ntx", bed.sharing_ntx),
-                reconstruction_ntx=bed.full_coverage_ntx,
-                collector_redundancy=bed.extras.get("s4_redundancy", 1),
-            ),
-            interference=field,
-        )
+        s3 = S3Engine(bed.topology, bed.channel, s3_config, interference=field)
+        s4 = S4Engine(bed.topology, bed.channel, s4_config, interference=field)
         row: dict[str, float] = {"level": float(level)}
         for label, engine in (("s3", s3), ("s4", s4)):
             try:

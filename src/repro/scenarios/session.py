@@ -1,8 +1,7 @@
 """The ``Session`` facade: one owner for every cross-cutting run concern.
 
-Before this layer existed, each ``run_*`` entry point re-plumbed workers,
-metrics wire format, disk-cache directory and backend flags through its
-own signature.  A :class:`Session` owns that state exactly once:
+Every experiment runs through a :class:`Session`, which owns the
+cross-cutting run state exactly once:
 
 * **workers** — explicit count > ``REPRO_WORKERS`` > serial; the session
   lazily creates (and on close, shuts down) one
@@ -20,6 +19,8 @@ executes it, and wraps the payload in an :class:`ExperimentResult` — the
 uniform envelope (scenario name, spec echo, wall time, backend
 fingerprint, payload) every scenario shares, serializable to the one
 JSON record format in :mod:`repro.analysis.io`.
+``session.run(spec, deployment=bed)`` runs the same scenario on a live
+testbed or topology instead of the one the spec names.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ class RunContext:
     """What a scenario's run function sees of its session.
 
     ``deployment`` is the resolved testbed/topology for specs that carry
-    a ``testbed`` field (or the programmatic override a legacy wrapper
-    passed); scenarios that generate their own deployment ignore it.
+    a ``testbed`` field (or the ``deployment=`` override the caller
+    passed to :meth:`Session.run`); scenarios that generate their own
+    deployment ignore it.
     """
 
     session: "Session"
@@ -218,11 +220,12 @@ class Session:
         (:class:`SpecError` on anything malformed) and run
         bit-identically.
 
-        ``deployment`` overrides testbed-name resolution with a live
+        ``deployment`` is the programmatic override: a live
         :class:`~repro.topology.testbeds.TestbedSpec` (or
-        :class:`~repro.topology.graph.Topology`) — the escape hatch the
-        legacy ``run_*`` wrappers use for ad-hoc deployments.  Spec files
-        always resolve by name.
+        :class:`~repro.topology.graph.Topology`) used instead of resolving
+        the spec's ``testbed`` name, so Python callers can run any
+        scenario on an ad-hoc or carved deployment.  Spec files always
+        resolve by name.
         """
         if isinstance(spec, Mapping):
             spec = self._coerce_spec(spec)

@@ -46,12 +46,7 @@ from repro.errors import ServiceError, WireError
 from repro.service import wal, wire
 from repro.service.wire import DeviceTotal, ShareSubmission, StoreCheckpoint
 
-__all__ = ["DeviceBill", "ResultStore", "store_path"]
-
-
-def store_path(name: str) -> pathlib.Path:
-    """Default store location under the active disk-cache root."""
-    return diskcache.cache_dir() / "service" / f"{name}.store"
+__all__ = ["DeviceBill", "ResultStore"]
 
 
 @dataclass(frozen=True, slots=True)

@@ -279,6 +279,8 @@ class ShardSupervisor(FoldHost):
             self._close_lock = ordered_lock("service.close")
             self._paused = False
             self._stopped = False
+            #: the window a close_window call is collecting, else -1.
+            self._closing = -1
             self.restarts = 0
             self.restart_log: list[dict] = []
             # Verify before spawning: a shard process is never handed a
@@ -348,7 +350,11 @@ class ShardSupervisor(FoldHost):
         except FileNotFoundError:
             pass
         with self._state:
-            deadline, paused = self._deadline, self._paused
+            # A shard respawned mid-close may already have answered
+            # CLOSE(window): it comes back with that window closed and
+            # serves the re-sent CLOSE from its journal.
+            deadline = max(self._deadline, self._closing)
+            paused = self._paused
         started = time.perf_counter()
         process = self._ctx.Process(
             target=_shard_main,
@@ -595,28 +601,36 @@ class ShardSupervisor(FoldHost):
                 if self._stopped:
                     raise ServiceError("shard supervisor is stopped")
                 self._check_open(window)
-            shard_subs: dict[int, list[ShareSubmission]] = {}
-            for index in range(self.shards):
-                reply, extras = self._control(
-                    index,
-                    wire.ServiceRequest(op=OP_CLOSE_WINDOW, window=window),
-                    trailing=OP_CLOSE_WINDOW,
+                self._closing = window
+            try:
+                shard_subs = {
+                    index: self._collect_close(index, window)
+                    for index in range(self.shards)
+                }
+                return self._fold_close(window, shard_subs, aggregate_shards)
+            finally:
+                with self._state:
+                    self._closing = -1
+
+    def _collect_close(self, index: int, window: int) -> list[ShareSubmission]:
+        """Send ``CLOSE(window)`` to one shard; return its accepted set."""
+        _reply, extras = self._control(
+            index,
+            wire.ServiceRequest(op=OP_CLOSE_WINDOW, window=window),
+            trailing=OP_CLOSE_WINDOW,
+        )
+        for record in extras:
+            if not isinstance(record, ShareSubmission):
+                raise WireError(
+                    f"shard {index} streamed {type(record).__name__} "
+                    "inside a close"
                 )
-                submissions = []
-                for record in extras:
-                    if not isinstance(record, ShareSubmission):
-                        raise WireError(
-                            f"shard {index} streamed {type(record).__name__} "
-                            "inside a close"
-                        )
-                    if record.window != window:
-                        raise ServiceError(
-                            f"shard {index} answered close({window}) with a "
-                            f"window-{record.window} submission"
-                        )
-                    submissions.append(record)
-                shard_subs[index] = submissions
-            return self._fold_close(window, shard_subs, aggregate_shards)
+            if record.window != window:
+                raise ServiceError(
+                    f"shard {index} answered close({window}) with a "
+                    f"window-{record.window} submission"
+                )
+        return list(extras)
 
     # -- shutdown --------------------------------------------------------------
 

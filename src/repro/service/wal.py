@@ -44,7 +44,6 @@ __all__ = [
     "WindowJournal",
     "live_service_pid",
     "replay_journal",
-    "service_dir",
 ]
 
 #: The advisory lock file marking a service directory as live.
@@ -130,11 +129,6 @@ def live_service_pid(directory: str | os.PathLike) -> int | None:
     except OSError:
         return None
     return None
-
-
-def service_dir(name: str) -> pathlib.Path:
-    """Default journal *directory* for a sharded service instance."""
-    return diskcache.cache_dir() / "service" / name
 
 
 def replay_journal(path: str | os.PathLike) -> JournalState:

@@ -14,7 +14,7 @@ Determinism is enforced structurally:
   interleavings) cannot leak into the aggregate.
 * The sorted set is sliced into contiguous MPC cells and each cell runs
   the batched Shamir deal of the sharded campaign layer
-  (:func:`repro.analysis.sharding._mpc_cell_rounds`'s algebra) under
+  (:func:`repro.analysis.sharding.cell_point_sums`) under
   ``child_seed(window_seed, "cell", index)``.
 * Cell sums fold through :func:`repro.analysis.sharding.cross_cell_aggregate`
   — the same cross-cell round batch campaigns use — under the window
@@ -29,6 +29,7 @@ from typing import Sequence
 
 from repro.analysis.sharding import (
     CellResult,
+    cell_point_sums,
     cross_cell_aggregate,
     degree_for_cell,
 )
@@ -37,7 +38,6 @@ from repro.errors import ServiceError
 from repro.field.prime_field import PrimeField
 from repro.sim.seeds import child_seed
 from repro.sss.aggregation import reconstruct_many_from_sums
-from repro.sss.scheme import ShamirScheme
 from repro.service.wire import ShareSubmission
 
 __all__ = [
@@ -81,19 +81,10 @@ def _cell_sum(
     cell_seed: int,
 ) -> int:
     """One cell's MPC share-algebra sum (the batch layer's cell round)."""
-    field = PrimeField()
     degree = degree_for_cell(len(values))
-    scheme = ShamirScheme(field, degree)
-    points = list(range(1, degree + 2))
-    prime = field.prime
     rng = AesCtrDrbg.from_seed(child_seed(cell_seed, "round", 0))
-    batches = scheme.split_many(list(values), points, rng, dealer_ids=list(dealer_ids))
-    point_sums = dict.fromkeys(points, 0)
-    for shares in batches:
-        for share in shares:
-            x = share.x.value
-            point_sums[x] = (point_sums[x] + share.y.value) % prime
-    (value,) = reconstruct_many_from_sums(field, [point_sums], degree)
+    point_sums = cell_point_sums(values, dealer_ids, degree, rng)
+    (value,) = reconstruct_many_from_sums(PrimeField(), [point_sums], degree)
     return value.value
 
 

@@ -21,14 +21,10 @@ from repro.analysis.campaign import (
     plan_figure1_units,
     resolve_workers,
 )
-from repro.analysis.experiments import (
-    run_degree_sweep,
-    run_figure1,
-    run_ntx_coverage_curve,
-)
 from repro.core.config import CryptoMode
 from repro.errors import ConfigurationError
 from repro.phy.channel import ChannelParameters
+from repro.scenarios import CoverageSpec, DegreeSweepSpec, Figure1Spec, Session
 from repro.topology.generators import grid
 from repro.topology.testbeds import TestbedSpec as BedSpec
 
@@ -172,12 +168,19 @@ class TestWorkerState:
         assert fastpath.enabled() == original.fastpath_enabled
 
 
+def run(spec, deployment, executor=None):
+    """One scenario run, serial or on an injected executor; the payload."""
+    with Session(executor=executor) as session:
+        return session.run(spec, deployment=deployment).payload
+
+
 class TestSerialParallelIdentity:
     """The acceptance criterion: parallel ≡ serial, bit for bit."""
 
     def test_figure1(self, mini_spec, pool):
-        serial = run_figure1(mini_spec, iterations=3, seed=1)
-        parallel = run_figure1(mini_spec, iterations=3, seed=1, executor=pool)
+        spec = Figure1Spec(testbed="mini-par", iterations=3, seed=1)
+        serial = run(spec, mini_spec)
+        parallel = run(spec, mini_spec, executor=pool)
         assert parallel == serial
 
     def test_figure1_chunking_invariant_serially(self, mini_spec):
@@ -191,20 +194,21 @@ class TestSerialParallelIdentity:
         assert whole == split
 
     def test_coverage_curve(self, mini_spec, pool):
-        serial = run_ntx_coverage_curve(mini_spec, ntx_values=(2, 4), iterations=3)
-        parallel = run_ntx_coverage_curve(
-            mini_spec, ntx_values=(2, 4), iterations=3, executor=pool
-        )
+        spec = CoverageSpec(testbed="mini-par", ntx_values=(2, 4), iterations=3)
+        serial = run(spec, mini_spec)
+        parallel = run(spec, mini_spec, executor=pool)
         assert parallel == serial
 
     def test_degree_sweep(self, mini_spec, pool):
-        serial = run_degree_sweep(mini_spec, iterations=2)
-        parallel = run_degree_sweep(mini_spec, iterations=2, executor=pool)
+        spec = DegreeSweepSpec(testbed="mini-par", iterations=2)
+        serial = run(spec, mini_spec)
+        parallel = run(spec, mini_spec, executor=pool)
         assert parallel == serial
 
     def test_executor_reusable_across_campaigns(self, mini_spec, pool):
-        first = run_figure1(mini_spec, iterations=2, seed=3, executor=pool)
-        second = run_figure1(mini_spec, iterations=2, seed=3, executor=pool)
+        spec = Figure1Spec(testbed="mini-par", iterations=2, seed=3)
+        first = run(spec, mini_spec, executor=pool)
+        second = run(spec, mini_spec, executor=pool)
         assert first == second
 
 

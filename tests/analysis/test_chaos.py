@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.campaign import CampaignExecutor
-from repro.analysis.sharding import flat_expected_sums, run_sharded_campaign
+from repro.analysis.sharding import flat_expected_sums
 from repro.chaos import (
     FaultEvent,
     FaultPlan,
@@ -34,7 +34,7 @@ from repro.chaos import (
 from repro.core.config import CryptoMode
 from repro.core.metrics import RoundSummary
 from repro.errors import ChaosError, SpecError
-from repro.scenarios import ChaosSpec
+from repro.scenarios import ChaosSpec, Session, ShardedSpec
 from repro.topology.generators import grid
 from repro.topology.testbeds import testbed_by_name as resolve_testbed
 
@@ -201,9 +201,11 @@ class TestNoFaults:
         result = run_chaos_campaign(
             big_topology, cells=6, iterations=ITERS, seed=9
         )
-        sharded = run_sharded_campaign(
-            big_topology, cells=6, iterations=ITERS, seed=9
-        )
+        with Session(metrics="summary") as session:
+            sharded = session.run(
+                ShardedSpec(cells=6, iterations=ITERS, seed=9),
+                deployment=big_topology,
+            ).payload
         assert result.totals == sharded.totals == oracle
         assert result.expected == oracle
         assert result.all_match and result.exact_under_loss

@@ -103,7 +103,7 @@ class TestQueryCommand:
             "device": 2, "total": 102 + 202, "windows": 2, "through_window": 1
         }
 
-    def test_query_does_not_mutate_service_dir(self, populated_service, capsys):
+    def test_query_leaves_service_dir_untouched(self, populated_service, capsys):
         stamps = {
             p.name: p.read_bytes()
             for p in sorted(populated_service.iterdir())

@@ -9,14 +9,12 @@ from repro.analysis.experiments import (
     build_engines,
     degree_for,
     round_secrets,
-    run_figure1,
-    run_fault_tolerance,
-    run_optimization_ablation,
     subnetwork_spec,
 )
 from repro.core.config import CryptoMode
 from repro.errors import ChaosError, ConfigurationError
 from repro.phy.channel import ChannelParameters
+from repro.scenarios import AblationSpec, FaultToleranceSpec, Figure1Spec, Session
 from repro.topology.generators import grid
 from repro.topology.testbeds import TestbedSpec as BedSpec
 
@@ -41,6 +39,13 @@ def mini_spec():
         name="mini",
         extras={"s4_sharing_ntx": 4, "s4_redundancy": 1},
     )
+
+
+@pytest.fixture(scope="module")
+def run(mini_spec):
+    """Run a scenario spec on the mini deployment; return its payload."""
+    with Session() as session:
+        yield lambda spec: session.run(spec, deployment=mini_spec).payload
 
 
 class TestHelpers:
@@ -69,60 +74,69 @@ class TestHelpers:
 
 
 class TestFigure1:
-    def test_sweep_structure(self, mini_spec):
-        result = run_figure1(mini_spec, iterations=3, sizes=(4, 9))
+    def test_sweep_structure(self, run):
+        result = run(Figure1Spec(testbed="mini", iterations=3, sizes=(4, 9)))
         assert result.testbed == "mini"
         assert [p.num_nodes for p in result.points] == [4, 9]
         assert result.full_network_point.num_nodes == 9
 
-    def test_s4_wins_at_full_size(self, mini_spec):
-        result = run_figure1(mini_spec, iterations=3, sizes=(9,))
+    def test_s4_wins_at_full_size(self, run):
+        result = run(Figure1Spec(testbed="mini", iterations=3, sizes=(9,)))
         point = result.full_network_point
         assert point.latency_ratio > 1.0
         assert point.radio_ratio > 1.0
 
-    def test_cost_grows_with_network(self, mini_spec):
-        result = run_figure1(mini_spec, iterations=3, sizes=(4, 9))
+    def test_cost_grows_with_network(self, run):
+        result = run(Figure1Spec(testbed="mini", iterations=3, sizes=(4, 9)))
         small, large = result.points
         assert small.s3_latency_ms.mean < large.s3_latency_ms.mean
         assert small.s4_latency_ms.mean < large.s4_latency_ms.mean
 
-    def test_unknown_point_rejected(self, mini_spec):
-        result = run_figure1(mini_spec, iterations=2, sizes=(9,))
+    def test_unknown_point_rejected(self, run):
+        result = run(Figure1Spec(testbed="mini", iterations=2, sizes=(9,)))
         with pytest.raises(ConfigurationError):
             result.point(5)
 
-    def test_real_crypto_mode_runs(self, mini_spec):
-        result = run_figure1(
-            mini_spec, iterations=2, sizes=(9,), crypto_mode=CryptoMode.REAL
+    def test_real_crypto_mode_runs(self, run):
+        result = run(
+            Figure1Spec(
+                testbed="mini",
+                iterations=2,
+                sizes=(9,),
+                crypto_mode=CryptoMode.REAL,
+            )
         )
         assert result.full_network_point.s4_success > 0
 
 
 class TestFaultTolerance:
-    def test_zero_failures_full_success(self, mini_spec):
-        rows = run_fault_tolerance(
-            mini_spec, failure_counts=(0,), iterations=4
+    def test_zero_failures_full_success(self, run):
+        rows = run(
+            FaultToleranceSpec(testbed="mini", failure_counts=(0,), iterations=4)
         )
         assert rows[0]["success_fraction"] > 0.9
 
-    def test_within_redundancy_survives(self, mini_spec):
-        rows = run_fault_tolerance(
-            mini_spec, failure_counts=(0, 1), iterations=4
+    def test_within_redundancy_survives(self, run):
+        rows = run(
+            FaultToleranceSpec(testbed="mini", failure_counts=(0, 1), iterations=4)
         )
         # redundancy 1: one collector loss should be mostly survivable.
         assert rows[1]["success_fraction"] > 0.5
 
-    def test_too_many_failures_rejected(self, mini_spec):
+    def test_too_many_failures_rejected(self, run):
         # Unsurvivable loss is a structured ChaosError (one-line, exit 1
         # at the CLI), never an unhandled traceback.
         with pytest.raises(ChaosError, match="unsurvivable"):
-            run_fault_tolerance(mini_spec, failure_counts=(99,), iterations=1)
+            run(
+                FaultToleranceSpec(
+                    testbed="mini", failure_counts=(99,), iterations=1
+                )
+            )
 
 
 class TestAblation:
-    def test_three_variants_ordered(self, mini_spec):
-        rows = run_optimization_ablation(mini_spec, iterations=3)
+    def test_three_variants_ordered(self, run):
+        rows = run(AblationSpec(testbed="mini", iterations=3))
         by_name = {r["variant"]: r for r in rows}
         assert set(by_name) == {"s3", "s4_no_early_off", "s4"}
         # Early-off only affects energy, not latency.

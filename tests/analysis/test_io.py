@@ -1,4 +1,4 @@
-"""Tests for experiment-result persistence."""
+"""Tests for experiment-result persistence (the uniform scenario record)."""
 
 from __future__ import annotations
 
@@ -7,14 +7,7 @@ import json
 import pytest
 
 from repro.analysis.experiments import Figure1Point, Figure1Result
-from repro.analysis.io import (
-    figure1_from_dict,
-    figure1_to_dict,
-    load_figure1,
-    load_rows,
-    save_figure1,
-    save_rows,
-)
+from repro.analysis.io import figure1_to_dict, load_record, save_record
 from repro.analysis.stats import summarize
 from repro.errors import ReproError
 
@@ -37,73 +30,58 @@ def sample_result():
     return Figure1Result(testbed="TestBed", points=(point,), iterations=3)
 
 
+def figure1_record(result):
+    """A scenario record carrying a figure1 payload, as Session saves it."""
+    return {
+        "schema": 1,
+        "kind": "scenario-result",
+        "scenario": "figure1",
+        "payload": figure1_to_dict(result),
+    }
+
+
 class TestFigure1Roundtrip:
     def test_roundtrip_preserves_everything(self, sample_result, tmp_path):
         path = tmp_path / "fig1.json"
-        save_figure1(sample_result, path)
-        loaded = load_figure1(path)
-        assert loaded.testbed == sample_result.testbed
-        assert loaded.iterations == sample_result.iterations
+        save_record(figure1_record(sample_result), path)
+        payload = load_record(path)["payload"]
+        assert payload == json.loads(json.dumps(figure1_to_dict(sample_result)))
+        assert payload["testbed"] == sample_result.testbed
+        assert payload["iterations"] == sample_result.iterations
         original = sample_result.points[0]
-        restored = loaded.points[0]
-        assert restored.num_nodes == original.num_nodes
-        assert restored.s3_latency_ms == original.s3_latency_ms
-        assert restored.latency_ratio == pytest.approx(original.latency_ratio)
-
-    def test_dict_roundtrip(self, sample_result):
-        assert (
-            figure1_from_dict(figure1_to_dict(sample_result)).points
-            == sample_result.points
-        )
+        (restored,) = payload["points"]
+        assert restored["num_nodes"] == original.num_nodes
+        assert restored["s3_latency_ms"]["mean"] == original.s3_latency_ms.mean
+        assert restored["s4_success"] == original.s4_success
 
     def test_file_is_valid_json(self, sample_result, tmp_path):
         path = tmp_path / "fig1.json"
-        save_figure1(sample_result, path)
+        save_record(figure1_record(sample_result), path)
         data = json.loads(path.read_text())
-        assert data["kind"] == "figure1"
+        assert data["kind"] == "scenario-result"
+        assert data["payload"]["kind"] == "figure1"
+        assert data["payload"]["schema"] == 1
 
+
+class TestRecord:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ReproError):
-            load_figure1(tmp_path / "nope.json")
+        with pytest.raises(ReproError, match="no result file"):
+            load_record(tmp_path / "nope.json")
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ReproError):
-            load_figure1(path)
+        with pytest.raises(ReproError, match="corrupt result file"):
+            load_record(path)
 
     def test_wrong_kind(self, sample_result, tmp_path):
-        path = tmp_path / "rows.json"
-        save_rows([{"a": 1}], path, kind="coverage")
-        with pytest.raises(ReproError):
-            load_figure1(path)
+        path = tmp_path / "fig1.json"
+        path.write_text(json.dumps(figure1_to_dict(sample_result)))
+        with pytest.raises(ReproError, match="file holds 'figure1'"):
+            load_record(path)
 
-    def test_wrong_schema(self, sample_result):
-        data = figure1_to_dict(sample_result)
-        data["schema"] = 99
-        with pytest.raises(ReproError):
-            figure1_from_dict(data)
-
-    def test_missing_summary_field(self, sample_result):
-        data = figure1_to_dict(sample_result)
-        del data["points"][0]["s3_latency_ms"]["mean"]
-        with pytest.raises(ReproError):
-            figure1_from_dict(data)
-
-
-class TestRows:
-    def test_roundtrip(self, tmp_path):
-        rows = [{"ntx": 1, "reach": 5.5}, {"ntx": 2, "reach": 8.0}]
-        path = tmp_path / "coverage.json"
-        save_rows(rows, path, kind="coverage")
-        assert load_rows(path, kind="coverage") == rows
-
-    def test_kind_checked(self, tmp_path):
-        path = tmp_path / "coverage.json"
-        save_rows([{"a": 1}], path, kind="coverage")
-        with pytest.raises(ReproError):
-            load_rows(path, kind="degrees")
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ReproError):
-            load_rows(tmp_path / "nope.json", kind="x")
+    def test_save_refuses_wrong_kind(self, sample_result, tmp_path):
+        path = tmp_path / "fig1.json"
+        with pytest.raises(ReproError, match="not a scenario record"):
+            save_record(figure1_to_dict(sample_result), path)
+        assert not path.exists()

@@ -18,16 +18,16 @@ import pickle
 import pytest
 
 from repro.analysis.campaign import CampaignExecutor
-from repro.analysis.experiments import run_figure1
 from repro.analysis.sharding import (
-    cross_cell_degree,
+    cross_cell_aggregate,
+    degree_for_cell,
     flat_expected_sums,
     plan_cell_units,
-    run_sharded_campaign,
 )
 from repro.core.metrics import RoundMetrics, RoundSummary, summarize_rounds
 from repro.errors import ConfigurationError
 from repro.phy.channel import ChannelParameters
+from repro.scenarios import Figure1Spec, Session, ShardedSpec
 from repro.topology.generators import grid
 from repro.topology.testbeds import TestbedSpec as BedSpec
 
@@ -69,13 +69,17 @@ def pool():
         yield executor
 
 
+def run(spec, deployment, metrics="summary", executor=None):
+    """One scenario run, serial or on an injected executor; the payload."""
+    with Session(metrics=metrics, executor=executor) as session:
+        return session.run(spec, deployment=deployment).payload
+
+
 class TestCrossCellExactness:
     """Cross-cell sum == flat-deployment sum, the tentpole property."""
 
     def test_four_cells_match_flat_sums(self, big_topology):
-        result = run_sharded_campaign(
-            big_topology, cells=4, iterations=5, seed=9
-        )
+        result = run(ShardedSpec(cells=4, iterations=5, seed=9), big_topology)
         flat = flat_expected_sums(big_topology.node_ids, 5)
         assert result.totals == flat
         assert result.expected == flat
@@ -84,42 +88,36 @@ class TestCrossCellExactness:
     def test_many_cell_counts_agree(self, big_topology):
         flat = flat_expected_sums(big_topology.node_ids, 3)
         for cells in (1, 2, 6, 8):
-            result = run_sharded_campaign(
-                big_topology, cells=cells, iterations=3, seed=9
-            )
+            result = run(ShardedSpec(cells=cells, iterations=3, seed=9), big_topology)
             assert result.totals == flat, f"cells={cells}"
 
     def test_serial_parallel_identity(self, big_topology, pool):
-        serial = run_sharded_campaign(
-            big_topology, cells=4, iterations=3, seed=5
-        )
-        parallel = run_sharded_campaign(
-            big_topology, cells=4, iterations=3, seed=5, executor=pool
-        )
+        spec = ShardedSpec(cells=4, iterations=3, seed=5)
+        serial = run(spec, big_topology)
+        parallel = run(spec, big_topology, executor=pool)
         assert parallel == serial
         assert parallel.all_match
 
     def test_engine_simulated_cells_match_flat_sums(self, mini_spec, pool):
-        serial = run_sharded_campaign(mini_spec, cells=2, iterations=3, seed=3)
+        spec = ShardedSpec(cells=2, iterations=3, seed=3)
+        serial = run(spec, mini_spec)
         assert serial.totals == flat_expected_sums(
             mini_spec.topology.node_ids, 3
         )
         assert serial.all_match
-        parallel = run_sharded_campaign(
-            mini_spec, cells=2, iterations=3, seed=3, executor=pool
-        )
+        parallel = run(spec, mini_spec, executor=pool)
         assert parallel == serial
 
     def test_deterministic_across_runs(self, big_topology):
-        a = run_sharded_campaign(big_topology, cells=5, iterations=2, seed=13)
-        b = run_sharded_campaign(big_topology, cells=5, iterations=2, seed=13)
+        a = run(ShardedSpec(cells=5, iterations=2, seed=13), big_topology)
+        b = run(ShardedSpec(cells=5, iterations=2, seed=13), big_topology)
         assert a == b
 
     def test_seed_changes_nothing_but_shares(self, big_topology):
         # Different campaign seeds redraw every dealer polynomial, but the
         # reconstructed aggregates are the same true sums.
-        a = run_sharded_campaign(big_topology, cells=4, iterations=2, seed=1)
-        b = run_sharded_campaign(big_topology, cells=4, iterations=2, seed=2)
+        a = run(ShardedSpec(cells=4, iterations=2, seed=1), big_topology)
+        b = run(ShardedSpec(cells=4, iterations=2, seed=2), big_topology)
         assert a.totals == b.totals
 
 
@@ -151,22 +149,21 @@ class TestPlanning:
         with pytest.raises(ConfigurationError):
             plan_cell_units(big_topology, 4, 2, 1, simulate=True)
 
-    def test_cross_cell_degree_rule(self):
-        assert cross_cell_degree(1) == 1
-        assert cross_cell_degree(4) == 1
-        assert cross_cell_degree(12) == 4
+    def test_cross_cell_degree_rule(self, big_topology):
+        assert degree_for_cell(1) == 1
+        assert degree_for_cell(4) == 1
+        assert degree_for_cell(12) == 4
+        cells = [unit.run() for unit in plan_cell_units(big_topology, 12, 1, 3)]
+        assert cross_cell_aggregate(cells, 1, 3)[1] == 4
 
 
 class TestStreamingMetrics:
     """RoundSummary ≡ summarised RoundMetrics, on the same seed."""
 
     def test_summary_equals_summarised_full(self, mini_spec):
-        full = run_sharded_campaign(
-            mini_spec, cells=2, iterations=3, seed=7, metrics="full"
-        )
-        summary = run_sharded_campaign(
-            mini_spec, cells=2, iterations=3, seed=7, metrics="summary"
-        )
+        spec = ShardedSpec(cells=2, iterations=3, seed=7)
+        full = run(spec, mini_spec, metrics="full")
+        summary = run(spec, mini_spec, metrics="summary")
         for cell_full, cell_summary in zip(full.cells, summary.cells):
             assert all(
                 isinstance(r, RoundMetrics) for r in cell_full.rounds
@@ -181,9 +178,7 @@ class TestStreamingMetrics:
         assert summary.totals == full.totals
 
     def test_summarize_rounds_accepts_either_form(self, mini_spec):
-        full = run_sharded_campaign(
-            mini_spec, cells=2, iterations=3, seed=7, metrics="full"
-        )
+        full = run(ShardedSpec(cells=2, iterations=3, seed=7), mini_spec, metrics="full")
         rounds = list(full.cells[0].rounds)
         summaries = [RoundSummary.from_metrics(r) for r in rounds]
         assert summarize_rounds(rounds) == summarize_rounds(summaries)
@@ -192,23 +187,19 @@ class TestStreamingMetrics:
         assert summarize_rounds(mixed) == summarize_rounds(rounds)
 
     def test_figure1_summary_mode_identical(self, mini_spec):
-        full = run_figure1(mini_spec, iterations=2, seed=1, metrics="full")
-        summary = run_figure1(
-            mini_spec, iterations=2, seed=1, metrics="summary"
-        )
+        spec = Figure1Spec(testbed="mini-shard", iterations=2, seed=1)
+        full = run(spec, mini_spec, metrics="full")
+        summary = run(spec, mini_spec, metrics="summary")
         assert summary == full
 
     def test_figure1_summary_mode_parallel(self, mini_spec, pool):
-        serial = run_figure1(mini_spec, iterations=3, seed=1, metrics="summary")
-        parallel = run_figure1(
-            mini_spec, iterations=3, seed=1, metrics="summary", executor=pool
-        )
+        spec = Figure1Spec(testbed="mini-shard", iterations=3, seed=1)
+        serial = run(spec, mini_spec)
+        parallel = run(spec, mini_spec, executor=pool)
         assert parallel == serial
 
     def test_summary_round_trip_properties(self, mini_spec):
-        full = run_sharded_campaign(
-            mini_spec, cells=2, iterations=2, seed=11, metrics="full"
-        )
+        full = run(ShardedSpec(cells=2, iterations=2, seed=11), mini_spec, metrics="full")
         for metrics in full.cells[0].rounds:
             summary = RoundSummary.from_metrics(metrics)
             assert summary.success_fraction == metrics.success_fraction

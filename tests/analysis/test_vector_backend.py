@@ -20,20 +20,14 @@ from repro.analysis.campaign import (
     apply_worker_state,
     current_worker_state,
 )
-from repro.analysis.experiments import run_figure1
 from repro.core.config import CryptoMode
-from repro.topology.testbeds import flocklab
+from repro.scenarios import Figure1Spec, Session
 
 
 def campaign_figures(metrics="full"):
-    result = run_figure1(
-        flocklab(),
-        iterations=2,
-        seed=11,
-        crypto_mode=CryptoMode.STUB,
-        sizes=(3, 6),
-        metrics=metrics,
-    )
+    spec = Figure1Spec(iterations=2, seed=11, crypto_mode=CryptoMode.STUB, sizes=(3, 6))
+    with Session(metrics=metrics) as session:
+        result = session.run(spec).payload
     return [
         (
             point.num_nodes,
@@ -111,21 +105,10 @@ class TestWorkerStateReplay:
 def test_serial_parallel_identity_with_vector(workers):
     # Spot check: with the backend forced on, a 2-worker spawn pool must
     # reproduce the serial figures bit-for-bit (WorkerState replay).
+    spec = Figure1Spec(iterations=2, seed=13, crypto_mode=CryptoMode.STUB, sizes=(3, 6))
     with fastpath.forced(True), fastpath.forced_vector(True):
-        serial = run_figure1(
-            flocklab(),
-            iterations=2,
-            seed=13,
-            crypto_mode=CryptoMode.STUB,
-            sizes=(3, 6),
-            workers=1,
-        )
-        parallel = run_figure1(
-            flocklab(),
-            iterations=2,
-            seed=13,
-            crypto_mode=CryptoMode.STUB,
-            sizes=(3, 6),
-            workers=workers,
-        )
+        with Session(workers=1) as session:
+            serial = session.run(spec).payload
+        with Session(workers=workers) as session:
+            parallel = session.run(spec).payload
     assert serial == parallel

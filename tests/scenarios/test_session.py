@@ -1,11 +1,4 @@
-"""Session tests: the envelope contract and wrapper ≡ registry identity.
-
-The load-bearing satellite here is :class:`TestWrapperRegistryIdentity`:
-every legacy ``run_*`` wrapper must return **bit-identical** results to
-driving the registry path directly with the equivalent spec — for STUB
-and REAL crypto — because downstream consumers (tests, benchmarks,
-saved records) treat the two surfaces as the same experiment.
-"""
+"""Session tests: the envelope contract, deployment overrides, dict specs."""
 
 from __future__ import annotations
 
@@ -13,39 +6,19 @@ import json
 
 import pytest
 
-from repro.analysis.experiments import (
-    run_degree_sweep,
-    run_fault_tolerance,
-    run_figure1,
-    run_interference_sweep,
-    run_lifetime_projection,
-    run_ntx_coverage_curve,
-    run_optimization_ablation,
-)
 from repro.analysis.io import load_record
-from repro.analysis.sharding import run_sharded_campaign
 from repro.core.config import CryptoMode
 from repro.errors import SpecError
 from repro.phy.channel import ChannelParameters
-from repro.scenarios import (
-    AblationSpec,
-    CoverageSpec,
-    DegreeSweepSpec,
-    FaultToleranceSpec,
-    Figure1Spec,
-    InterferenceSpec,
-    LifetimeSpec,
-    Session,
-    ShardedSpec,
-)
+from repro.scenarios import CoverageSpec, Figure1Spec, Session
 from repro.topology.generators import grid
 from repro.topology.testbeds import TestbedSpec as BedSpec
 
 
 @pytest.fixture(scope="module")
 def mini_spec():
-    # 5 m pitch: dense enough that an engine-simulated *half* of the
-    # grid still fields 3 qualified collectors (the sharded scenario).
+    # An ad-hoc deployment no testbed name resolves to: every run passes
+    # it through Session.run(..., deployment=...).
     topology = grid(3, 3, spacing_m=5.0, jitter_m=0.5, seed=4)
     channel = ChannelParameters(
         path_loss_exponent=4.0,
@@ -63,111 +36,6 @@ def mini_spec():
         name="mini-scn",
         extras={"s4_sharing_ntx": 4, "s4_redundancy": 1},
     )
-
-
-def registry_run(spec, deployment, **session_kwargs):
-    with Session(**session_kwargs) as session:
-        return session.run(spec, deployment=deployment).payload
-
-
-class TestWrapperRegistryIdentity:
-    """Legacy wrappers ≡ registry path, bit for bit (STUB and REAL)."""
-
-    @pytest.mark.parametrize("mode", [CryptoMode.STUB, CryptoMode.REAL])
-    def test_figure1(self, mini_spec, mode):
-        legacy = run_figure1(
-            mini_spec, iterations=2, seed=1, crypto_mode=mode, sizes=(4, 9)
-        )
-        direct = registry_run(
-            Figure1Spec(
-                testbed=mini_spec.name,
-                iterations=2,
-                seed=1,
-                crypto_mode=mode,
-                sizes=(4, 9),
-            ),
-            mini_spec,
-        )
-        assert direct == legacy
-
-    @pytest.mark.parametrize("mode", [CryptoMode.STUB, CryptoMode.REAL])
-    def test_sharded(self, mini_spec, mode):
-        legacy = run_sharded_campaign(
-            mini_spec, cells=2, iterations=2, seed=3, crypto_mode=mode
-        )
-        direct = registry_run(
-            ShardedSpec(
-                testbed=mini_spec.name,
-                cells=2,
-                iterations=2,
-                seed=3,
-                crypto_mode=mode,
-            ),
-            mini_spec,
-            metrics="summary",
-        )
-        assert direct == legacy
-
-    def test_coverage(self, mini_spec):
-        legacy = run_ntx_coverage_curve(mini_spec, ntx_values=(2, 4), iterations=2)
-        direct = registry_run(
-            CoverageSpec(
-                testbed=mini_spec.name, ntx_values=(2, 4), iterations=2, seed=3
-            ),
-            mini_spec,
-        )
-        assert direct == legacy
-
-    def test_degrees(self, mini_spec):
-        legacy = run_degree_sweep(mini_spec, iterations=2)
-        direct = registry_run(
-            DegreeSweepSpec(testbed=mini_spec.name, iterations=2, seed=5),
-            mini_spec,
-        )
-        assert direct == legacy
-
-    @pytest.mark.parametrize("mode", [CryptoMode.STUB, CryptoMode.REAL])
-    def test_faults(self, mini_spec, mode):
-        legacy = run_fault_tolerance(
-            mini_spec, failure_counts=(0, 1), iterations=2, crypto_mode=mode
-        )
-        direct = registry_run(
-            FaultToleranceSpec(
-                testbed=mini_spec.name,
-                failure_counts=(0, 1),
-                iterations=2,
-                seed=7,
-                crypto_mode=mode,
-            ),
-            mini_spec,
-        )
-        assert direct == legacy
-
-    def test_ablation(self, mini_spec):
-        legacy = run_optimization_ablation(mini_spec, iterations=2)
-        direct = registry_run(
-            AblationSpec(testbed=mini_spec.name, iterations=2, seed=11),
-            mini_spec,
-        )
-        assert direct == legacy
-
-    def test_interference(self, mini_spec):
-        legacy = run_interference_sweep(mini_spec, levels=(0, 1), iterations=2)
-        direct = registry_run(
-            InterferenceSpec(
-                testbed=mini_spec.name, levels=(0, 1), iterations=2, seed=13
-            ),
-            mini_spec,
-        )
-        assert direct == legacy
-
-    def test_lifetime(self, mini_spec):
-        legacy = run_lifetime_projection(mini_spec, rounds=2)
-        direct = registry_run(
-            LifetimeSpec(testbed=mini_spec.name, rounds=2, seed=17),
-            mini_spec,
-        )
-        assert direct == legacy
 
 
 class TestEnvelope:

@@ -24,7 +24,7 @@ def feed_window(client: ServiceClient, window: int, devices: int) -> None:
 
 
 @pytest.fixture
-def service_dir(tmp_path):
+def service_root(tmp_path):
     return tmp_path / "service"
 
 
@@ -120,9 +120,9 @@ class TestTransportsShareOneInterface:
                 assert client.submit_async(1, 0, 0, 42).result().admission \
                     is Admission.DUPLICATE
 
-    def test_queue_barrier_flushes_before_close(self, service_dir):
+    def test_queue_barrier_flushes_before_close(self, service_root):
         with ServiceClient(
-            config(), service_dir, shards=2, transport="queue", dispatchers=2
+            config(), service_root, shards=2, transport="queue", dispatchers=2
         ) as client:
             futures = [
                 client.submit_async(device, 0, 0, 100 + device)
@@ -132,14 +132,14 @@ class TestTransportsShareOneInterface:
             assert summary.accepted == 8
             assert all(f.result().accepted for f in futures)
 
-    def test_unknown_transport_rejected(self, service_dir):
+    def test_unknown_transport_rejected(self, service_root):
         with pytest.raises(ServiceError, match="unknown transport"):
-            ServiceClient(config(), service_dir, transport="carrier-pigeon")
+            ServiceClient(config(), service_root, transport="carrier-pigeon")
 
 
 class TestRestartResume:
-    def test_restart_recovers_and_resumes(self, service_dir):
-        client = ServiceClient(config(), service_dir, shards=2)
+    def test_restart_recovers_and_resumes(self, service_root):
+        client = ServiceClient(config(), service_root, shards=2)
         feed_window(client, 0, devices=4)
         closed = client.close_window(0)
         # Kill mid-window-1: two journaled shares, no close.
@@ -147,7 +147,7 @@ class TestRestartResume:
         assert client.submit(1, 1, 1, 201).accepted
         client.hard_stop()
 
-        revived = ServiceClient(config(), service_dir, shards=2)
+        revived = ServiceClient(config(), service_root, shards=2)
         assert revived.recovered
         assert revived.open_windows == (1,)
         # Re-sends of journaled shares dedup; the missing ones land.
@@ -163,15 +163,15 @@ class TestRestartResume:
         revived.stop()
 
     def test_query_after_hard_kill_serves_journaled_closes_only(
-        self, service_dir
+        self, service_root
     ):
-        client = ServiceClient(config(), service_dir, shards=2)
+        client = ServiceClient(config(), service_root, shards=2)
         feed_window(client, 0, devices=4)
         client.close_window(0)
         assert client.submit(0, 1, 1, 99).accepted  # window 1 in flight
         client.hard_stop()
 
-        revived = ServiceClient(config(), service_dir, shards=2)
+        revived = ServiceClient(config(), service_root, shards=2)
         answer = revived.query()
         assert [w["window"] for w in answer["windows"]] == [0]
         assert revived.query(window=1)["closed"] is False
@@ -182,23 +182,23 @@ class TestRestartResume:
         revived.stop()
 
     def test_store_heals_from_journals_when_publish_was_lost(
-        self, service_dir
+        self, service_root
     ):
-        client = ServiceClient(config(), service_dir, shards=2)
+        client = ServiceClient(config(), service_root, shards=2)
         feed_window(client, 0, devices=4)
         client.close_window(0)
         client.hard_stop()
         # Lose the store entirely: only the daemon journals survive.
-        (service_dir / STORE_NAME).unlink()
-        revived = ServiceClient(config(), service_dir, shards=2)
+        (service_root / STORE_NAME).unlink()
+        revived = ServiceClient(config(), service_root, shards=2)
         answer = revived.query()
         assert [w["window"] for w in answer["windows"]] == [0]
         assert answer["devices"]["2"]["total"] == 102
         revived.stop()
 
-    def test_restart_resume_queue_transport(self, service_dir):
+    def test_restart_resume_queue_transport(self, service_root):
         client = ServiceClient(
-            config(), service_dir, shards=2, transport="queue"
+            config(), service_root, shards=2, transport="queue"
         )
         feed_window(client, 0, devices=4)
         client.close_window(0)
@@ -206,7 +206,7 @@ class TestRestartResume:
         with pytest.raises(ServiceError, match="stopped"):
             client.submit(9, 1, 1, 1)
         revived = ServiceClient(
-            config(), service_dir, shards=2, transport="queue"
+            config(), service_root, shards=2, transport="queue"
         )
         assert revived.recovered
         feed_window(revived, 1, devices=4)
@@ -215,8 +215,8 @@ class TestRestartResume:
 
 
 class TestQueriesAndLifecycle:
-    def test_query_by_device_and_by_window_disjoint(self, service_dir):
-        with ServiceClient(config(), service_dir) as client:
+    def test_query_by_device_and_by_window_disjoint(self, service_root):
+        with ServiceClient(config(), service_root) as client:
             feed_window(client, 0, devices=3)
             client.close_window(0)
             with pytest.raises(ServiceError, match="not both"):
@@ -227,8 +227,8 @@ class TestQueriesAndLifecycle:
             }
             assert client.query(device=42)["total"] == 0
 
-    def test_compact_and_retain_keep_bills(self, service_dir):
-        with ServiceClient(config(), service_dir) as client:
+    def test_compact_and_retain_keep_bills(self, service_root):
+        with ServiceClient(config(), service_root) as client:
             for window in range(4):
                 feed_window(client, window, devices=3)
                 client.close_window(window)
@@ -240,9 +240,9 @@ class TestQueriesAndLifecycle:
             assert after["devices"] == before
 
     @pytest.mark.parametrize("transport", ["inproc", "queue", "socket"])
-    def test_drain_closes_every_open_window(self, service_dir, transport):
+    def test_drain_closes_every_open_window(self, service_root, transport):
         client = ServiceClient(
-            config(), service_dir, shards=2, transport=transport
+            config(), service_root, shards=2, transport=transport
         )
         feed_window(client, 0, devices=2)
         feed_window(client, 1, devices=3)
@@ -250,13 +250,13 @@ class TestQueriesAndLifecycle:
         assert [s.window for s in summaries] == [0, 1]
         assert [s.accepted for s in summaries] == [2, 3]
 
-    def test_shard_of_routes_by_modulo(self, service_dir):
-        with ServiceClient(config(), service_dir, shards=3) as client:
+    def test_shard_of_routes_by_modulo(self, service_root):
+        with ServiceClient(config(), service_root, shards=3) as client:
             assert [client.shard_of(d) for d in range(6)] == [0, 1, 2, 0, 1, 2]
             assert client.shards == 3
 
-    def test_pause_resume_passthrough(self, service_dir):
-        with ServiceClient(config(), service_dir) as client:
+    def test_pause_resume_passthrough(self, service_root):
+        with ServiceClient(config(), service_root) as client:
             client.pause()
             assert client.paused
             held = client.submit(1, 0, 0, 9)
@@ -274,8 +274,8 @@ class TestRetryOptIn:
             result = client.submit(1, 0, 0, 42, retry=RetryPolicy(seed=1))
             assert result.accepted
 
-    def test_retry_rides_out_backpressure(self, service_dir):
-        with ServiceClient(config(), service_dir) as client:
+    def test_retry_rides_out_backpressure(self, service_root):
+        with ServiceClient(config(), service_root) as client:
             client.pause()
             resumer = threading.Timer(0.05, client.resume)
             resumer.start()
@@ -287,22 +287,22 @@ class TestRetryOptIn:
                 resumer.join()
             assert result.accepted
 
-    def test_retry_budget_exhaustion_is_service_error(self, service_dir):
-        with ServiceClient(config(), service_dir) as client:
+    def test_retry_budget_exhaustion_is_service_error(self, service_root):
+        with ServiceClient(config(), service_root) as client:
             client.pause()
             policy = RetryPolicy(max_attempts=3, backoff_base_s=0.0, seed=1)
             with pytest.raises(ServiceError, match="retry budget exhausted"):
                 client.submit(1, 0, 0, 42, retry=policy)
 
-    def test_client_wide_default_policy(self, service_dir):
+    def test_client_wide_default_policy(self, service_root):
         with ServiceClient(
-            config(), service_dir, retry=RetryPolicy(seed=1)
+            config(), service_root, retry=RetryPolicy(seed=1)
         ) as client:
             assert client.submit(1, 0, 0, 42).accepted
 
-    def test_final_outcomes_are_never_retried(self, service_dir):
+    def test_final_outcomes_are_never_retried(self, service_root):
         with ServiceClient(
-            config(), service_dir, retry=RetryPolicy(seed=1)
+            config(), service_root, retry=RetryPolicy(seed=1)
         ) as client:
             assert client.submit(1, 0, 0, 42).accepted
             echo = client.submit(1, 0, 0, 42)
@@ -329,8 +329,8 @@ class TestContextManagerExitPaths:
         with ServiceClient(config(), tmp_path / transport) as successor:
             assert successor.recovered
 
-    def test_clean_path_stops_gracefully(self, service_dir, monkeypatch):
-        client = ServiceClient(config(), service_dir)
+    def test_clean_path_stops_gracefully(self, service_root, monkeypatch):
+        client = ServiceClient(config(), service_root)
         calls = []
         original = client.stop
         monkeypatch.setattr(

@@ -11,7 +11,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro import diskcache
 from repro.errors import ServiceError
 from repro.service import Admission, ServiceConfig, WindowJournal, wal
 from repro.service.daemon import ShardedServiceDaemon
@@ -314,16 +313,6 @@ class TestRecovery:
             assert not daemon.recovered
             fill_window(daemon, 0, 2)
             assert not daemon.close_window(0).recovered
-
-    def test_default_journal_lands_under_cache_dir(self, tmp_path, monkeypatch):
-        diskcache.set_cache_dir(None)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        try:
-            with ShardedServiceDaemon(config(), wal.service_dir("daemon")) as daemon:
-                assert daemon.submit(1, 0, 0, 5).accepted
-            assert (tmp_path / "service" / "daemon" / "shard-000.wal").is_file()
-        finally:
-            diskcache.set_cache_dir(None)
 
 
 def closed_window_dir(journal_dir, shards: int):

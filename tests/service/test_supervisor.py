@@ -18,6 +18,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ServiceError, TransportError
+from repro.service import supervisor as supervisor_module
 from repro.service.client import ServiceClient
 from repro.service.daemon import Admission, ServiceConfig
 from repro.service.transport import RetryPolicy
@@ -190,6 +191,54 @@ class TestFaultTaxonomy:
             )
             late = client.submit(0, 5, 0, 3)
             assert late.admission is Admission.LATE
+
+    def test_shard_killed_mid_close_keeps_the_window_closed(
+        self, tmp_path, monkeypatch
+    ):
+        """Shard 0 answers CLOSE(0), is SIGKILLed and respawns before the
+        fold lands: it must come back with window 0 closed, so no share
+        is acknowledged into a window the fold has already counted."""
+        oracle = oracle_extract(tmp_path)
+        service_dir = tmp_path / "mid-close"
+        fold = supervisor_module.aggregate_shards
+        mid_close = []
+        with socket_client(service_dir) as client:
+
+            def kill_during_fold(*args):
+                monkeypatch.setattr(supervisor_module, "aggregate_shards", fold)
+                client.kill_shard(0)
+                deadline = time.monotonic() + 30.0
+                while not client.supervisor.restart_log:
+                    assert time.monotonic() < deadline, "monitor never respawned"
+                    time.sleep(0.01)
+                mid_close.append(client.submit(100, 0, 0, 7, retry=RETRY))
+                return fold(*args)
+
+            for window in range(WINDOWS):
+                for device in range(DEVICES):
+                    assert client.submit(
+                        device, window, window, value_of(device, window)
+                    ).accepted
+                if window == 0:
+                    monkeypatch.setattr(
+                        supervisor_module, "aggregate_shards", kill_during_fold
+                    )
+                summary = client.close_window(window)
+                assert summary.exact and summary.accepted == DEVICES
+            assert [r.admission for r in mid_close] == [Admission.LATE]
+            extract = {
+                device: bill.total
+                for device, bill in client.billing_extract().items()
+            }
+            assert extract == oracle
+        # A new supervisor over the directory re-verifies every fold.
+        with socket_client(service_dir) as fresh:
+            assert fresh.recovered
+            assert [s.accepted for s in fresh.window_records()] == [DEVICES] * WINDOWS
+            assert {
+                device: bill.total
+                for device, bill in fresh.billing_extract().items()
+            } == oracle
 
     def test_monitor_restarts_a_crashed_shard(self, tmp_path):
         with socket_client(tmp_path / "monitor") as client:
