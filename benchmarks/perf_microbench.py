@@ -8,8 +8,9 @@ It times three tiers and writes the results to ``BENCH_core.json`` at the
 repository root so future PRs have a perf trajectory to compare against:
 
 1. **Primitives** — AES-128 block throughput (reference vs. T-table vs.
-   numpy-batched), DRBG keystream, Shamir split/reconstruct ops/sec
-   (scalar vs. batched).
+   numpy-batched), a round's packet protection (``ctr_cbc_mac_batch``
+   over ~790 pairwise-keyed lanes vs. per-packet CTR + CBC-MAC), DRBG
+   keystream, Shamir split/reconstruct ops/sec (scalar vs. batched).
 2. **Campaign, cold** — one `figure1` FlockLab sweep per crypto mode
    as the first fast-path run in the current process state: the fast path
    pays commissioning it has not yet amortised (bootstrap probes run the
@@ -73,6 +74,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -140,9 +142,49 @@ def bench_aes() -> dict:
             )
             result["batched_us_per_block"] = round(t_batch * 1e6, 2)
             result["batched_speedup"] = round(t_ref / t_batch, 2)
+            result.update(bench_packet_batch(aesbatch))
     except ImportError:
         pass
     return result
+
+
+def bench_packet_batch(aesbatch) -> dict:
+    """A REAL round's share protection: CTR + CBC-MAC over ~790 packets.
+
+    One S4 round on D-Cube protects ~790 share packets, each under its
+    own pairwise (encryption, MAC) key pair; ``ctr_cbc_mac_batch`` runs
+    them as lanes of one batch.  Compared against the per-packet
+    T-table path (``ctr_transform`` + ``cbc_mac``) on the same packets.
+    """
+    from repro.crypto.mac import cbc_mac
+    from repro.crypto.modes import ctr_transform
+
+    n_packets = 790
+    rnd = random.Random(790)
+    enc = [AES128(rnd.randbytes(16), use_tables=True) for _ in range(n_packets)]
+    mac = [AES128(rnd.randbytes(16), use_tables=True) for _ in range(n_packets)]
+    nonces = [rnd.getrandbits(128) for _ in range(n_packets)]
+    data = [rnd.getrandbits(61) for _ in range(n_packets)]
+
+    def per_packet():
+        for i in range(n_packets):
+            nonce = nonces[i].to_bytes(16, "big")
+            ciphertext = ctr_transform(enc[i], nonce, data[i].to_bytes(16, "big"))
+            cbc_mac(mac[i], nonce + ciphertext, 8)
+
+    t_batch = (
+        _best_of(
+            lambda: aesbatch.ctr_cbc_mac_batch(enc, mac, nonces, data, 8), repeats=9
+        )
+        / n_packets
+    )
+    t_scalar = _best_of(per_packet, repeats=3) / n_packets
+    return {
+        "packet_batch_lanes": n_packets,
+        "packet_scalar_us_per_packet": round(t_scalar * 1e6, 2),
+        "packet_batch_us_per_packet": round(t_batch * 1e6, 2),
+        "packet_batch_speedup": round(t_scalar / t_batch, 2),
+    }
 
 
 def bench_drbg() -> dict:

@@ -2,10 +2,10 @@
 
 A sharing round encrypts and MACs hundreds of independent share packets,
 each under its own pairwise key.  Per-block Python AES costs ~10 µs; the
-same T-table round function expressed as numpy gathers over ``(N,)``
-uint32 lanes costs ~1-2 µs per block once a round's packets are batched,
-because the interpreter overhead is paid per *round function*, not per
-block.
+same T-table round function expressed as numpy gathers over a stacked
+``(4, N)`` word state costs well under 1 µs per block once a round's
+packets are batched, because the interpreter overhead is paid per *round
+function*, not per block.
 
 The kernel evaluates exactly the column equations of
 :mod:`repro.crypto.aes` (same tables, same key schedule), so its output
@@ -13,9 +13,20 @@ is bit-identical to the scalar implementation — enforced by
 ``tests/crypto/test_aes_fastpath.py``.  numpy is an optional
 acceleration: every caller must guard on :data:`HAVE_NUMPY` and fall
 back to the scalar path (the library never *requires* numpy).
+
+Layouts:
+
+* **state** — ``(4, N)`` int64, row ``c`` holding big-endian word ``c``
+  of every lane's block.  int64 rather than uint32 because the state
+  feeds the table gathers directly: numpy indexes with int64 without a
+  cast, and every value stays below ``2**32``;
+* **keys** — ``(44, N)`` uint32, row ``k`` holding round-key word ``k``
+  of every lane's cipher (``(44, 1)`` broadcasts one key to all lanes).
 """
 
 from __future__ import annotations
+
+import threading
 
 from repro.crypto.aes import _SBOX, _TE0, _TE1, _TE2, _TE3, AES128
 
@@ -26,89 +37,130 @@ except ImportError:  # pragma: no cover
 
 HAVE_NUMPY = _np is not None
 
-if HAVE_NUMPY:
-    _T0 = _np.array(_TE0, dtype=_np.uint32)
-    _T1 = _np.array(_TE1, dtype=_np.uint32)
-    _T2 = _np.array(_TE2, dtype=_np.uint32)
-    _T3 = _np.array(_TE3, dtype=_np.uint32)
-    _S = _np.array(list(_SBOX), dtype=_np.uint32)
+_MASK128 = (1 << 128) - 1
 
-#: Cached per-cipher round-key rows (uint32, length 44), keyed by id().
-#: Ciphers are pooled process-wide by the fast path, so ids are stable
-#: for the lifetime of the entries; the cache is cleared wholesale when
-#: it grows past the bound.
-_KEY_ROWS: dict[int, "tuple[AES128, object]"] = {}
+if HAVE_NUMPY:
+    _T0 = _np.array(_TE0, dtype=_np.int64)
+    _T1 = _np.array(_TE1, dtype=_np.int64)
+    _T2 = _np.array(_TE2, dtype=_np.int64)
+    _T3 = _np.array(_TE3, dtype=_np.int64)
+    _S = _np.array(list(_SBOX), dtype=_np.int64)
+    # Column c of a round reads bytes of state words c, c+1, c+2, c+3
+    # (mod 4); these row permutations line those words up with c.
+    _ROT1 = _np.array([1, 2, 3, 0])
+    _ROT2 = _np.array([2, 3, 0, 1])
+    _ROT3 = _np.array([3, 0, 1, 2])
+
+#: The key registry: every batched cipher owns one column of a single
+#: ``(44, capacity)`` uint32 matrix, so a batch's keys are one fancy-index
+#: gather instead of a per-call stack of cached rows.  The dict is keyed
+#: by the cipher object itself (identity hash), so it holds a reference
+#: and an id() can never be recycled while the cipher owns a column.  It
+#: is cleared wholesale — before any column of the batch is read — when a
+#: batch's unseen ciphers would push it past :data:`_KEY_ROWS_MAX`.
+_KEY_SLOTS: "dict[AES128, int]" = {}
+_KEY_MATRIX = None
 _KEY_ROWS_MAX = 8192
+_KEY_LOCK = threading.Lock()
+
+
+def clear_key_rows() -> None:
+    """Drop every registered cipher and the key matrix."""
+    global _KEY_MATRIX
+    with _KEY_LOCK:
+        _KEY_SLOTS.clear()
+        _KEY_MATRIX = None
+
+
+def _register(ciphers) -> list[int]:
+    """Give every unseen cipher of the batch a column; return all slots.
+
+    Called with :data:`_KEY_LOCK` held.  The matrix grows by doubling,
+    so commissioning a new key only writes its own column.  A batch with
+    more distinct ciphers than the cap still gets every column (the
+    registry is bounded by the larger of the cap and one batch).
+    """
+    global _KEY_MATRIX
+    fresh = [c for c in dict.fromkeys(ciphers) if c not in _KEY_SLOTS]
+    if len(_KEY_SLOTS) + len(fresh) > _KEY_ROWS_MAX:
+        _KEY_SLOTS.clear()
+        fresh = list(dict.fromkeys(ciphers))
+    start = len(_KEY_SLOTS)
+    end = start + len(fresh)
+    capacity = 0 if _KEY_MATRIX is None else _KEY_MATRIX.shape[1]
+    if end > capacity:
+        grown = _np.empty((44, max(end, 2 * capacity, 64)), dtype=_np.uint32)
+        if start:
+            grown[:, :start] = _KEY_MATRIX[:, :start]
+        _KEY_MATRIX = grown
+    _KEY_MATRIX[:, start:end] = _np.array(
+        [cipher._enc_words for cipher in fresh], dtype=_np.uint32
+    ).T
+    _KEY_SLOTS.update(zip(fresh, range(start, end)))
+    return [_KEY_SLOTS[cipher] for cipher in ciphers]
 
 
 def key_rows(ciphers) -> "object":
-    """Stack the expanded round keys of ``ciphers`` into an (N, 44) array.
+    """The ``(44, N)`` round-key words of ``ciphers``, one column per lane.
 
     Every cipher must be a table-mode :class:`AES128` (the fast path
-    guarantees this); the row for each cipher is cached so repeated
-    rounds over the same pairwise keys only pay a stack, not a rebuild.
-    The cache holds a reference to the cipher itself so an id() can never
-    be recycled while its row is alive.
+    guarantees this).  Repeated rounds over the same pairwise keys pay
+    one gather from the key matrix; the result is a copy, so it stays
+    valid whatever later batches do to the registry.
     """
-    rows = []
-    for cipher in ciphers:
-        entry = _KEY_ROWS.get(id(cipher))
-        if entry is None or entry[0] is not cipher:
-            row = _np.array(cipher._enc_words, dtype=_np.uint32)
-            if len(_KEY_ROWS) >= _KEY_ROWS_MAX:
-                _KEY_ROWS.clear()
-            entry = (cipher, row)
-            _KEY_ROWS[id(cipher)] = entry
-        rows.append(entry[1])
-    return _np.stack(rows)
+    with _KEY_LOCK:
+        slots = list(map(_KEY_SLOTS.get, ciphers))
+        if None in slots:
+            slots = _register(ciphers)
+        return _KEY_MATRIX[:, slots]
 
 
-def words_from_ints(values) -> "tuple":
-    """Split 128-bit block ints into four big-endian uint32 word arrays."""
-    s0 = _np.fromiter((v >> 96 for v in values), dtype=_np.uint32, count=len(values))
-    s1 = _np.fromiter(
-        ((v >> 64) & 0xFFFFFFFF for v in values), dtype=_np.uint32, count=len(values)
+def words_from_ints(values) -> "object":
+    """128-bit block ints as a ``(4, N)`` big-endian word state."""
+    raw = b"".join([value.to_bytes(16, "big") for value in values])
+    return (
+        _np.frombuffer(raw, dtype=">u4")
+        .reshape(-1, 4)
+        .T.astype(_np.int64, order="C")
     )
-    s2 = _np.fromiter(
-        ((v >> 32) & 0xFFFFFFFF for v in values), dtype=_np.uint32, count=len(values)
-    )
-    s3 = _np.fromiter(
-        (v & 0xFFFFFFFF for v in values), dtype=_np.uint32, count=len(values)
-    )
-    return s0, s1, s2, s3
 
 
-def ints_from_words(words) -> list[int]:
+def ints_from_words(state) -> list[int]:
     """Inverse of :func:`words_from_ints`."""
-    s0, s1, s2, s3 = (w.tolist() for w in words)
-    return [
-        (a << 96) | (b << 64) | (c << 32) | d
-        for a, b, c, d in zip(s0, s1, s2, s3)
-    ]
+    words = state.view(_np.uint64)
+    high = ((words[0] << _np.uint64(32)) | words[1]).tolist()
+    low = ((words[2] << _np.uint64(32)) | words[3]).tolist()
+    return [(h << 64) | lo for h, lo in zip(high, low)]
 
 
-def encrypt_words(rk, s0, s1, s2, s3):
-    """One AES-128 encryption per lane; state as four uint32 arrays.
+def _packed(state) -> bytes:
+    """A ``(4, N)`` state as N concatenated 16-byte big-endian blocks."""
+    return state.T.astype(">u4").tobytes()
 
-    ``rk`` is the (N, 44) round-key matrix from :func:`key_rows` — each
-    lane uses its own key.  Returns the four output word arrays.
+
+def encrypt_state(rk, state):
+    """One AES-128 encryption per lane of a ``(4, N)`` word state.
+
+    ``rk`` is the ``(44, N)`` key layout from :func:`key_rows` (or
+    ``(44, 1)`` to run every lane under one key).  Each round is the
+    four column equations of :mod:`repro.crypto.aes` evaluated for all
+    columns and lanes at once.  Returns the ``(4, N)`` output state.
     """
-    s0 = s0 ^ rk[:, 0]
-    s1 = s1 ^ rk[:, 1]
-    s2 = s2 ^ rk[:, 2]
-    s3 = s3 ^ rk[:, 3]
-    for round_index in range(1, 10):
-        k = 4 * round_index
-        u0 = _T0[s0 >> 24] ^ _T1[(s1 >> 16) & 255] ^ _T2[(s2 >> 8) & 255] ^ _T3[s3 & 255] ^ rk[:, k]
-        u1 = _T0[s1 >> 24] ^ _T1[(s2 >> 16) & 255] ^ _T2[(s3 >> 8) & 255] ^ _T3[s0 & 255] ^ rk[:, k + 1]
-        u2 = _T0[s2 >> 24] ^ _T1[(s3 >> 16) & 255] ^ _T2[(s0 >> 8) & 255] ^ _T3[s1 & 255] ^ rk[:, k + 2]
-        u3 = _T0[s3 >> 24] ^ _T1[(s0 >> 16) & 255] ^ _T2[(s1 >> 8) & 255] ^ _T3[s2 & 255] ^ rk[:, k + 3]
-        s0, s1, s2, s3 = u0, u1, u2, u3
-    u0 = ((_S[s0 >> 24] << 24) | (_S[(s1 >> 16) & 255] << 16) | (_S[(s2 >> 8) & 255] << 8) | _S[s3 & 255]) ^ rk[:, 40]
-    u1 = ((_S[s1 >> 24] << 24) | (_S[(s2 >> 16) & 255] << 16) | (_S[(s3 >> 8) & 255] << 8) | _S[s0 & 255]) ^ rk[:, 41]
-    u2 = ((_S[s2 >> 24] << 24) | (_S[(s3 >> 16) & 255] << 16) | (_S[(s0 >> 8) & 255] << 8) | _S[s1 & 255]) ^ rk[:, 42]
-    u3 = ((_S[s3 >> 24] << 24) | (_S[(s0 >> 16) & 255] << 16) | (_S[(s1 >> 8) & 255] << 8) | _S[s2 & 255]) ^ rk[:, 43]
-    return u0, u1, u2, u3
+    s = state ^ rk[0:4]
+    for k in range(4, 40, 4):
+        s = (
+            _T0[s >> 24]
+            ^ _T1[(s[_ROT1] >> 16) & 255]
+            ^ _T2[(s[_ROT2] >> 8) & 255]
+            ^ _T3[s[_ROT3] & 255]
+            ^ rk[k : k + 4]
+        )
+    return (
+        (_S[s >> 24] << 24)
+        | (_S[(s[_ROT1] >> 16) & 255] << 16)
+        | (_S[(s[_ROT2] >> 8) & 255] << 8)
+        | _S[s[_ROT3] & 255]
+    ) ^ rk[40:44]
 
 
 def encrypt_blocks(ciphers, blocks: list[int]) -> list[int]:
@@ -118,8 +170,7 @@ def encrypt_blocks(ciphers, blocks: list[int]) -> list[int]:
     """
     if not blocks:
         return []
-    rk = key_rows(ciphers)
-    return ints_from_words(encrypt_words(rk, *words_from_ints(blocks)))
+    return ints_from_words(encrypt_state(key_rows(ciphers), words_from_ints(blocks)))
 
 
 def ctr_keystream(cipher: AES128, counter: int, count: int) -> bytes:
@@ -128,37 +179,11 @@ def ctr_keystream(cipher: AES128, counter: int, count: int) -> bytes:
     Bit-identical to ``cipher.ctr_blocks(counter, count)`` — the same
     big-endian counter blocks through the same T-table round function —
     with the per-block interpreter cost amortised across all ``count``
-    lanes.  This is the bulk-refill kernel behind the DRBG's fast path
-    and the batched dealer-fork prefill.
+    lanes.  This is the bulk-refill kernel behind the DRBG's fast path.
     """
     if count <= 0:
         return b""
-    counter &= (1 << 128) - 1
-    rk = _np.array(cipher._enc_words, dtype=_np.uint32).reshape(1, 44)
-    lanes = _np.arange(count, dtype=_np.uint64)
-    base0 = counter >> 96
-    base1 = (counter >> 64) & 0xFFFFFFFF
-    base2 = (counter >> 32) & 0xFFFFFFFF
-    base3 = counter & 0xFFFFFFFF
-    # 128-bit increment with carries, vectorized: the low word counts up
-    # lane-wise; each overflow ripples one word left.  uint64 intermediate
-    # arithmetic keeps the carries exact for any count < 2**32.
-    w3 = base3 + lanes
-    w2 = base2 + (w3 >> _np.uint64(32))
-    w1 = base1 + (w2 >> _np.uint64(32))
-    w0 = base0 + (w1 >> _np.uint64(32))
-    mask32 = _np.uint64(0xFFFFFFFF)
-    s0 = (w0 & mask32).astype(_np.uint32)
-    s1 = (w1 & mask32).astype(_np.uint32)
-    s2 = (w2 & mask32).astype(_np.uint32)
-    s3 = (w3 & mask32).astype(_np.uint32)
-    o0, o1, o2, o3 = encrypt_words(rk, s0, s1, s2, s3)
-    out = _np.empty((count, 4), dtype=">u4")
-    out[:, 0] = o0
-    out[:, 1] = o1
-    out[:, 2] = o2
-    out[:, 3] = o3
-    return out.tobytes()
+    return ctr_keystream_many([cipher], [counter], [count])[0]
 
 
 def ctr_keystream_many(ciphers, counters, counts) -> list[bytes]:
@@ -170,43 +195,38 @@ def ctr_keystream_many(ciphers, counters, counts) -> list[bytes]:
     counts[i])``.  Batching *across independent keys* is what makes
     per-dealer DRBG forks affordable: a round's worth of short keystream
     runs becomes a single wide batch.
+
+    DRBG ciphers are short-lived, so their keys are laid out directly
+    rather than through the key registry.
     """
     total = sum(counts)
     if total == 0:
         return [b"" for _ in counts]
-    s0 = _np.empty(total, dtype=_np.uint32)
-    s1 = _np.empty(total, dtype=_np.uint32)
-    s2 = _np.empty(total, dtype=_np.uint32)
-    s3 = _np.empty(total, dtype=_np.uint32)
-    rk = _np.empty((total, 44), dtype=_np.uint32)
-    offset = 0
+    runs = _np.array(counts, dtype=_np.int64)
+    # Lane j of run i encrypts counters[i] + j: the low word counts up
+    # lane-wise and each overflow ripples one word left (uint64
+    # intermediates keep the carries exact for any run < 2**32 blocks).
+    base = _np.repeat(
+        words_from_ints([counter & _MASK128 for counter in counters]).view(_np.uint64),
+        runs,
+        axis=1,
+    )
+    starts = _np.repeat(_np.cumsum(runs) - runs, runs)
+    lanes = (_np.arange(total, dtype=_np.int64) - starts).astype(_np.uint64)
+    shift = _np.uint64(32)
     mask32 = _np.uint64(0xFFFFFFFF)
-    for cipher, counter, count in zip(ciphers, counters, counts):
-        if count == 0:
-            continue
-        end = offset + count
-        counter &= (1 << 128) - 1
-        # Same vectorized 128-bit carry ripple as ctr_keystream, written
-        # into this cipher's lane slice; per-lane Python work would
-        # re-add exactly the interpreter overhead this kernel amortises.
-        lanes = _np.arange(count, dtype=_np.uint64)
-        w3 = (counter & 0xFFFFFFFF) + lanes
-        w2 = ((counter >> 32) & 0xFFFFFFFF) + (w3 >> _np.uint64(32))
-        w1 = ((counter >> 64) & 0xFFFFFFFF) + (w2 >> _np.uint64(32))
-        w0 = (counter >> 96) + (w1 >> _np.uint64(32))
-        s0[offset:end] = (w0 & mask32).astype(_np.uint32)
-        s1[offset:end] = (w1 & mask32).astype(_np.uint32)
-        s2[offset:end] = (w2 & mask32).astype(_np.uint32)
-        s3[offset:end] = (w3 & mask32).astype(_np.uint32)
-        rk[offset:end] = _np.asarray(cipher._enc_words, dtype=_np.uint32)
-        offset = end
-    o0, o1, o2, o3 = encrypt_words(rk, s0, s1, s2, s3)
-    out = _np.empty((total, 4), dtype=">u4")
-    out[:, 0] = o0
-    out[:, 1] = o1
-    out[:, 2] = o2
-    out[:, 3] = o3
-    raw = out.tobytes()
+    state = _np.empty((4, total), dtype=_np.uint64)
+    state[3] = base[3] + lanes
+    state[2] = base[2] + (state[3] >> shift)
+    state[1] = base[1] + (state[2] >> shift)
+    state[0] = base[0] + (state[1] >> shift)
+    state &= mask32
+    rk = _np.repeat(
+        _np.array([cipher._enc_words for cipher in ciphers], dtype=_np.uint32).T,
+        runs,
+        axis=1,
+    )
+    raw = _packed(encrypt_state(rk, state.view(_np.int64)))
     streams = []
     offset = 0
     for count in counts:
@@ -244,31 +264,30 @@ def ctr_cbc_mac_batch(
         return [], []
     enc_rk = key_rows(enc_ciphers)
     mac_rk = key_rows(mac_ciphers)
-    n0, n1, n2, n3 = words_from_ints(nonces)
+    nonce = words_from_ints(nonces)
 
     # CTR: output = data ^ E_enc(nonce).
-    k0, k1, k2, k3 = encrypt_words(enc_rk, n0, n1, n2, n3)
-    d0, d1, d2, d3 = words_from_ints(data)
-    o0, o1, o2, o3 = d0 ^ k0, d1 ^ k1, d2 ^ k2, d3 ^ k3
-    if mac_over_input:
-        c0, c1, c2, c3 = d0, d1, d2, d3
-    else:
-        c0, c1, c2, c3 = o0, o1, o2, o3
+    inputs = words_from_ints(data)
+    outputs = inputs ^ encrypt_state(enc_rk, nonce)
+    covered = inputs if mac_over_input else outputs
 
     # CBC-MAC over the 40-byte prefixed message, padded to 48 bytes:
     #   block 1 = len(32).to_bytes(8) || nonce[0:8]
     #   block 2 = nonce[8:16]         || ct[0:8]
     #   block 3 = ct[8:16]            || 0x08 * 8   (PKCS#7)
-    b1_0 = _np.zeros(n, dtype=_np.uint32)
-    b1_1 = _np.full(n, 32, dtype=_np.uint32)
-    m0, m1, m2, m3 = encrypt_words(mac_rk, b1_0, b1_1, n0, n1)
-    m0, m1, m2, m3 = encrypt_words(mac_rk, m0 ^ n2, m1 ^ n3, m2 ^ c0, m3 ^ c1)
-    pad = _np.full(n, 0x08080808, dtype=_np.uint32)
-    m0, m1, m2, m3 = encrypt_words(mac_rk, m0 ^ c2, m1 ^ c3, m2 ^ pad, m3 ^ pad)
+    block = _np.empty((4, n), dtype=_np.int64)
+    block[0] = 0
+    block[1] = 32
+    block[2:] = nonce[0:2]
+    mac = encrypt_state(mac_rk, block)
+    block[0:2] = nonce[2:4]
+    block[2:] = covered[0:2]
+    mac = encrypt_state(mac_rk, mac ^ block)
+    block[0:2] = covered[2:4]
+    block[2:] = 0x08080808
+    mac = encrypt_state(mac_rk, mac ^ block)
 
-    outputs = ints_from_words((o0, o1, o2, o3))
-    tags = [
-        tag_int.to_bytes(16, "big")[:tag_bytes]
-        for tag_int in ints_from_words((m0, m1, m2, m3))
+    tags = _packed(mac)
+    return ints_from_words(outputs), [
+        tags[offset : offset + tag_bytes] for offset in range(0, 16 * n, 16)
     ]
-    return outputs, tags

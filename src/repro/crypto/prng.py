@@ -198,12 +198,26 @@ class AesCtrDrbg:
         return value >> (8 * num_bytes - bits)
 
     def randrange(self, bound: int) -> int:
-        """Uniform integer in ``[0, bound)`` via rejection sampling."""
+        """Uniform integer in ``[0, bound)`` via rejection sampling.
+
+        Each candidate is :meth:`getrandbits` of ``bound.bit_length()``
+        bits.  When its bytes are already buffered they are read in
+        place — the same bytes, so the same stream — skipping the
+        refill bookkeeping that dominates a coefficient draw.
+        """
         if bound <= 0:
             raise CryptoError(f"bound must be >= 1, got {bound}")
         bits = bound.bit_length()
+        num_bytes = (bits + 7) // 8
+        excess = 8 * num_bytes - bits
         while True:
-            candidate = self.getrandbits(bits)
+            offset = self._offset
+            end = offset + num_bytes
+            if end <= len(self._buffer):
+                self._offset = end
+                candidate = int.from_bytes(self._buffer[offset:end], "big") >> excess
+            else:
+                candidate = self.getrandbits(bits)
             if candidate < bound:
                 return candidate
 

@@ -122,8 +122,8 @@ def clear_process_caches() -> None:
     this module dependency-free at import time.
     """
     from repro.core import protocol
-    from repro.crypto import prng
-    from repro.field import lagrange
+    from repro.crypto import aesbatch, prng
+    from repro.field import kernels, lagrange
     from repro.phy import link
 
     with link._TABLE_CACHE_LOCK:
@@ -132,4 +132,6 @@ def clear_process_caches() -> None:
     protocol._LAYOUT_POOL.clear()
     protocol._DEAL_POOL.clear()
     prng._CIPHER_POOL.clear()
+    aesbatch.clear_key_rows()
+    kernels._POWER_ROWS.clear()
     lagrange.SHARED_WEIGHTS.clear()

@@ -18,7 +18,8 @@ ints:
 * :func:`inv_mod` — modular inversion via CPython's native
   ``pow(x, -1, p)`` (much faster than a Python-level extended Euclid);
 * :func:`horner_eval` / :func:`horner_eval_many` — dealer-polynomial
-  evaluation without intermediate ``FieldElement`` objects;
+  evaluation without intermediate ``FieldElement`` objects (the bulk
+  form as one dot product per point against cached power rows);
 * :func:`lagrange_weight_values` — Lagrange basis weights with a single
   batched inversion (Montgomery's trick: ``k`` inverses for the price of
   one ``pow(x, -1, p)`` and ``3k`` multiplications).
@@ -29,6 +30,7 @@ shadows; ``tests/field/test_kernels.py`` enforces exact agreement.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from repro.errors import InterpolationError, NonInvertibleError
@@ -82,18 +84,46 @@ def horner_eval(coefficients: Sequence[int], x: int, prime: int) -> int:
     return accumulator
 
 
+#: Power rows ``(1, x, x**2, ..., x**(length-1)) mod prime`` per point,
+#: keyed by ``(points, length, prime)``.  A deployment deals every round
+#: over the same public points, so the rows are built once and each
+#: evaluation is one C-level dot product per point.  Cleared wholesale
+#: when full (and by :func:`repro.fastpath.clear_process_caches`).
+_POWER_ROWS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+_POWER_ROWS_MAX = 64
+
+
+def _power_rows(
+    xs: Sequence[int], length: int, prime: int
+) -> tuple[tuple[int, ...], ...]:
+    key = (tuple(xs), length, prime)
+    rows = _POWER_ROWS.get(key)
+    if rows is None:
+        built = []
+        for x in key[0]:
+            row = [1] * length
+            power = 1
+            for i in range(1, length):
+                power = power * x % prime
+                row[i] = power
+            built.append(tuple(row))
+        rows = tuple(built)
+        if len(_POWER_ROWS) >= _POWER_ROWS_MAX:
+            _POWER_ROWS.clear()
+        _POWER_ROWS[key] = rows
+    return rows
+
+
 def horner_eval_many(
     coefficients: Sequence[int], xs: Sequence[int], prime: int
 ) -> list[int]:
-    """Evaluate one polynomial at many points (the sharing-phase bulk op)."""
-    reversed_coeffs = tuple(reversed(coefficients))
-    results = []
-    for x in xs:
-        accumulator = 0
-        for coefficient in reversed_coeffs:
-            accumulator = (accumulator * x + coefficient) % prime
-        results.append(accumulator)
-    return results
+    """Evaluate one polynomial at many points (the sharing-phase bulk op).
+
+    Value-identical to :func:`horner_eval` at every point: ``sum c_i *
+    x**i`` reduced once, against the cached power rows of ``xs``.
+    """
+    rows = _power_rows(xs, len(coefficients), prime)
+    return [sum(map(mul, coefficients, row)) % prime for row in rows]
 
 
 def batch_inverse(values: Sequence[int], prime: int) -> list[int]:

@@ -65,12 +65,19 @@ class Polynomial:
         """
         if degree < 0:
             raise PolynomialError(f"degree must be >= 0, got {degree}")
+        prime = field.prime
+        randrange = rng.randrange
         coeffs: list[int] = [field(secret).value]
-        for _ in range(max(0, degree - 1)):
-            coeffs.append(rng.randrange(field.prime))
+        coeffs.extend([randrange(prime) for _ in range(degree - 1)])
         if degree >= 1:
-            coeffs.append(1 + rng.randrange(field.prime - 1))
-        return cls(field, coeffs)
+            coeffs.append(1 + randrange(prime - 1))
+        # Every coefficient is already a canonical residue and, from degree
+        # 1 on, the leading one is non-zero, so the constructor's coercion
+        # and normalization would be no-ops.
+        polynomial = cls.__new__(cls)
+        polynomial._field = field
+        polynomial._coeffs = tuple(coeffs)
+        return polynomial
 
     # -- basic accessors --------------------------------------------------------
 
