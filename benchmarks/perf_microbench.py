@@ -8,8 +8,8 @@ It times three tiers and writes the results to ``BENCH_core.json`` at the
 repository root so future PRs have a perf trajectory to compare against:
 
 1. **Primitives** — AES-128 block throughput (reference vs. T-table vs.
-   numpy-batched), a round's packet protection (``ctr_cbc_mac_batch``
-   over ~790 pairwise-keyed lanes vs. per-packet CTR + CBC-MAC), DRBG
+   numpy-batched), a round's packet protection (``batch_encrypt_shares``
+   over ~790 pairwise-keyed lanes vs. per-packet ``encrypt_share``), DRBG
    keystream, Shamir split/reconstruct ops/sec (scalar vs. batched).
 2. **Campaign, cold** — one `figure1` FlockLab sweep per crypto mode
    as the first fast-path run in the current process state: the fast path
@@ -149,38 +149,56 @@ def bench_aes() -> dict:
 
 
 def bench_packet_batch(aesbatch) -> dict:
-    """A REAL round's share protection: CTR + CBC-MAC over ~790 packets.
+    """A REAL round's share protection: CTR + CBC-MAC over ~790 lanes.
 
-    One S4 round on D-Cube protects ~790 share packets, each under its
-    own pairwise (encryption, MAC) key pair; ``ctr_cbc_mac_batch`` runs
-    them as lanes of one batch.  Compared against the per-packet
-    T-table path (``ctr_transform`` + ``cbc_mac``) on the same packets.
+    One S4 round on D-Cube protects ~790 share packets (45 sources × 18
+    collectors, self-shares excluded), each under its own pairwise
+    (encryption, MAC) key pair.  Timed the way a round calls it: the
+    engine's pair key table and lane plan exist from commissioning, and
+    ``batch_encrypt_shares`` takes the round's plaintexts.  Compared
+    against ``encrypt_share`` per packet, the path a round takes without
+    numpy.
     """
-    from repro.crypto.mac import cbc_mac
-    from repro.crypto.modes import ctr_transform
+    from repro.core.payload import (
+        LanePlan,
+        PairKeyTable,
+        RealShareCodec,
+        batch_encrypt_shares,
+    )
+    from repro.ct.packet import ChainLayout
+    from repro.field.prime_field import FieldElement, PrimeField
 
-    n_packets = 790
+    nodes = list(range(45))
+    destinations = nodes[:18]
+    with fastpath.forced(True):
+        codecs = {n: RealShareCodec(n, nodes, b"bench-master") for n in nodes}
+    plan = LanePlan(
+        PairKeyTable(codecs),
+        nodes,
+        destinations,
+        ChainLayout.sharing(nodes, destinations),
+    )
+    field = PrimeField()
     rnd = random.Random(790)
-    enc = [AES128(rnd.randbytes(16), use_tables=True) for _ in range(n_packets)]
-    mac = [AES128(rnd.randbytes(16), use_tables=True) for _ in range(n_packets)]
-    nonces = [rnd.getrandbits(128) for _ in range(n_packets)]
-    data = [rnd.getrandbits(61) for _ in range(n_packets)]
+    values = [rnd.randrange(field.prime) for _ in range(len(plan))]
+    lanes = list(
+        zip(plan.source.tolist(), plan.destination.tolist(), values)
+    )
+    round_nonce = rnd.getrandbits(64)
 
     def per_packet():
-        for i in range(n_packets):
-            nonce = nonces[i].to_bytes(16, "big")
-            ciphertext = ctr_transform(enc[i], nonce, data[i].to_bytes(16, "big"))
-            cbc_mac(mac[i], nonce + ciphertext, 8)
+        for source, destination, value in lanes:
+            codecs[source].encrypt_share(
+                destination, FieldElement(field, value), round_nonce
+            )
 
     t_batch = (
-        _best_of(
-            lambda: aesbatch.ctr_cbc_mac_batch(enc, mac, nonces, data, 8), repeats=9
-        )
-        / n_packets
+        _best_of(lambda: batch_encrypt_shares(values, plan, round_nonce), repeats=9)
+        / len(plan)
     )
-    t_scalar = _best_of(per_packet, repeats=3) / n_packets
+    t_scalar = _best_of(per_packet, repeats=3) / len(plan)
     return {
-        "packet_batch_lanes": n_packets,
+        "packet_batch_lanes": len(plan),
         "packet_scalar_us_per_packet": round(t_scalar * 1e6, 2),
         "packet_batch_us_per_packet": round(t_batch * 1e6, 2),
         "packet_batch_speedup": round(t_scalar / t_batch, 2),

@@ -229,12 +229,12 @@ class CoverageUnit(CampaignUnit):
     prebuilt_links: object | None = dataclasses.field(default=None, compare=False)
 
     def run(self) -> dict[str, float]:
-        from repro.analysis.experiments import spec_timings
         from repro.core.bootstrap import network_depth
         from repro.ct.coverage import profile_coverage
         from repro.ct.packet import sharing_psdu_bytes
         from repro.phy.channel import ChannelModel
         from repro.phy.link import cached_link_table
+        from repro.phy.radio import NRF52840_154
 
         links = self.prebuilt_links
         if links is None:
@@ -243,13 +243,12 @@ class CoverageUnit(CampaignUnit):
             links = cached_link_table(
                 self.spec.topology.positions, channel, frame
             )
-        timings = spec_timings(self.spec)
         disk_key = None
         if fastpath.enabled() and diskcache.enabled():
             disk_key = diskcache.content_key(
                 "coverage-row",
                 links.content_digest(),
-                timings,
+                NRF52840_154,
                 self.ntx,
                 self.iterations,
                 self.seed,
@@ -259,7 +258,7 @@ class CoverageUnit(CampaignUnit):
                 return stored
         stats = profile_coverage(
             links,
-            timings,
+            NRF52840_154,
             ntx_values=[self.ntx],
             depth_hint=network_depth(links),
             iterations=self.iterations,

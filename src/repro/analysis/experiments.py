@@ -215,13 +215,6 @@ def _point_from_rounds(
     )
 
 
-def spec_timings(spec: TestbedSpec):
-    """Radio timings for a testbed (the library default nRF model)."""
-    from repro.phy.radio import NRF52840_154
-
-    return NRF52840_154
-
-
 def _engine_without_early_off(spec: TestbedSpec, crypto_mode: CryptoMode):
     """An S4 engine whose phases keep radios on (ablation helper)."""
     from repro.core.protocol import PhasePlan

@@ -50,7 +50,8 @@ class ProtocolConfig:
         capture: concurrent-reception model.
         tx_probability: per-slot transmit probability of armed nodes.
         slack_slots: scheduling slack added to analytic round lengths.
-        mac_tag_bytes: truncated MAC tag size carried by share packets.
+        mac_tag_bytes: truncated MAC tag size carried by share packets,
+            1 to 16 bytes.
     """
 
     degree: int
@@ -75,6 +76,10 @@ class ProtocolConfig:
         if self.slack_slots < 0:
             raise ConfigurationError(
                 f"slack_slots must be >= 0, got {self.slack_slots}"
+            )
+        if not 1 <= self.mac_tag_bytes <= 16:
+            raise ConfigurationError(
+                f"mac_tag_bytes must be in [1, 16], got {self.mac_tag_bytes}"
             )
 
     @property

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.keystore import PairwiseKeyStore, derive_pairwise_key
-from repro.crypto.mac import cbc_mac, verify_mac
+from repro.crypto.mac import cbc_mac, check_tag_length, verify_mac
 from repro.crypto.modes import ctr_transform
 from repro.errors import AuthenticationError, CryptoError, PacketError
 from repro.field.prime_field import FieldElement, PrimeField
@@ -60,6 +60,7 @@ class RealShareCodec:
         master_secret: bytes,
         tag_bytes: int = 4,
     ):
+        check_tag_length(tag_bytes)
         self._enc_store = PairwiseKeyStore(node_id)
         self._mac_store = PairwiseKeyStore(node_id)
         for peer in peers:
@@ -94,8 +95,8 @@ class RealShareCodec:
     def ciphers_for(self, peer: int):
         """(encryption, MAC) cipher pair shared with ``peer``.
 
-        Exposed for the batched packet pipeline
-        (:func:`batch_encrypt_shares` / :func:`batch_decrypt_shares`).
+        Read once per pair at commissioning, to build the
+        :class:`PairKeyTable` of the batched packet pipeline.
         """
         return self._enc_store.cipher_for(peer), self._mac_store.cipher_for(peer)
 
@@ -246,114 +247,209 @@ class StubShareCodec:
 #
 # A sharing round protects hundreds of packets under independent pairwise
 # keys; batching amortises the AES round function across all of them (see
-# :mod:`repro.crypto.aesbatch`).  Outputs are bit-identical to the
-# per-packet methods above, and both helpers require the caller to have
-# checked ``aesbatch.HAVE_NUMPY``.
+# :mod:`repro.crypto.aesbatch`).  A round's packets stay lanes of word
+# arrays from encryption to decryption: no per-packet object, no
+# per-packet key lookup.  Outputs are bit-identical to the per-packet
+# methods above, and every helper here requires the caller to have
+# checked ``aesbatch.HAVE_NUMPY`` (numpy is imported on first use, so
+# STUB-only and service processes never load it).
 
 #: Below this many packets the numpy setup costs more than it saves.
 BATCH_THRESHOLD = 8
 
 
-def batch_encrypt_shares(
-    entries: "list[tuple[RealShareCodec, int, int]]",
-    round_nonce: int,
-) -> list[SharePacket]:
-    """Encrypt many (codec, destination, value) shares in one batch.
+class PairKeyTable:
+    """Every ordered (holder, peer) pairwise key of a deployment, as columns.
 
-    Bit-identical to calling ``codec.encrypt_share`` per entry.
+    Built once per engine, at commissioning, from its codecs.  Column
+    ``columns[h, p]`` of :attr:`enc` / :attr:`mac` (``(44, P)`` uint32
+    key layouts) holds the schedule node ``h`` uses with peer ``p``, by
+    node position in :attr:`positions`; the diagonal is ``-1``.  Senders
+    read ``columns[src, dst]`` and receivers ``columns[dst, src]``: each
+    side uses its own key, as on the device.
+    """
+
+    __slots__ = ("positions", "columns", "enc", "mac", "tag_bytes")
+
+    def __init__(self, codecs: "dict[int, RealShareCodec]"):
+        import numpy as np
+
+        nodes = sorted(codecs)
+        self.positions = {node: position for position, node in enumerate(nodes)}
+        self.columns = np.full((len(nodes), len(nodes)), -1, dtype=np.intp)
+        enc_words = []
+        mac_words = []
+        for h, holder in enumerate(nodes):
+            for p, peer in enumerate(nodes):
+                if p == h:
+                    continue
+                self.columns[h, p] = len(enc_words)
+                enc, mac = codecs[holder].ciphers_for(peer)
+                enc_words.append(enc._enc_words)
+                mac_words.append(mac._enc_words)
+        self.enc = np.ascontiguousarray(np.array(enc_words, dtype=np.uint32).T)
+        self.mac = np.ascontiguousarray(np.array(mac_words, dtype=np.uint32).T)
+        self.tag_bytes = codecs[nodes[0]].tag_bytes
+
+
+class LanePlan:
+    """The packet lanes of one sharing chain, fixed per (sources, destinations).
+
+    Lane order is source-major: every ``(src, dst)`` pair with ``dst !=
+    src``, in the order of ``sources`` then ``destinations``.  Per lane
+    the plan holds the node ids, the sender's and receiver's key columns
+    in :attr:`keys`, the destination's row in ``destinations`` and the
+    lane's sub-slot in the chain ``layout``.
+    """
+
+    __slots__ = (
+        "keys",
+        "source",
+        "destination",
+        "send",
+        "receive",
+        "row",
+        "chain",
+        "view_bytes",
+    )
+
+    def __init__(self, keys: PairKeyTable, sources, destinations, layout):
+        import numpy as np
+
+        pairs = [(src, dst) for src in sources for dst in destinations if dst != src]
+        rows = {dst: row for row, dst in enumerate(destinations)}
+        positions = keys.positions
+        src_pos = [positions[src] for src, _ in pairs]
+        dst_pos = [positions[dst] for _, dst in pairs]
+        self.keys = keys
+        self.source = np.array([src for src, _ in pairs], dtype=np.int64)
+        self.destination = np.array([dst for _, dst in pairs], dtype=np.int64)
+        self.send = keys.columns[src_pos, dst_pos]
+        self.receive = keys.columns[dst_pos, src_pos]
+        self.row = np.array([rows[dst] for _, dst in pairs], dtype=np.intp)
+        self.chain = np.array(
+            [layout.index_of(src, dst) for src, dst in pairs], dtype=np.intp
+        )
+        self.view_bytes = (len(layout) + 7) // 8
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def delivered(self, views: "list[int]"):
+        """Indices of the lanes whose sub-slot their destination received.
+
+        ``views[row]`` is the chain bitmask destination ``row`` knows (0
+        for one that takes no part).  One bit matrix over every view and
+        one gather replace a per-bit walk of each view.
+        """
+        import numpy as np
+
+        raw = b"".join([view.to_bytes(self.view_bytes, "little") for view in views])
+        bits = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8).reshape(len(views), -1),
+            axis=1,
+            bitorder="little",
+        )
+        return np.flatnonzero(bits[self.row, self.chain])
+
+
+class ShareLanes:
+    """One round's protected shares: ciphertext and MAC words per lane.
+
+    Column ``i`` of :attr:`ciphertext` and :attr:`mac` (``(4, N)`` word
+    states) is lane ``i`` of :attr:`plan`.  Only the first ``tag_bytes``
+    bytes of each MAC travel on the wire; :meth:`packet` is that wire
+    form.
+    """
+
+    __slots__ = ("plan", "ciphertext", "mac")
+
+    def __init__(self, plan: LanePlan, ciphertext, mac):
+        self.plan = plan
+        self.ciphertext = ciphertext
+        self.mac = mac
+
+    def packet(self, lane: int) -> SharePacket:
+        """Lane ``lane`` as the packet :meth:`RealShareCodec.encrypt_share` builds."""
+        words = [int(word) for word in self.ciphertext[:, lane]]
+        tag_words = [int(word) for word in self.mac[:, lane]]
+        return SharePacket(
+            source=int(self.plan.source[lane]),
+            destination=int(self.plan.destination[lane]),
+            ciphertext=b"".join(word.to_bytes(4, "big") for word in words),
+            tag=b"".join(word.to_bytes(4, "big") for word in tag_words)[
+                : self.plan.keys.tag_bytes
+            ],
+        )
+
+
+def _nonce_words(round_nonce: int, sources, destinations):
+    """:meth:`RealShareCodec._nonce` per lane, as a ``(4, N)`` word state."""
+    import numpy as np
+
+    nonce = np.empty((4, len(sources)), dtype=np.int64)
+    nonce[0] = round_nonce >> 32
+    nonce[1] = round_nonce & 0xFFFFFFFF
+    nonce[2] = sources
+    nonce[3] = destinations
+    return nonce
+
+
+def batch_encrypt_shares(
+    plaintexts: "list[int]", plan: LanePlan, round_nonce: int
+) -> ShareLanes:
+    """Encrypt one share per lane of ``plan``, all in one kernel pass.
+
+    ``plaintexts[i]`` is the share value of lane ``i``.  Lane by lane
+    bit-identical to ``encrypt_share`` of the lane's source codec.
     """
     from repro.crypto import aesbatch
 
-    enc_ciphers = []
-    mac_ciphers = []
-    nonces = []
-    plaintexts = []
-    tag_bytes = None
-    for codec, destination, value_int in entries:
-        enc, mac = codec.ciphers_for(destination)
-        enc_ciphers.append(enc)
-        mac_ciphers.append(mac)
-        nonces.append(codec._nonce_int(round_nonce, codec.node_id, destination))
-        plaintexts.append(value_int)
-        tag_bytes = codec.tag_bytes
-    ciphertexts, tags = aesbatch.ctr_cbc_mac_batch(
-        enc_ciphers, mac_ciphers, nonces, plaintexts, tag_bytes
+    keys = plan.keys
+    ciphertext, mac = aesbatch.ctr_cbc_mac(
+        keys.enc[:, plan.send],
+        keys.mac[:, plan.send],
+        _nonce_words(round_nonce, plan.source, plan.destination),
+        aesbatch.words_from_ints(plaintexts),
     )
-    return [
-        SharePacket(
-            source=codec.node_id,
-            destination=destination,
-            ciphertext=ct.to_bytes(SHARE_BLOCK_BYTES, "big"),
-            tag=tag,
-        )
-        for (codec, destination, _), ct, tag in zip(entries, ciphertexts, tags)
-    ]
+    return ShareLanes(plan, ciphertext, mac)
 
 
 def batch_decrypt_values(
-    entries: "list[tuple[RealShareCodec, SharePacket]]",
-    field: PrimeField,
-    round_nonce: int,
+    lanes, sealed: ShareLanes, field: PrimeField, round_nonce: int
 ) -> list[int | None]:
-    """Authenticate and decrypt many received shares in one batch.
+    """Authenticate and decrypt the received ``lanes`` of ``sealed``.
 
-    Each entry is (receiving codec, packet addressed to it).  Returns the
-    decrypted canonical residue per entry, or ``None`` where the scalar
-    path would have raised (tag mismatch, non-canonical value) — the
-    caller treats those as dropped packets.  Raw ints keep the share-sum
-    fold allocation-free; :func:`batch_decrypt_shares` wraps them when
-    elements are wanted.
+    Every lane is checked under its receiver's own key columns and the
+    nonce the receiver derives.  Returns the decrypted canonical residue
+    per lane, or ``None`` where ``decrypt_share`` would have raised (tag
+    mismatch, non-canonical value) — the caller treats those as dropped
+    packets.
     """
     from repro.crypto import aesbatch
 
-    enc_ciphers = []
-    mac_ciphers = []
-    nonces = []
-    ciphertexts = []
-    tag_bytes = None
-    for codec, packet in entries:
-        if packet.destination != codec.node_id:
-            raise CryptoError(
-                f"packet for node {packet.destination} handed to node "
-                f"{codec.node_id}"
-            )
-        enc, mac = codec.ciphers_for(packet.source)
-        enc_ciphers.append(enc)
-        mac_ciphers.append(mac)
-        nonces.append(
-            codec._nonce_int(round_nonce, packet.source, packet.destination)
-        )
-        ciphertexts.append(int.from_bytes(packet.ciphertext, "big"))
-        tag_bytes = codec.tag_bytes
-    plaintexts, expected_tags = aesbatch.ctr_cbc_mac_batch(
-        enc_ciphers,
-        mac_ciphers,
-        nonces,
-        ciphertexts,
-        tag_bytes,
+    plan = sealed.plan
+    keys = plan.keys
+    columns = plan.receive[lanes]
+    received_mac = sealed.mac[:, lanes]
+    plaintext, expected_mac = aesbatch.ctr_cbc_mac(
+        keys.enc[:, columns],
+        keys.mac[:, columns],
+        _nonce_words(round_nonce, plan.source[lanes], plan.destination[lanes]),
+        sealed.ciphertext[:, lanes],
         mac_over_input=True,
     )
-    results: list[int | None] = []
+    # Compare the first tag_bytes bytes of each MAC: whole words, then
+    # the leading bytes of a partial word.
+    difference = expected_mac ^ received_mac
+    whole, partial = divmod(keys.tag_bytes, 4)
+    forged = difference[:whole].any(axis=0)
+    if partial:
+        forged |= (difference[whole] >> (32 - 8 * partial)) != 0
     prime = field.prime
-    for (codec, packet), plaintext, expected in zip(
-        entries, plaintexts, expected_tags
-    ):
-        if packet.tag != expected or plaintext >= prime:
-            results.append(None)
-        else:
-            results.append(plaintext)
-    return results
-
-
-def batch_decrypt_shares(
-    entries: "list[tuple[RealShareCodec, SharePacket]]",
-    field: PrimeField,
-    round_nonce: int,
-) -> list[FieldElement | None]:
-    """:func:`batch_decrypt_values` with element-wrapped results."""
     return [
-        None if value is None else FieldElement(field, value)
-        for value in batch_decrypt_values(entries, field, round_nonce)
+        None if bad or value >= prime else value
+        for value, bad in zip(aesbatch.ints_from_words(plaintext), forged.tolist())
     ]
 
 

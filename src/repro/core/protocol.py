@@ -55,7 +55,10 @@ from repro.core.config import CryptoMode, ProtocolConfig
 from repro.core.metrics import NodeMetrics, RoundMetrics
 from repro.core.payload import (
     BATCH_THRESHOLD,
+    LanePlan,
+    PairKeyTable,
     RealShareCodec,
+    ShareLanes,
     SharePacket,
     StubShareCodec,
     batch_decrypt_values,
@@ -159,7 +162,9 @@ class AggregationEngine:
         #: round constants — initial-knowledge and requirement maps,
         #: destination points — which are pure functions of commissioning
         #: state and identical for every iteration of a sweep point.
-        self._round_consts: dict[tuple, tuple] = {}
+        self._round_consts: dict[tuple, tuple | LanePlan] = {}
+        #: Every ordered pair's key columns, built with the first lane plan.
+        self._pair_keys: PairKeyTable | None = None
 
     # -- shared infrastructure ---------------------------------------------------
 
@@ -439,7 +444,9 @@ class AggregationEngine:
                 # The stub pipeline batches in pure ints — no numpy
                 # required, so no availability guard.
                 use_batch_crypto = self.codec(sources[0]).supports_batch()
+        use_lanes = use_batch_crypto and config.crypto_mode is CryptoMode.REAL
         payloads: dict[int, SharePacket] = {}
+        plaintexts: list[int] = []
         batch_entries: list[tuple] = []
         batch_indices: list[int] = []
         if fast:
@@ -502,6 +509,9 @@ class AggregationEngine:
                             ciphertext=value_int.to_bytes(16, "big"),
                             tag=b"",
                         )
+                    elif use_lanes:
+                        # Lane order is this loop's order (see LanePlan).
+                        plaintexts.append(value_int)
                     elif use_batch_crypto:
                         batch_entries.append((src_codec, dst, value_int))
                         batch_indices.append(index)
@@ -533,11 +543,15 @@ class AggregationEngine:
                                 dst, FieldElement(field, value_int), round_nonce
                             )
                         )
+        sealed = None
+        if plaintexts:
+            sealed = batch_encrypt_shares(
+                plaintexts,
+                self._lane_plan(consts_key, layout, sources, destinations),
+                round_nonce,
+            )
         if batch_entries:
-            if config.crypto_mode is CryptoMode.REAL:
-                batch_packets = batch_encrypt_shares(batch_entries, round_nonce)
-            else:
-                batch_packets = stub_batch_encrypt(batch_entries, round_nonce)
+            batch_packets = stub_batch_encrypt(batch_entries, round_nonce)
             for index, packet in zip(batch_indices, batch_packets):
                 payloads[index] = packet
 
@@ -560,104 +574,27 @@ class AggregationEngine:
         alive_after_sharing = set(self._topology.node_ids) - failed_in_sharing
 
         # Decrypt and fold into per-point sums.
-        accumulators: dict[int, ShareAccumulator] = {}
-        prime = field.prime
-        element_size = field.element_size_bytes
-        decrypted_batch: dict[int, int | None] = {}
-        if use_batch_crypto:
-            # Gather every delivered foreign share across all destinations
-            # and authenticate + decrypt them in one batched pass.
-            gather_entries = []
-            gather_indices = []
-            for dst in destinations:
-                if dst not in alive_after_sharing:
-                    continue
-                dst_codec = self.codec(dst)
-                view = (
-                    sharing_result.knowledge[dst] & layout.destination_mask(dst)
-                )
-                while view:
-                    low_bit = view & -view
-                    index = low_bit.bit_length() - 1
-                    view ^= low_bit
-                    packet = payloads[index]
-                    if packet.source != dst:
-                        gather_entries.append((dst_codec, packet))
-                        gather_indices.append(index)
-            if gather_entries:
-                if config.crypto_mode is CryptoMode.REAL:
-                    decoded_values = batch_decrypt_values(
-                        gather_entries, field, round_nonce
-                    )
-                else:
-                    decoded_values = stub_batch_decrypt(
-                        gather_entries, field, round_nonce
-                    )
-                for index, value in zip(gather_indices, decoded_values):
-                    decrypted_batch[index] = value
-        for dst in destinations:
-            if dst not in alive_after_sharing:
-                continue
-            dst_codec = self.codec(dst)
-            point = self._registry.point_of(dst)
-            view = sharing_result.knowledge[dst] & layout.destination_mask(dst)
-            if fast:
-                # Allocation-light fold: raw-int running sum plus a plain
-                # contributor set; Share/FieldElement objects are built
-                # once per accumulator instead of once per received share.
-                total = 0
-                contributors: set[int] = set()
-                while view:
-                    low_bit = view & -view
-                    index = low_bit.bit_length() - 1
-                    view ^= low_bit
-                    packet = payloads[index]
-                    try:
-                        if packet.source == dst:
-                            value = field.element_from_bytes(
-                                packet.ciphertext[-element_size:]
-                            ).value
-                        elif use_batch_crypto:
-                            value = decrypted_batch.get(index)
-                            if value is None:
-                                continue  # corrupted/forged packet: drop
-                        else:
-                            value = dst_codec.decrypt_share(
-                                packet, field, round_nonce
-                            ).value
-                    except (CryptoError, FieldError):
-                        continue  # corrupted/forged packet: drop
-                    total += value
-                    contributors.add(packet.source)
-                if contributors:
-                    accumulators[dst] = ShareAccumulator(
-                        x=point,
-                        total=FieldElement(field, total % prime),
-                        contributors=contributors,
-                    )
-                continue
-            accumulator = ShareAccumulator.empty(point)
-            while view:
-                low_bit = view & -view
-                index = low_bit.bit_length() - 1
-                view ^= low_bit
-                packet = payloads[index]
-                try:
-                    if packet.source == dst:
-                        value = field.element_from_bytes(
-                            packet.ciphertext[-field.element_size_bytes :]
-                        )
-                    else:
-                        value = dst_codec.decrypt_share(
-                            packet, field, round_nonce
-                        )
-                except (CryptoError, FieldError):
-                    continue  # corrupted/forged packet: drop
-                accumulator.add(
-                    Share(dealer_id=packet.source, x=point, y=value)
-                )
-            if accumulator.contributors:
-                accumulators[dst] = accumulator
+        if sealed is not None:
+            accumulators = self._fold_lanes(
+                sealed,
+                payloads,
+                layout,
+                destinations,
+                sharing_result.knowledge,
+                alive_after_sharing,
+                round_nonce,
+            )
+        else:
+            accumulators = self._fold_packets(
+                payloads,
+                layout,
+                destinations,
+                sharing_result.knowledge,
+                alive_after_sharing,
+                round_nonce,
+                fast,
+                use_batch_crypto and not use_lanes,
+            )
 
         if not accumulators:
             raise ProtocolError(
@@ -735,6 +672,193 @@ class AggregationEngine:
             sharing_result=sharing_result,
             recon_result=recon_result,
         )
+
+    # -- sharing-phase fold --------------------------------------------------------
+
+    def _lane_plan(
+        self,
+        consts_key: tuple,
+        layout: ChainLayout,
+        sources: list[int],
+        destinations: list[int],
+    ) -> LanePlan:
+        """The REAL lane plan of one chain, pooled with the round constants.
+
+        The first call also builds the engine's :class:`PairKeyTable`
+        from its codecs — the commissioning step of the batched path.
+        """
+        key = ("lanes",) + consts_key
+        plan = self._round_consts.get(key)
+        if plan is None:
+            if self._pair_keys is None:
+                self._pair_keys = PairKeyTable(
+                    {node: self.codec(node) for node in self._topology.node_ids}
+                )
+            plan = LanePlan(self._pair_keys, sources, destinations, layout)
+            if len(self._round_consts) >= _ROUND_CONST_MAX:
+                self._round_consts.clear()
+            self._round_consts[key] = plan
+        return plan
+
+    def _fold_lanes(
+        self,
+        sealed: ShareLanes,
+        payloads: dict[int, SharePacket],
+        layout: ChainLayout,
+        destinations: list[int],
+        knowledge: Mapping[int, int],
+        alive: set[int],
+        round_nonce: int,
+    ) -> dict[int, ShareAccumulator]:
+        """Per-destination share sums of a lane round.
+
+        Every delivered foreign lane is authenticated and decrypted in
+        one batch; ``payloads`` holds only the self-shares.
+        """
+        field = self._config.field
+        plan = sealed.plan
+        views = [
+            knowledge[dst] & layout.destination_mask(dst) if dst in alive else 0
+            for dst in destinations
+        ]
+        totals = [0] * len(destinations)
+        contributors: list[set[int]] = [set() for _ in destinations]
+        delivered = plan.delivered(views)
+        if len(delivered):
+            for row, source, value in zip(
+                plan.row[delivered].tolist(),
+                plan.source[delivered].tolist(),
+                batch_decrypt_values(delivered, sealed, field, round_nonce),
+            ):
+                if value is not None:  # None: corrupted/forged packet, dropped
+                    totals[row] += value
+                    contributors[row].add(source)
+        rows = {dst: row for row, dst in enumerate(destinations)}
+        for index, packet in payloads.items():
+            row = rows[packet.destination]
+            if (views[row] >> index) & 1:
+                totals[row] += int.from_bytes(packet.ciphertext, "big")
+                contributors[row].add(packet.source)
+        return {
+            dst: ShareAccumulator(
+                x=self._registry.point_of(dst),
+                total=FieldElement(field, totals[row] % field.prime),
+                contributors=contributors[row],
+            )
+            for row, dst in enumerate(destinations)
+            if contributors[row]
+        }
+
+    def _fold_packets(
+        self,
+        payloads: dict[int, SharePacket],
+        layout: ChainLayout,
+        destinations: list[int],
+        knowledge: Mapping[int, int],
+        alive: set[int],
+        round_nonce: int,
+        fast: bool,
+        stub_batch: bool,
+    ) -> dict[int, ShareAccumulator]:
+        """Per-destination share sums from per-packet payloads.
+
+        Serves the STUB batch, the per-packet codec path and the
+        reference path.
+        """
+        field = self._config.field
+        accumulators: dict[int, ShareAccumulator] = {}
+        prime = field.prime
+        element_size = field.element_size_bytes
+        decrypted_batch: dict[int, int | None] = {}
+        if stub_batch:
+            # Gather every delivered foreign share across all destinations
+            # and check + un-pad them in one pass.
+            gather_entries = []
+            gather_indices = []
+            for dst in destinations:
+                if dst not in alive:
+                    continue
+                dst_codec = self.codec(dst)
+                view = knowledge[dst] & layout.destination_mask(dst)
+                while view:
+                    low_bit = view & -view
+                    index = low_bit.bit_length() - 1
+                    view ^= low_bit
+                    packet = payloads[index]
+                    if packet.source != dst:
+                        gather_entries.append((dst_codec, packet))
+                        gather_indices.append(index)
+            if gather_entries:
+                decoded_values = stub_batch_decrypt(
+                    gather_entries, field, round_nonce
+                )
+                for index, value in zip(gather_indices, decoded_values):
+                    decrypted_batch[index] = value
+        for dst in destinations:
+            if dst not in alive:
+                continue
+            dst_codec = self.codec(dst)
+            point = self._registry.point_of(dst)
+            view = knowledge[dst] & layout.destination_mask(dst)
+            if fast:
+                # Allocation-light fold: raw-int running sum plus a plain
+                # contributor set; Share/FieldElement objects are built
+                # once per accumulator instead of once per received share.
+                total = 0
+                contributors: set[int] = set()
+                while view:
+                    low_bit = view & -view
+                    index = low_bit.bit_length() - 1
+                    view ^= low_bit
+                    packet = payloads[index]
+                    try:
+                        if packet.source == dst:
+                            value = field.element_from_bytes(
+                                packet.ciphertext[-element_size:]
+                            ).value
+                        elif stub_batch:
+                            value = decrypted_batch.get(index)
+                            if value is None:
+                                continue  # corrupted/forged packet: drop
+                        else:
+                            value = dst_codec.decrypt_share(
+                                packet, field, round_nonce
+                            ).value
+                    except (CryptoError, FieldError):
+                        continue  # corrupted/forged packet: drop
+                    total += value
+                    contributors.add(packet.source)
+                if contributors:
+                    accumulators[dst] = ShareAccumulator(
+                        x=point,
+                        total=FieldElement(field, total % prime),
+                        contributors=contributors,
+                    )
+                continue
+            accumulator = ShareAccumulator.empty(point)
+            while view:
+                low_bit = view & -view
+                index = low_bit.bit_length() - 1
+                view ^= low_bit
+                packet = payloads[index]
+                try:
+                    if packet.source == dst:
+                        value = field.element_from_bytes(
+                            packet.ciphertext[-field.element_size_bytes :]
+                        )
+                    else:
+                        value = dst_codec.decrypt_share(
+                            packet, field, round_nonce
+                        )
+                except (CryptoError, FieldError):
+                    continue  # corrupted/forged packet: drop
+                accumulator.add(
+                    Share(dealer_id=packet.source, x=point, y=value)
+                )
+            if accumulator.contributors:
+                accumulators[dst] = accumulator
+
+        return accumulators
 
     # -- metric assembly -------------------------------------------------------
 

@@ -26,9 +26,7 @@ Layouts:
 
 from __future__ import annotations
 
-import threading
-
-from repro.crypto.aes import _SBOX, _TE0, _TE1, _TE2, _TE3, AES128
+from repro.crypto.aes import _RCON, _SBOX, _TE0, _TE1, _TE2, _TE3, AES128
 
 try:  # pragma: no cover - import guard
     import numpy as _np
@@ -51,68 +49,53 @@ if HAVE_NUMPY:
     _ROT2 = _np.array([2, 3, 0, 1])
     _ROT3 = _np.array([3, 0, 1, 2])
 
-#: The key registry: every batched cipher owns one column of a single
-#: ``(44, capacity)`` uint32 matrix, so a batch's keys are one fancy-index
-#: gather instead of a per-call stack of cached rows.  The dict is keyed
-#: by the cipher object itself (identity hash), so it holds a reference
-#: and an id() can never be recycled while the cipher owns a column.  It
-#: is cleared wholesale — before any column of the batch is read — when a
-#: batch's unseen ciphers would push it past :data:`_KEY_ROWS_MAX`.
-_KEY_SLOTS: "dict[AES128, int]" = {}
-_KEY_MATRIX = None
-_KEY_ROWS_MAX = 8192
-_KEY_LOCK = threading.Lock()
 
+def key_schedules(keys: bytes) -> "object":
+    """FIPS-197 key expansion of N concatenated 16-byte keys, vectorized.
 
-def clear_key_rows() -> None:
-    """Drop every registered cipher and the key matrix."""
-    global _KEY_MATRIX
-    with _KEY_LOCK:
-        _KEY_SLOTS.clear()
-        _KEY_MATRIX = None
-
-
-def _register(ciphers) -> list[int]:
-    """Give every unseen cipher of the batch a column; return all slots.
-
-    Called with :data:`_KEY_LOCK` held.  The matrix grows by doubling,
-    so commissioning a new key only writes its own column.  A batch with
-    more distinct ciphers than the cap still gets every column (the
-    registry is bounded by the larger of the cap and one batch).
+    Returns the ``(44, N)`` uint32 key layout, column ``i`` equal to the
+    ``_enc_words`` of ``AES128(keys[16 * i : 16 * i + 16])``.  One pass of
+    the round loop of :func:`repro.crypto.aes._expand_key_words` over all
+    keys at once: a fleet of short-lived keys (dealer forks) pays no
+    per-key cipher object.
     """
-    global _KEY_MATRIX
-    fresh = [c for c in dict.fromkeys(ciphers) if c not in _KEY_SLOTS]
-    if len(_KEY_SLOTS) + len(fresh) > _KEY_ROWS_MAX:
-        _KEY_SLOTS.clear()
-        fresh = list(dict.fromkeys(ciphers))
-    start = len(_KEY_SLOTS)
-    end = start + len(fresh)
-    capacity = 0 if _KEY_MATRIX is None else _KEY_MATRIX.shape[1]
-    if end > capacity:
-        grown = _np.empty((44, max(end, 2 * capacity, 64)), dtype=_np.uint32)
-        if start:
-            grown[:, :start] = _KEY_MATRIX[:, :start]
-        _KEY_MATRIX = grown
-    _KEY_MATRIX[:, start:end] = _np.array(
-        [cipher._enc_words for cipher in fresh], dtype=_np.uint32
-    ).T
-    _KEY_SLOTS.update(zip(fresh, range(start, end)))
-    return [_KEY_SLOTS[cipher] for cipher in ciphers]
+    words = _np.frombuffer(keys, dtype=">u4").reshape(-1, 4).T.astype(_np.int64)
+    out = _np.empty((44, words.shape[1]), dtype=_np.uint32)
+    out[0:4] = words
+    w0, w1, w2, w3 = words
+    for k, rcon in enumerate(_RCON, start=1):
+        temp = ((w3 << 8) | (w3 >> 24)) & 0xFFFFFFFF  # RotWord
+        temp = (  # SubWord
+            (_S[temp >> 24] << 24)
+            | (_S[(temp >> 16) & 255] << 16)
+            | (_S[(temp >> 8) & 255] << 8)
+            | _S[temp & 255]
+        ) ^ (rcon << 24)
+        w0 = w0 ^ temp
+        w1 = w1 ^ w0
+        w2 = w2 ^ w1
+        w3 = w3 ^ w2
+        out[4 * k] = w0
+        out[4 * k + 1] = w1
+        out[4 * k + 2] = w2
+        out[4 * k + 3] = w3
+    return out
 
 
-def key_rows(ciphers) -> "object":
-    """The ``(44, N)`` round-key words of ``ciphers``, one column per lane.
+def cipher_schedules(ciphers) -> "object":
+    """The ``(44, N)`` key layout of table-mode ``ciphers``, one column each.
 
-    Every cipher must be a table-mode :class:`AES128` (the fast path
-    guarantees this).  Repeated rounds over the same pairwise keys pay
-    one gather from the key matrix; the result is a copy, so it stays
-    valid whatever later batches do to the registry.
+    Each *distinct* cipher's schedule is converted once and the lanes
+    gather from that stack (a single cipher is a read-only broadcast), so
+    a batch that repeats one key thousands of times pays for one
+    schedule.
     """
-    with _KEY_LOCK:
-        slots = list(map(_KEY_SLOTS.get, ciphers))
-        if None in slots:
-            slots = _register(ciphers)
-        return _KEY_MATRIX[:, slots]
+    distinct = dict.fromkeys(ciphers)
+    stacked = _np.array([cipher._enc_words for cipher in distinct], dtype=_np.uint32).T
+    if len(distinct) == 1:
+        return _np.broadcast_to(stacked, (44, len(ciphers)))
+    slots = {cipher: slot for slot, cipher in enumerate(distinct)}
+    return stacked.take([slots[cipher] for cipher in ciphers], axis=1)
 
 
 def words_from_ints(values) -> "object":
@@ -141,10 +124,11 @@ def _packed(state) -> bytes:
 def encrypt_state(rk, state):
     """One AES-128 encryption per lane of a ``(4, N)`` word state.
 
-    ``rk`` is the ``(44, N)`` key layout from :func:`key_rows` (or
-    ``(44, 1)`` to run every lane under one key).  Each round is the
-    four column equations of :mod:`repro.crypto.aes` evaluated for all
-    columns and lanes at once.  Returns the ``(4, N)`` output state.
+    ``rk`` is a ``(44, N)`` key layout (from :func:`key_schedules`,
+    :func:`cipher_schedules` or a pair key table; ``(44, 1)`` runs every
+    lane under one key).  Each round is the four column equations of
+    :mod:`repro.crypto.aes` evaluated for all columns and lanes at once.
+    Returns the ``(4, N)`` output state.
     """
     s = state ^ rk[0:4]
     for k in range(4, 40, 4):
@@ -170,7 +154,9 @@ def encrypt_blocks(ciphers, blocks: list[int]) -> list[int]:
     """
     if not blocks:
         return []
-    return ints_from_words(encrypt_state(key_rows(ciphers), words_from_ints(blocks)))
+    return ints_from_words(
+        encrypt_state(cipher_schedules(ciphers), words_from_ints(blocks))
+    )
 
 
 def ctr_keystream(cipher: AES128, counter: int, count: int) -> bytes:
@@ -183,21 +169,30 @@ def ctr_keystream(cipher: AES128, counter: int, count: int) -> bytes:
     """
     if count <= 0:
         return b""
-    return ctr_keystream_many([cipher], [counter], [count])[0]
+    rk = _np.array(cipher._enc_words, dtype=_np.uint32).reshape(44, 1)
+    return keystream_runs(rk, [counter], [count])[0]
 
 
 def ctr_keystream_many(ciphers, counters, counts) -> list[bytes]:
-    """Per-cipher CTR keystream runs, all lanes in one kernel call.
+    """Per-cipher CTR keystream runs: :func:`keystream_runs` over ``ciphers``.
 
-    ``ciphers[i]`` contributes ``counts[i]`` consecutive blocks starting
-    at ``counters[i]``; the return value is one keystream byte string per
-    cipher, each bit-identical to ``ciphers[i].ctr_blocks(counters[i],
-    counts[i])``.  Batching *across independent keys* is what makes
-    per-dealer DRBG forks affordable: a round's worth of short keystream
-    runs becomes a single wide batch.
+    Each stream is bit-identical to ``ciphers[i].ctr_blocks(counters[i],
+    counts[i])``.
+    """
+    if sum(counts) == 0:
+        return [b"" for _ in counts]
+    return keystream_runs(cipher_schedules(ciphers), counters, counts)
 
-    DRBG ciphers are short-lived, so their keys are laid out directly
-    rather than through the key registry.
+
+def keystream_runs(rk, counters, counts) -> list[bytes]:
+    """CTR keystream runs under per-run keys, all lanes in one kernel call.
+
+    Key column ``i`` of ``rk`` (``(44, K)``, see :func:`key_schedules`)
+    contributes ``counts[i]`` consecutive blocks starting at
+    ``counters[i]``; the return value is one keystream byte string per
+    run.  Batching *across independent keys* is what makes per-dealer
+    DRBG forks affordable: a round's worth of short keystream runs
+    becomes a single wide batch.
     """
     total = sum(counts)
     if total == 0:
@@ -221,12 +216,7 @@ def ctr_keystream_many(ciphers, counters, counts) -> list[bytes]:
     state[1] = base[1] + (state[2] >> shift)
     state[0] = base[0] + (state[1] >> shift)
     state &= mask32
-    rk = _np.repeat(
-        _np.array([cipher._enc_words for cipher in ciphers], dtype=_np.uint32).T,
-        runs,
-        axis=1,
-    )
-    raw = _packed(encrypt_state(rk, state.view(_np.int64)))
+    raw = _packed(encrypt_state(_np.repeat(rk, runs, axis=1), state.view(_np.int64)))
     streams = []
     offset = 0
     for count in counts:
@@ -235,21 +225,16 @@ def ctr_keystream_many(ciphers, counters, counts) -> list[bytes]:
     return streams
 
 
-def ctr_cbc_mac_batch(
-    enc_ciphers,
-    mac_ciphers,
-    nonces: list[int],
-    data: list[int],
-    tag_bytes: int,
-    mac_over_input: bool = False,
-) -> tuple[list[int], list[bytes]]:
-    """Batched share protection: per-lane AES-CTR + length-prepended CBC-MAC.
+def ctr_cbc_mac(enc_rk, mac_rk, nonce, data, mac_over_input: bool = False):
+    """Share protection per lane: AES-CTR + length-prepended CBC-MAC.
 
-    For each lane ``i`` the CTR output is ``data ^ E_enc(nonce)`` and the
-    tag is the truncated CBC-MAC (zero IV, 8-byte length prefix, PKCS#7
-    padding) of ``nonce_bytes + ct_bytes`` under the MAC key — exactly
-    what :func:`repro.crypto.modes.ctr_transform` +
-    :func:`repro.crypto.mac.cbc_mac` compute packet-by-packet.
+    All arguments are lane-major word layouts: ``(44, N)`` key columns
+    and ``(4, N)`` block states.  For each lane the CTR output is
+    ``data ^ E_enc(nonce)`` and the MAC is the full 16-byte CBC-MAC (zero
+    IV, 8-byte length prefix, PKCS#7 padding) of ``nonce_bytes +
+    ct_bytes`` under the MAC key — exactly what
+    :func:`repro.crypto.modes.ctr_transform` + :func:`repro.crypto.mac.cbc_mac`
+    compute packet-by-packet, before truncation.
 
     On the sender ``data`` is the plaintext, the CTR output is the
     ciphertext and the MAC covers that output.  On the receiver ``data``
@@ -257,25 +242,16 @@ def ctr_cbc_mac_batch(
     the plaintext) and the MAC must cover the *input* — select that with
     ``mac_over_input=True``.
 
-    Returns (CTR output ints, tag bytes).
+    Returns (CTR output state, MAC state).
     """
-    n = len(nonces)
-    if n == 0:
-        return [], []
-    enc_rk = key_rows(enc_ciphers)
-    mac_rk = key_rows(mac_ciphers)
-    nonce = words_from_ints(nonces)
-
-    # CTR: output = data ^ E_enc(nonce).
-    inputs = words_from_ints(data)
-    outputs = inputs ^ encrypt_state(enc_rk, nonce)
-    covered = inputs if mac_over_input else outputs
+    outputs = data ^ encrypt_state(enc_rk, nonce)
+    covered = data if mac_over_input else outputs
 
     # CBC-MAC over the 40-byte prefixed message, padded to 48 bytes:
     #   block 1 = len(32).to_bytes(8) || nonce[0:8]
     #   block 2 = nonce[8:16]         || ct[0:8]
     #   block 3 = ct[8:16]            || 0x08 * 8   (PKCS#7)
-    block = _np.empty((4, n), dtype=_np.int64)
+    block = _np.empty((4, nonce.shape[1]), dtype=_np.int64)
     block[0] = 0
     block[1] = 32
     block[2:] = nonce[0:2]
@@ -285,9 +261,4 @@ def ctr_cbc_mac_batch(
     mac = encrypt_state(mac_rk, mac ^ block)
     block[0:2] = covered[2:4]
     block[2:] = 0x08080808
-    mac = encrypt_state(mac_rk, mac ^ block)
-
-    tags = _packed(mac)
-    return ints_from_words(outputs), [
-        tags[offset : offset + tag_bytes] for offset in range(0, 16 * n, 16)
-    ]
+    return outputs, encrypt_state(mac_rk, mac ^ block)

@@ -18,6 +18,14 @@ from repro.errors import AuthenticationError, CryptoError
 DEFAULT_TAG_LENGTH = 4
 
 
+def check_tag_length(tag_length: int) -> None:
+    """Refuse a truncated tag length outside ``[1, BLOCK_SIZE]`` bytes."""
+    if not 1 <= tag_length <= BLOCK_SIZE:
+        raise CryptoError(
+            f"tag length must be in [1, {BLOCK_SIZE}], got {tag_length}"
+        )
+
+
 def cbc_mac(cipher: AES128, message: bytes, tag_length: int = DEFAULT_TAG_LENGTH) -> bytes:
     """Length-prepended CBC-MAC, truncated to ``tag_length`` bytes.
 
@@ -27,10 +35,7 @@ def cbc_mac(cipher: AES128, message: bytes, tag_length: int = DEFAULT_TAG_LENGTH
     value is identical to ``cbc_encrypt(cipher, zero_iv, padded)[-16:]``
     (the modes tests pin the two together).
     """
-    if not 1 <= tag_length <= BLOCK_SIZE:
-        raise CryptoError(
-            f"tag length must be in [1, {BLOCK_SIZE}], got {tag_length}"
-        )
+    check_tag_length(tag_length)
     prefixed = len(message).to_bytes(8, "big") + message
     padded = pad_pkcs7(prefixed)
     encrypt_int = cipher.encrypt_int

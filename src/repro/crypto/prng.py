@@ -34,8 +34,8 @@ from repro.errors import CryptoError
 #: Process-wide cipher pool (fast path): protocol randomness is seeded
 #: deterministically, so identical campaigns re-derive identical DRBG
 #: keys — pooling the expanded schedules makes repeat campaigns skip the
-#: per-key setup entirely.  AES128 objects are immutable after
-#: construction, so sharing is safe.
+#: per-key setup entirely.  Fork keys never enter it.  AES128 objects are
+#: immutable after construction, so sharing is safe.
 _CIPHER_POOL: dict[bytes, AES128] = {}
 _CIPHER_POOL_MAX = 8192
 
@@ -86,24 +86,18 @@ class AesCtrDrbg:
         "_offset",
         "_refill_blocks",
         "_batching",
+        "_pooled",
     )
 
     def __init__(self, key: bytes):
         if len(key) != 16:
             raise CryptoError(f"DRBG key must be 16 bytes, got {len(key)}")
         self._key = key
-        if fastpath.enabled():
-            cipher = _CIPHER_POOL.get(key)
-            if cipher is None:
-                cipher = AES128(key)
-                if len(_CIPHER_POOL) >= _CIPHER_POOL_MAX:
-                    _CIPHER_POOL.clear()
-                _CIPHER_POOL[key] = cipher
-            self._cipher = cipher
-            self._batching = True
-        else:
-            self._cipher = AES128(key)
-            self._batching = False
+        #: Built on the first refill this stream makes on its own (see
+        #: :meth:`_refill_cipher`); batched prefills never need it.
+        self._cipher: AES128 | None = None
+        self._batching = fastpath.enabled()
+        self._pooled = self._batching
         self._counter = 0
         self._buffer = b""
         self._offset = 0
@@ -129,6 +123,27 @@ class AesCtrDrbg:
         """
         return self._key
 
+    def _refill_cipher(self) -> AES128:
+        """This stream's cipher, expanded on first use.
+
+        Fast-path streams share schedules through :data:`_CIPHER_POOL`,
+        except forks: their keys are fresh per round, so pooling them
+        would only evict the keys that do repeat.
+        """
+        cipher = self._cipher
+        if cipher is None:
+            if self._pooled:
+                cipher = _CIPHER_POOL.get(self._key)
+                if cipher is None:
+                    cipher = AES128(self._key, use_tables=True)
+                    if len(_CIPHER_POOL) >= _CIPHER_POOL_MAX:
+                        _CIPHER_POOL.clear()
+                    _CIPHER_POOL[self._key] = cipher
+            else:
+                cipher = AES128(self._key, use_tables=self._batching)
+            self._cipher = cipher
+        return cipher
+
     def _generate_blocks(self, count: int) -> bytes:
         """``count`` keystream blocks from the current counter position.
 
@@ -141,10 +156,12 @@ class AesCtrDrbg:
             if _lane_keystream_available():
                 from repro.crypto import aesbatch
 
-                fresh = aesbatch.ctr_keystream(self._cipher, self._counter, count)
+                fresh = aesbatch.ctr_keystream(
+                    self._refill_cipher(), self._counter, count
+                )
                 self._counter += count
                 return fresh
-        fresh = self._cipher.ctr_blocks(self._counter, count)
+        fresh = self._refill_cipher().ctr_blocks(self._counter, count)
         self._counter += count
         return fresh
 
@@ -236,7 +253,9 @@ class AesCtrDrbg:
         if isinstance(label, str):
             label = label.encode("utf-8")
         material = self.random_bytes(16) + label
-        return AesCtrDrbg.from_seed(material)
+        child = AesCtrDrbg.from_seed(material)
+        child._pooled = False
+        return child
 
     def fork_many(self, labels) -> "list[AesCtrDrbg]":
         """Children of :meth:`fork` for every label, in order.
@@ -257,12 +276,14 @@ class AesCtrDrbg:
     def prefill_many(drbgs, length: int) -> None:
         """Buffer ``length`` keystream bytes into every DRBG, batched.
 
-        One :func:`repro.crypto.aesbatch.ctr_keystream_many` call covers
-        all the streams' blocks (each under its own key), so a fleet of
+        One vectorized key schedule and one
+        :func:`repro.crypto.aesbatch.keystream_runs` call cover all the
+        streams' blocks (each under its own key), so a fleet of
         short-lived forks pays the AES interpreter overhead once instead
-        of per fork.  Falls back to per-stream scalar prefills when the
-        vector backend (or numpy) is unavailable.  Either way every
-        stream's future output is bit-identical to the unprefilled one.
+        of per fork and builds no cipher object.  Falls back to
+        per-stream scalar prefills when the vector backend (or numpy) is
+        unavailable.  Either way every stream's future output is
+        bit-identical to the unprefilled one.
         """
         if length <= 0:
             return
@@ -283,8 +304,8 @@ class AesCtrDrbg:
         if use_lanes and sum(counts) >= _LANE_REFILL_BLOCKS_MIN:
             from repro.crypto import aesbatch
 
-            streams = aesbatch.ctr_keystream_many(
-                [drbg._cipher for drbg in pending],
+            streams = aesbatch.keystream_runs(
+                aesbatch.key_schedules(b"".join(drbg._key for drbg in pending)),
                 [drbg._counter for drbg in pending],
                 counts,
             )

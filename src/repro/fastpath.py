@@ -122,7 +122,7 @@ def clear_process_caches() -> None:
     this module dependency-free at import time.
     """
     from repro.core import protocol
-    from repro.crypto import aesbatch, prng
+    from repro.crypto import prng
     from repro.field import kernels, lagrange
     from repro.phy import link
 
@@ -132,6 +132,5 @@ def clear_process_caches() -> None:
     protocol._LAYOUT_POOL.clear()
     protocol._DEAL_POOL.clear()
     prng._CIPHER_POOL.clear()
-    aesbatch.clear_key_rows()
     kernels._POWER_ROWS.clear()
     lagrange.SHARED_WEIGHTS.clear()

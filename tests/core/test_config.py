@@ -32,6 +32,15 @@ class TestProtocolConfig:
         with pytest.raises(ConfigurationError):
             ProtocolConfig(degree=1, slack_slots=-1)
 
+    @pytest.mark.parametrize("tag_bytes", [0, 17, 20])
+    def test_mac_tag_bytes_outside_one_block_rejected(self, tag_bytes):
+        with pytest.raises(ConfigurationError):
+            ProtocolConfig(degree=1, mac_tag_bytes=tag_bytes)
+
+    @pytest.mark.parametrize("tag_bytes", [1, 16])
+    def test_mac_tag_bytes_bounds_accepted(self, tag_bytes):
+        assert ProtocolConfig(degree=1, mac_tag_bytes=tag_bytes).mac_tag_bytes == tag_bytes
+
 
 class TestS3Config:
     def test_for_testbed_uses_paper_values(self):

@@ -97,6 +97,13 @@ class TestRealCodec:
         with pytest.raises(AuthenticationError):
             bob.decrypt_share(spoofed, FIELD, round_nonce=1)
 
+    @pytest.mark.parametrize("tag_bytes", [0, 17, 20])
+    def test_tag_length_outside_one_block_rejected(self, tag_bytes):
+        # Refused at construction, as cbc_mac refuses it per packet: a
+        # zero-byte tag would authenticate nothing.
+        with pytest.raises(CryptoError, match="tag length"):
+            RealShareCodec(0, peers=range(3), master_secret=MASTER, tag_bytes=tag_bytes)
+
     def test_both_directions_work(self):
         a = RealShareCodec(0, peers=[1], master_secret=MASTER)
         b = RealShareCodec(1, peers=[0], master_secret=MASTER)

@@ -1,82 +1,127 @@
-"""Batched share protection must be bit-identical to the per-packet codec."""
+"""Batched share lanes must be bit-identical to the per-packet codec."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
 
 from repro.core.payload import (
+    LanePlan,
+    PairKeyTable,
     RealShareCodec,
-    batch_decrypt_shares,
+    batch_decrypt_values,
     batch_encrypt_shares,
 )
+from repro.ct.packet import ChainLayout
+from repro.errors import CryptoError
 from repro.field.prime_field import FieldElement, PrimeField
 
 aesbatch = pytest.importorskip("repro.crypto.aesbatch")
 if not aesbatch.HAVE_NUMPY:  # pragma: no cover
     pytest.skip("numpy unavailable", allow_module_level=True)
 
+NODES = list(range(10))
 
-@pytest.fixture(scope="module")
-def setup():
+
+def codecs_for(tag_bytes: int = 4) -> dict[int, RealShareCodec]:
     from repro import fastpath
 
-    field = PrimeField()
-    nodes = list(range(10))
     # The batch pipeline needs table-mode ciphers regardless of the
     # session's REPRO_FASTPATH setting.
     with fastpath.forced(True):
-        codecs = {n: RealShareCodec(n, nodes, b"bench-master-secret") for n in nodes}
+        return {
+            n: RealShareCodec(n, NODES, b"bench-master-secret", tag_bytes=tag_bytes)
+            for n in NODES
+        }
+
+
+def lane_plan(codecs) -> LanePlan:
+    sources, destinations = NODES, [1, 4, 5, 8]
+    layout = ChainLayout.sharing(sources, destinations)
+    return LanePlan(PairKeyTable(codecs), sources, destinations, layout)
+
+
+@pytest.fixture(scope="module")
+def setup():
+    field = PrimeField()
+    codecs = codecs_for()
+    plan = lane_plan(codecs)
     rnd = random.Random(99)
-    entries = []
-    for _ in range(120):
-        src, dst = rnd.sample(nodes, 2)
-        entries.append((codecs[src], dst, rnd.randrange(field.prime)))
-    return field, codecs, entries
+    values = [rnd.randrange(field.prime) for _ in range(len(plan))]
+    return field, codecs, plan, values
+
+
+def scalar_packet(codecs, plan, lane, value, field, round_nonce):
+    source = int(plan.source[lane])
+    destination = int(plan.destination[lane])
+    return codecs[source].encrypt_share(
+        destination, FieldElement(field, value), round_nonce
+    )
+
+
+def test_lane_plan_covers_every_foreign_pair(setup):
+    _, _, plan, _ = setup
+    pairs = list(zip(plan.source.tolist(), plan.destination.tolist()))
+    assert pairs == [(s, d) for s in NODES for d in (1, 4, 5, 8) if s != d]
+    keys = plan.keys
+    assert keys.enc.shape == keys.mac.shape == (44, len(NODES) * (len(NODES) - 1))
 
 
 def test_batch_encrypt_bit_identical(setup):
-    field, _, entries = setup
+    field, codecs, plan, values = setup
     round_nonce = 0x1234_5678_9ABC
-    packets = batch_encrypt_shares(entries, round_nonce)
-    for (codec, dst, value), packet in zip(entries, packets):
-        reference = codec.encrypt_share(dst, FieldElement(field, value), round_nonce)
-        assert packet == reference
+    sealed = batch_encrypt_shares(values, plan, round_nonce)
+    for lane, value in enumerate(values):
+        reference = scalar_packet(codecs, plan, lane, value, field, round_nonce)
+        assert sealed.packet(lane) == reference
 
 
 def test_batch_decrypt_round_trips(setup):
-    field, codecs, entries = setup
+    field, _, plan, values = setup
     round_nonce = 77
-    packets = batch_encrypt_shares(entries, round_nonce)
-    results = batch_decrypt_shares(
-        [(codecs[p.destination], p) for p in packets], field, round_nonce
-    )
-    for (codec, dst, value), result in zip(entries, results):
-        assert result is not None and result.value == value
+    sealed = batch_encrypt_shares(values, plan, round_nonce)
+    lanes = list(range(len(plan)))
+    assert batch_decrypt_values(lanes, sealed, field, round_nonce) == values
+    # A subset, out of order, decrypts lane by lane.
+    subset = [7, 3, 30, 0]
+    assert batch_decrypt_values(subset, sealed, field, round_nonce) == [
+        values[lane] for lane in subset
+    ]
 
 
 def test_batch_decrypt_agrees_with_scalar_on_tampered_packets(setup):
-    field, codecs, entries = setup
+    field, codecs, plan, values = setup
     round_nonce = 31337
-    packets = batch_encrypt_shares(entries[:10], round_nonce)
-    tampered = [
-        dataclasses.replace(packets[0], tag=bytes(len(packets[0].tag))),
-        dataclasses.replace(packets[1], ciphertext=bytes(16)),
-        packets[2],
-    ]
-    results = batch_decrypt_shares(
-        [(codecs[p.destination], p) for p in tampered], field, round_nonce
-    )
+    sealed = batch_encrypt_shares(values, plan, round_nonce)
+    sealed.mac[:, 0] = 0  # forged tag
+    sealed.ciphertext[:, 1] = 0  # ciphertext no longer matches tag
+    results = batch_decrypt_values([0, 1, 2], sealed, field, round_nonce)
     assert results[0] is None  # forged tag
     assert results[1] is None  # ciphertext no longer matches tag
     assert results[2] is not None  # untouched packet still decrypts
+    for lane in (0, 1):
+        packet = sealed.packet(lane)
+        with pytest.raises(CryptoError):
+            codecs[packet.destination].decrypt_share(packet, field, round_nonce)
 
 
-def test_wrong_destination_rejected(setup):
-    field, codecs, entries = setup
-    packets = batch_encrypt_shares(entries[:1], 5)
-    wrong = codecs[(packets[0].destination + 1) % 10]
-    with pytest.raises(Exception):
-        batch_decrypt_shares([(wrong, packets[0])], field, 5)
+@pytest.mark.parametrize("tag_bytes", [1, 3, 4, 5, 8, 13, 16])
+def test_tag_compare_covers_exactly_the_wire_bytes(tag_bytes):
+    field = PrimeField()
+    codecs = codecs_for(tag_bytes)
+    plan = lane_plan(codecs)
+    values = list(range(len(plan)))
+    sealed = batch_encrypt_shares(values, plan, 5)
+    for lane in range(len(plan)):
+        packet = sealed.packet(lane)
+        assert len(packet.tag) == tag_bytes
+        assert packet == scalar_packet(codecs, plan, lane, values[lane], field, 5)
+    # Flip the last carried tag byte of lane 0 and the first dropped one
+    # of lane 1: only the carried byte is checked.
+    last = tag_bytes - 1
+    sealed.mac[last // 4, 0] ^= 1 << (8 * (3 - last % 4))
+    if tag_bytes < 16:
+        sealed.mac[tag_bytes // 4, 1] ^= 1 << (8 * (3 - tag_bytes % 4))
+    results = batch_decrypt_values([0, 1, 2], sealed, field, 5)
+    assert results == [None, values[1], values[2]]

@@ -2,7 +2,7 @@
 
 The MAC only proves who sent a packet; the receiver must still refuse a
 plaintext that is not a canonical field element.  The batch decrypt
-reports such a packet as ``None`` and the scalar codec raises
+reports such a lane as ``None`` and the scalar codec raises
 :class:`CryptoError` (not an authentication failure: the tag is good).
 """
 
@@ -12,10 +12,14 @@ import pytest
 
 from repro import fastpath
 from repro.core.payload import (
+    LanePlan,
+    PairKeyTable,
     RealShareCodec,
     SharePacket,
     batch_decrypt_values,
+    batch_encrypt_shares,
 )
+from repro.ct.packet import ChainLayout
 from repro.crypto.mac import cbc_mac
 from repro.crypto.modes import ctr_transform
 from repro.errors import AuthenticationError, CryptoError
@@ -33,6 +37,13 @@ def codecs():
     nodes = list(range(4))
     with fastpath.forced(True):
         return {n: RealShareCodec(n, nodes, b"canonical-check") for n in nodes}
+
+
+def sealed_lane(codecs, source: int, destination: int, plaintext: int):
+    """The one-lane round ``source -> destination`` carrying ``plaintext``."""
+    layout = ChainLayout.sharing([source], [destination])
+    plan = LanePlan(PairKeyTable(codecs), [source], [destination], layout)
+    return batch_encrypt_shares([plaintext], plan, ROUND_NONCE)
 
 
 def tagged_packet(sender: RealShareCodec, destination: int, plaintext: int) -> SharePacket:
@@ -54,7 +65,9 @@ def test_non_canonical_plaintext_is_rejected_on_both_paths(codecs, offset):
     plaintext = (1 << 128) - 1 if offset is None else field.prime + offset
     packet = tagged_packet(codecs[1], 2, plaintext)
     receiver = codecs[2]
-    assert batch_decrypt_values([(receiver, packet)], field, ROUND_NONCE) == [None]
+    sealed = sealed_lane(codecs, 1, 2, plaintext)
+    assert sealed.packet(0) == packet
+    assert batch_decrypt_values([0], sealed, field, ROUND_NONCE) == [None]
     with pytest.raises(CryptoError) as raised:
         receiver.decrypt_share(packet, field, ROUND_NONCE)
     assert not isinstance(raised.value, AuthenticationError)
@@ -64,5 +77,7 @@ def test_largest_canonical_value_still_decrypts(codecs):
     field = PrimeField()
     packet = tagged_packet(codecs[3], 0, field.prime - 1)
     receiver = codecs[0]
-    assert batch_decrypt_values([(receiver, packet)], field, ROUND_NONCE) == [field.prime - 1]
+    sealed = sealed_lane(codecs, 3, 0, field.prime - 1)
+    assert sealed.packet(0) == packet
+    assert batch_decrypt_values([0], sealed, field, ROUND_NONCE) == [field.prime - 1]
     assert receiver.decrypt_share(packet, field, ROUND_NONCE).value == field.prime - 1

@@ -1,11 +1,11 @@
-"""The stacked-state lane kernel and its key matrix against scalar AES.
+"""The stacked-state lane kernel and its key layouts against scalar AES.
 
 ``aesbatch`` runs every lane of a batch through one ``(4, N)`` state
-under a ``(44, N)`` key layout gathered from a bounded registry.  These
-tests pin its output to :meth:`AES128.encrypt_int` / ``ctr_blocks`` for
-batch widths around the kernel's shape boundaries, across counter word
-wraps, through registry overflow, and check that the process-cache
-reset really releases the ciphers it held.
+under a ``(44, N)`` key layout, stacked per call from the ciphers'
+schedules or expanded from raw keys.  These tests pin its output to
+:meth:`AES128.encrypt_int` / ``ctr_blocks`` for batch widths around the
+kernel's shape boundaries and across counter word wraps, and check that
+batching keeps no reference to a cipher once the process caches reset.
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ if not aesbatch.HAVE_NUMPY:  # pragma: no cover
 
 def table_ciphers(rnd: random.Random, count: int) -> list[AES128]:
     return [AES128(rnd.randbytes(16), use_tables=True) for _ in range(count)]
-
-
-@pytest.fixture
-def fresh_registry():
-    aesbatch.clear_key_rows()
-    yield
-    aesbatch.clear_key_rows()
 
 
 class TestStackedKernel:
@@ -68,13 +61,50 @@ class TestStackedKernel:
         enc, mac = table_ciphers(rnd, 9), table_ciphers(rnd, 9)
         nonces = [rnd.getrandbits(128) for _ in range(9)]
         data = [rnd.getrandbits(128) for _ in range(9)]
+        outputs, macs = aesbatch.ctr_cbc_mac(
+            aesbatch.cipher_schedules(enc),
+            aesbatch.cipher_schedules(mac),
+            aesbatch.words_from_ints(nonces),
+            aesbatch.words_from_ints(data),
+        )
+        outputs = aesbatch.ints_from_words(outputs)
+        macs = aesbatch.ints_from_words(macs)
         for tag_bytes in (1, 4, 8, 16):
-            outputs, tags = aesbatch.ctr_cbc_mac_batch(enc, mac, nonces, data, tag_bytes)
             for i in range(9):
                 nonce = nonces[i].to_bytes(16, "big")
                 ct = ctr_transform(enc[i], nonce, data[i].to_bytes(16, "big"))
                 assert outputs[i] == int.from_bytes(ct, "big")
-                assert tags[i] == cbc_mac(mac[i], nonce + ct, tag_bytes)
+                tag = macs[i].to_bytes(16, "big")[:tag_bytes]
+                assert tag == cbc_mac(mac[i], nonce + ct, tag_bytes)
+
+    def test_mac_over_input_inverts_the_sender(self):
+        rnd = random.Random(12)
+        enc = aesbatch.cipher_schedules(table_ciphers(rnd, 11))
+        mac = aesbatch.cipher_schedules(table_ciphers(rnd, 11))
+        nonce = aesbatch.words_from_ints([rnd.getrandbits(128) for _ in range(11)])
+        plain = aesbatch.words_from_ints([rnd.getrandbits(128) for _ in range(11)])
+        sent, sent_mac = aesbatch.ctr_cbc_mac(enc, mac, nonce, plain)
+        received, received_mac = aesbatch.ctr_cbc_mac(
+            enc, mac, nonce, sent, mac_over_input=True
+        )
+        assert (received == plain).all() and (received_mac == sent_mac).all()
+
+    @pytest.mark.parametrize("keys", [1, 7, 46])
+    def test_vectorized_key_schedule_matches_aes128(self, keys):
+        rnd = random.Random(keys)
+        raw = [rnd.randbytes(16) for _ in range(keys)] + [bytes(16), b"\xff" * 16]
+        schedules = aesbatch.key_schedules(b"".join(raw))
+        assert schedules.dtype == aesbatch._np.uint32
+        assert schedules.T.tolist() == [
+            AES128(key, use_tables=True)._enc_words for key in raw
+        ]
+
+    def test_one_cipher_across_many_lanes(self):
+        cipher = table_ciphers(random.Random(13), 1)[0]
+        blocks = list(range(4096))
+        assert aesbatch.encrypt_blocks([cipher] * 4096, blocks) == [
+            cipher.encrypt_int(block) for block in blocks
+        ]
 
 
 class TestCounterWraps:
@@ -108,47 +138,10 @@ class TestCounterWraps:
 
 
 class TestKeyMatrix:
-    def test_overflow_inside_one_batch(self, monkeypatch, fresh_registry):
-        monkeypatch.setattr(aesbatch, "_KEY_ROWS_MAX", 8)
-        rnd = random.Random(9)
-        old = table_ciphers(rnd, 6)
-        assert aesbatch.encrypt_blocks(old, [1] * 6) == [c.encrypt_int(1) for c in old]
-        # Five unseen ciphers push the registry past its cap mid-batch,
-        # and the batch repeats ciphers registered before the clear.
-        batch = old[:2] + table_ciphers(rnd, 5) + old[:2]
-        blocks = [rnd.getrandbits(128) for _ in batch]
-        assert aesbatch.encrypt_blocks(batch, blocks) == [
-            c.encrypt_int(b) for c, b in zip(batch, blocks)
-        ]
-        assert len(aesbatch._KEY_SLOTS) <= 8
-
-    def test_batch_wider_than_the_cap(self, monkeypatch, fresh_registry):
-        monkeypatch.setattr(aesbatch, "_KEY_ROWS_MAX", 4)
-        rnd = random.Random(10)
-        for width in (3, 11, 2, 11):
-            ciphers = table_ciphers(rnd, width)
-            blocks = [rnd.getrandbits(128) for _ in ciphers]
-            assert aesbatch.encrypt_blocks(ciphers, blocks) == [
-                c.encrypt_int(b) for c, b in zip(ciphers, blocks)
-            ]
-            assert len(aesbatch._KEY_SLOTS) <= max(4, width)
-
-    def test_growth_keeps_earlier_columns(self, fresh_registry):
-        rnd = random.Random(11)
-        ciphers = []
-        for step in range(6):
-            ciphers += table_ciphers(rnd, 30 + step)
-            blocks = [rnd.getrandbits(128) for _ in ciphers]
-            assert aesbatch.encrypt_blocks(ciphers, blocks) == [
-                c.encrypt_int(b) for c, b in zip(ciphers, blocks)
-            ]
-        assert len(aesbatch._KEY_SLOTS) == len(ciphers)
-
-    def test_concurrent_batches_keep_their_own_keys(self, monkeypatch, fresh_registry):
-        # A small cap makes the threads clear and regrow the shared matrix
-        # under each other; a lane that read another batch's column would
-        # come out wrong.
-        monkeypatch.setattr(aesbatch, "_KEY_ROWS_MAX", 24)
+    def test_concurrent_batches_keep_their_own_keys(self):
+        # Threads interleave at a microsecond switch interval, each
+        # batching a mix of shared and fresh ciphers; a lane that read
+        # another batch's key column would come out wrong.
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         failures = []
@@ -186,4 +179,3 @@ class TestKeyMatrix:
         del cipher
         gc.collect()
         assert ref() is None
-        assert aesbatch._KEY_MATRIX is None

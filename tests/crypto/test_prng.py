@@ -101,6 +101,20 @@ class TestFork:
         child = parent.fork("x")
         assert parent.random_bytes(16) != child.random_bytes(16)
 
+    def test_fork_keys_never_enter_the_cipher_pool(self):
+        from repro import fastpath
+        from repro.crypto import prng
+
+        with fastpath.forced(True):
+            parent = AesCtrDrbg.from_seed(b"pool-check")
+            forks = parent.fork_many([f"dealer-{i}" for i in range(20)])
+            AesCtrDrbg.prefill_many(forks, 32)
+            for fork in forks:
+                fork.random_bytes(600)  # past the prefill: own refills
+        keys = {fork.key_bytes for fork in forks}
+        assert keys.isdisjoint(prng._CIPHER_POOL)
+        assert parent.key_bytes in prng._CIPHER_POOL
+
 
 class TestStatisticalSanity:
     def test_bit_balance(self):
