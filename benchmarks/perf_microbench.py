@@ -523,7 +523,7 @@ def bench_service(iterations: int) -> dict:
     mid-stream — recorded as absolute rates: shares/sec through
     journal-before-ack admission, p99 window-close latency, and the
     journal-replay recovery time after the kill.  A second pass runs the
-    same load sharded (4 journals, 4 queue-transport producers) so the
+    same load sharded (4 journals, 4 inproc producer threads) so the
     record tracks multi-journal throughput next to the single-journal
     figure.  Deliberately no ``*speedup`` key: the regression gate
     records the tier without enforcing jittery absolute wall-clock
@@ -556,7 +556,7 @@ def bench_service(iterations: int) -> dict:
             cells=3,
             shards=4,
             producers=4,
-            transport="queue",
+            transport="inproc",
             kill_at=(devices + devices // 2,),
             duplicate_every=0,
             late_replays=0,

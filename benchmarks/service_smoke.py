@@ -1,8 +1,9 @@
 """CI smoke for the sharded service's restart-resume bit-identity contract.
 
 Three probes, all through the one :class:`repro.service.ServiceClient`
-API (4 shard journals + the fold journal, 4 concurrent producers on the
-queue transport):
+API (4 shard journals + the fold journal, 4 concurrent producer threads
+on the inproc transport, serialized per journal by the daemon's shard
+locks):
 
 1. **Oracle** — an uninterrupted sharded ``service_soak`` run (no
    kills) must close every window exact against both its accepted-set
@@ -60,7 +61,7 @@ def _config() -> ServiceConfig:
 
 def _client(service_dir: pathlib.Path) -> ServiceClient:
     return ServiceClient(
-        _config(), service_dir, shards=SHARDS, transport="queue"
+        _config(), service_dir, shards=SHARDS, transport="inproc"
     )
 
 
@@ -73,7 +74,7 @@ def _spec() -> ServiceSoakSpec:
         cells=CELLS,
         shards=SHARDS,
         producers=PRODUCERS,
-        transport="queue",
+        transport="inproc",
         duplicate_every=0,
         late_replays=0,
     )

@@ -152,11 +152,6 @@ class CellResult:
     rounds: tuple[RoundSummary, ...] | tuple[RoundMetrics, ...] = ()
 
     @property
-    def all_reconstructed(self) -> bool:
-        """Every round produced a cell aggregate."""
-        return all(value is not None for value in self.sums)
-
-    @property
     def all_match(self) -> bool:
         """Every round's aggregate equals the cell's true sum."""
         return all(a == b for a, b in zip(self.sums, self.expected))

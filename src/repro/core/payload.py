@@ -87,11 +87,6 @@ class RealShareCodec:
             + destination.to_bytes(4, "big")
         )
 
-    @staticmethod
-    def _nonce_int(round_nonce: int, source: int, destination: int) -> int:
-        """The same nonce as :meth:`_nonce`, as a 128-bit integer."""
-        return (round_nonce << 64) | (source << 32) | destination
-
     def ciphers_for(self, peer: int):
         """(encryption, MAC) cipher pair shared with ``peer``.
 

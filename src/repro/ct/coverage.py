@@ -87,14 +87,6 @@ class CoverageStats:
             if dst == node and probability >= threshold
         }
 
-    def reliable_destinations(self, source: int, threshold: float = 0.99) -> set[int]:
-        """Destinations that hear ``source`` with ≥ ``threshold`` probability."""
-        return {
-            dst
-            for (src, dst), probability in self.pair_delivery.items()
-            if src == source and probability >= threshold
-        }
-
 
 @dataclass(frozen=True)
 class CoverageProfile:

@@ -196,10 +196,6 @@ class ChainLayout:
                 f"no sub-slot for source={source}, destination={destination}"
             ) from None
 
-    def indices_of_source(self, source: int) -> list[int]:
-        """All sub-slot indices originated by ``source``."""
-        return list(self._by_source.get(source, []))
-
     def source_mask(self, source: int) -> int:
         """Bit mask over the chain of the sub-slots ``source`` originates."""
         cached = self._source_masks.get(source)

@@ -23,10 +23,11 @@ rare interleaving that makes it actual.
 
 The canonical order (rank ascending) mirrors what the daemon and
 supervisor actually do: the directory flock is taken first and alone,
-``close``/``ingest`` gates come before per-shard locks, per-shard locks
-(ascending index) come before the shared state lock, and the transport
-endpoint lock — which serializes a socket and therefore blocks — is
-innermost-forbidden: nothing may be acquired while it is held.
+the supervisor's ``close`` gate comes before its per-shard ``spawn``
+locks, per-shard locks (ascending index) come before the shared state
+lock, and the transport endpoint lock — which serializes a socket and
+therefore blocks — is innermost-forbidden: nothing may be acquired
+while it is held.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
 SERVICE_LOCK_RANKS: Dict[str, int] = {
     "service.dirlock": 0,  # fcntl flock; documented, not instrumented
     "service.close": 10,  # ShardSupervisor._close_lock
-    "ingest.close": 12,  # IngestFront._close_lock
     "supervisor.spawn": 20,  # ShardSupervisor._spawn_locks[i]
     "daemon.shard": 30,  # ShardedServiceDaemon._shard_locks[i]
     "shardserver.state": 38,  # ShardServer._lock (its ShardCore; child process)
@@ -138,7 +138,7 @@ class _LockdepLock:
                         f"{self.node} (rank {self.rank}) while holding "
                         f"{worst_node} (rank {worst_rank}); the canonical "
                         "service order is rank-ascending "
-                        "(dirlock < close < ingest < spawn < shard < state "
+                        "(dirlock < close < spawn < shard < state "
                         "< endpoint), per-shard locks by ascending index"
                     )
         held_nodes = {node for _, node, _ in held}

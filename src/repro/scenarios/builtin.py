@@ -1186,7 +1186,7 @@ def _service_soak_table(result) -> str:
         "cells": 2,
         "shards": 2,
         "producers": 2,
-        "transport": "queue",
+        "transport": "inproc",
         "kill_at": [5],
         "duplicate_every": 3,
     },

@@ -442,15 +442,15 @@ class ServiceSoakSpec(ScenarioSpec):
     (device ``d`` lands on shard ``d % shards``, each shard is one MPC
     cell of the window fold); ``producers`` feeds it from that many
     concurrent threads; ``transport`` picks how they reach the daemon
-    (``"inproc"`` = direct calls, ``"queue"`` = through the bounded
-    ingestion front, ``"socket"`` = over TCP to one daemon *process*
-    per shard under supervisor restart).  ``pause_ingest`` events need
+    (``"inproc"`` = direct calls into the thread-safe daemon,
+    ``"socket"`` = over TCP to one daemon *process* per shard under
+    supervisor restart).  ``pause_ingest`` events need
     ``producers == 1`` — a pause window anchored on a global submission
     offset has no deterministic meaning when several producers race
     past it.  The socket-only fault kinds (``kill_shard_process``,
     ``drop_connection``, ``delay_response``) need
     ``transport="socket"`` — they inject at a process boundary the
-    in-process transports do not have.
+    in-process transport does not have.
     """
 
     devices: int = 12
@@ -481,10 +481,10 @@ class ServiceSoakSpec(ScenarioSpec):
         self._at_least("base_load_wh", self.base_load_wh, 0)
         self._at_least("duplicate_every", self.duplicate_every, 0)
         self._at_least("late_replays", self.late_replays, 0)
-        if self.transport not in ("inproc", "queue", "socket"):
+        if self.transport not in ("inproc", "socket"):
             raise SpecError(
-                f"ServiceSoakSpec.transport must be 'inproc', 'queue' or "
-                f"'socket', got {self.transport!r}"
+                f"ServiceSoakSpec.transport must be 'inproc' or 'socket', "
+                f"got {self.transport!r}"
             )
         if self.shards > self.devices:
             raise SpecError(

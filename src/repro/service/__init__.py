@@ -6,9 +6,9 @@ batches them into per-billing-window cross-cell aggregation rounds, and
 the whole thing is engineered to be killed at any instant and resume
 with bit-identical window totals.
 
-The one front door is :class:`ServiceClient` — daemon, ingestion front
-and result store behind a single API.  Layers (each importable on its
-own):
+The one front door is :class:`ServiceClient` — the sharded host and the
+result store behind a single API, over one of two transports
+(``inproc`` or ``socket``).  Layers (each importable on its own):
 
 * :mod:`repro.service.wire` — the flat-scalar wire format (derived from
   the :class:`~repro.core.metrics.RoundSummary` encoding discipline)
@@ -27,11 +27,8 @@ own):
   re-verification).
 * :mod:`repro.service.daemon` — :class:`ShardedServiceDaemon`: the
   in-process host, one shard core and WAL per shard plus a fold
-  journal for closes, thread-safe, graceful drain vs hard-kill
+  journal for closes, thread-safe, graceful stop vs hard-kill
   recovery.
-* :mod:`repro.service.ingest` — :class:`IngestFront`: the bounded-queue
-  thread-pool ingestion front between concurrent producers and the
-  shard WALs.
 * :mod:`repro.service.store` — :class:`ResultStore`: the queryable,
   compactable read-side over journaled window closes.
 * :mod:`repro.service.client` — :class:`ServiceClient`: the one API.
@@ -59,7 +56,6 @@ from repro.service.daemon import (
     ServiceConfig,
     ShardedServiceDaemon,
 )
-from repro.service.ingest import IngestFront
 from repro.service.store import DeviceBill, ResultStore
 from repro.service.transport import RetryPolicy
 from repro.service.wire import ShareSubmission
@@ -69,7 +65,6 @@ __all__ = [
     "Admission",
     "AdmissionResult",
     "DeviceBill",
-    "IngestFront",
     "ResultStore",
     "RetryPolicy",
     "ServiceClient",
@@ -84,7 +79,7 @@ __all__ = [
 def __getattr__(name: str):
     if name == "ShardSupervisor":
         # Lazy: pulls in multiprocessing, which most importers (and the
-        # inproc/queue transports) never need.
+        # inproc transport) never need.
         from repro.service.supervisor import ShardSupervisor
 
         return ShardSupervisor

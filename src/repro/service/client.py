@@ -1,33 +1,30 @@
 """ServiceClient: the one API in front of the sharded service.
 
 The soak driver, the smoke benches, tests and the CLI all go through
-:class:`ServiceClient`, which wires the three service halves together
+:class:`ServiceClient`, which wires the two service halves together
 behind one surface:
 
-* the **sharded daemon** (:class:`~repro.service.daemon
-  .ShardedServiceDaemon`): per-shard WALs, fold journal, admission;
-* the **ingestion front** (:class:`~repro.service.ingest.IngestFront`),
-  when ``transport="queue"``: a bounded queue + dispatcher threads
-  between producers and the WALs;
+* the **sharded host**: the in-process :class:`~repro.service.daemon
+  .ShardedServiceDaemon` or the cross-process
+  :class:`~repro.service.supervisor.ShardSupervisor` — per-shard WALs,
+  fold journal, admission;
 * the **result store** (:class:`~repro.service.store.ResultStore`):
   every window close is published to it, and :meth:`query` answers from
   it — including after a hard kill, because the client heals the store
   from the daemon's journals on construction.
 
-The three transports share one interface and one admission state
+The two transports share one interface and one admission state
 machine (:class:`~repro.service.shard.ShardCore`, one per shard), so the
 same submission sequence gets the same answers on each.
-``transport="inproc"`` calls
-the daemon inline (submission admitted on the caller's thread);
-``transport="queue"`` routes through the front (submission admitted on
-a dispatcher thread, the caller blocks on the acknowledgment future);
-``transport="socket"`` replaces the in-process daemon with a
-:class:`~repro.service.supervisor.ShardSupervisor` — one daemon
+``transport="inproc"`` calls the thread-safe daemon inline (submission
+admitted on the caller's thread; concurrent producers serialize on the
+per-shard locks); ``transport="socket"`` replaces the in-process daemon
+with a :class:`~repro.service.supervisor.ShardSupervisor` — one daemon
 *process* per shard journal, reached over TCP localhost, supervised and
-restarted on crash.  Every transport returns the daemon's explicit
+restarted on crash.  Both return the daemon's explicit
 :class:`~repro.service.shard.AdmissionResult` and an acknowledged
-``ACCEPTED`` means a journaled share — queue and socket add concurrency
-and a process boundary, not new semantics.
+``ACCEPTED`` means a journaled share — the socket adds a process
+boundary, not new semantics.
 
 Retry semantics are opt-in and transport-uniform: pass
 ``retry=RetryPolicy(...)`` to :meth:`submit` (or set a client-wide
@@ -55,27 +52,26 @@ from repro.service.daemon import (
     ServiceConfig,
     ShardedServiceDaemon,
 )
-from repro.service.ingest import IngestFront
 from repro.service.store import DeviceBill, ResultStore
 from repro.service.transport import RetryPolicy
 
 __all__ = ["ServiceClient", "query_store"]
 
-#: Transports the client speaks; all present the same interface.
-TRANSPORTS = ("inproc", "queue", "socket")
+#: Transports the client speaks; both present the same interface.
+TRANSPORTS = ("inproc", "socket")
 
 #: The result store's filename inside a service directory.
 STORE_NAME = "results.store"
 
 
 class ServiceClient:
-    """One handle over daemon + ingestion front + result store.
+    """One handle over the sharded host + result store.
 
     ``service_dir`` is the service instance's home: shard journals, the
     fold journal and the result store all live under it, so "the same
-    service" across restarts means "the same directory".  ``shards``,
-    ``transport``, ``capacity`` and ``dispatchers`` size the scale-out;
-    defaults give one shard and in-process calls.
+    service" across restarts means "the same directory".  ``shards`` and
+    ``transport`` size the scale-out; defaults give one shard and
+    in-process calls.
     """
 
     def __init__(
@@ -84,8 +80,6 @@ class ServiceClient:
         service_dir: str | os.PathLike,
         shards: int = 1,
         transport: str = "inproc",
-        capacity: int = 1024,
-        dispatchers: int | None = None,
         retry: RetryPolicy | None = None,
         request_deadline_s: float = 5.0,
     ):
@@ -121,13 +115,6 @@ class ServiceClient:
         # and the store publish leaves a journaled close the store never
         # saw; ingest is idempotent, so this is a no-op otherwise.
         self.store.ingest(self.service_dir)
-        self._front: IngestFront | None = None
-        if transport == "queue":
-            self._front = IngestFront(
-                self.daemon,
-                capacity=capacity,
-                dispatchers=dispatchers or max(1, shards),
-            )
 
     # -- convenience passthroughs ----------------------------------------------
 
@@ -185,8 +172,6 @@ class ServiceClient:
     ) -> AdmissionResult:
         if self._stopped:
             raise ServiceError("service client is stopped")
-        if self._front is not None:
-            return self._front.submit(device, seq, window, value).result()
         return self._core.submit(device, seq, window, value)
 
     def submit(
@@ -199,10 +184,8 @@ class ServiceClient:
     ) -> AdmissionResult:
         """Submit one reading; blocks until its admission is decided.
 
-        Same signature and semantics on every transport; on ``queue``
-        the decision happens on a dispatcher thread and this call waits
-        for the acknowledgment future; on ``socket`` it crosses the
-        process boundary and may raise
+        Same signature and semantics on every transport; on ``socket``
+        it crosses the process boundary and may raise
         :class:`~repro.errors.TransportError`.
 
         With ``retry`` (or a client-wide policy from the constructor),
@@ -218,30 +201,6 @@ class ServiceClient:
         return policy.run(
             lambda: self._submit_once(device, seq, window, value)
         )
-
-    def submit_async(self, device: int, seq: int, window: int, value: int):
-        """Pipelined submit: returns a future over the admission.
-
-        On the queue transport this is the raw front enqueue; in-process
-        it resolves immediately (the admission already happened).
-        """
-        if self._stopped:
-            raise ServiceError("service client is stopped")
-        if self._front is not None:
-            return self._front.submit(device, seq, window, value)
-        from concurrent.futures import Future
-
-        future: Future[AdmissionResult] = Future()
-        try:
-            future.set_result(self._core.submit(device, seq, window, value))
-        except BaseException as exc:  # noqa: BLE001 - mirrored queue behavior
-            future.set_exception(exc)
-        return future
-
-    def barrier(self) -> None:
-        """Flush in-flight submissions (no-op on the inproc transport)."""
-        if self._front is not None:
-            self._front.barrier()
 
     def pause(self) -> None:
         self._core.pause()
@@ -276,11 +235,9 @@ class ServiceClient:
     def close_window(self, window: int) -> WindowSummary:
         """Close one window across every shard and publish it to the store.
 
-        Runs behind :meth:`barrier`, so "close window N" means the same
-        thing it means against a bare daemon: everything acknowledged
-        before the close is in, everything after is late.
+        Everything acknowledged before the close is in, everything after
+        is late.
         """
-        self.barrier()
         summary = self._core.close_window(window)
         if summary.window not in self.store.windows:
             self.store.publish(summary, self._core.last_close_submissions)
@@ -325,20 +282,16 @@ class ServiceClient:
     # -- lifecycle -------------------------------------------------------------
 
     def drain(self) -> list[WindowSummary]:
-        """Graceful shutdown: flush, close every open window, stop."""
-        self.barrier()
+        """Graceful shutdown: close every open window, then stop."""
         summaries = [self.close_window(w) for w in self.open_windows]
         self.stop()
         return summaries
 
     def stop(self) -> None:
-        """Graceful stop: flush the front, sync and release everything."""
+        """Graceful stop: sync and release everything."""
         if self._stopped:
             return
         self._stopped = True
-        if self._front is not None:
-            self._front.stop()
-            self._front = None
         self._core.stop()
         self.store.sync()
         self.store.close()
@@ -346,16 +299,13 @@ class ServiceClient:
     def hard_stop(self) -> None:
         """Simulate a hard kill: drop everything, no flush, no drain.
 
-        In-flight queue submissions are lost exactly as a real kill
-        would lose them — pre-ack, so producers re-send under the
-        ``(device, seq)`` identity and nothing double-counts.
+        A submission in flight is lost pre-ack, exactly as a real kill
+        would lose it, so producers re-send under the ``(device, seq)``
+        identity and nothing double-counts.
         """
         if self._stopped:
             return
         self._stopped = True
-        if self._front is not None:
-            self._front.kill()
-            self._front = None
         self._core.hard_stop()
         self.store.close()
 
@@ -365,10 +315,9 @@ class ServiceClient:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
             # An exception is unwinding the ``with`` body: a graceful
-            # stop would block on dispatcher flushes (and can itself
-            # raise, masking the real error).  Hard-stop guarantees the
-            # threads and shard processes die; journal-before-ack makes
-            # that always safe.
+            # stop can itself raise, masking the real error.  Hard-stop
+            # guarantees the shard processes die; journal-before-ack
+            # makes that always safe.
             self.hard_stop()
         else:
             self.stop()

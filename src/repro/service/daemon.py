@@ -212,12 +212,6 @@ class ShardedServiceDaemon(FoldHost):
         finally:
             self._release_all()
 
-    def drain(self) -> list[WindowSummary]:
-        """Graceful shutdown: close every open window, in order."""
-        summaries = [self.close_window(w) for w in self.open_windows]
-        self.stop()
-        return summaries
-
     def stop(self) -> None:
         """Release every journal (graceful; windows stay as they are)."""
         for journal in self._journals:

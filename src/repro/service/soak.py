@@ -261,8 +261,8 @@ def run_service_soak(spec, service_dir: str | os.PathLike | None = None) -> dict
                 )
             except Exception:
                 # The service died under us (another producer's kill is
-                # mid-restart, or ours raced its dispatchers).  Re-send
-                # through the fresh client; dedup absorbs the ambiguity.
+                # mid-restart).  Re-send through the fresh client; dedup
+                # absorbs the ambiguity.
                 pending.appendleft(submission)
                 resend = True
                 time.sleep(0.0005)
@@ -288,9 +288,9 @@ def run_service_soak(spec, service_dir: str | os.PathLike | None = None) -> dict
                         if drive.pause_left <= 0:
                             drive.client.resume()
                         continue
-                # Global-queue pressure only clears when a window
-                # closes; if every queued share is stuck behind it, the
-                # deadline fires and they miss the window.
+                # A shard's pending-queue pressure only clears when a
+                # window closes; if every pending share is stuck behind
+                # it, the deadline fires and they miss the window.
                 stall += 1
                 if stall > len(pending):
                     with drive.ctl:
@@ -326,7 +326,6 @@ def run_service_soak(spec, service_dir: str | os.PathLike | None = None) -> dict
                     thread.join()
                 if drive.errors:
                     raise drive.errors[0]
-            drive.client.barrier()
             if len(drive.contributors) != len(ids):
                 drive.client.mark_degraded(window)
             summary = drive.client.close_window(window)

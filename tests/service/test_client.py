@@ -1,4 +1,4 @@
-"""ServiceClient tests: one API, three transports, restart-resume queries."""
+"""ServiceClient tests: one API, two transports, restart-resume queries."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import threading
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, SpecError
+from repro.scenarios.spec import ServiceSoakSpec
 from repro.service import Admission, RetryPolicy, ServiceClient, ServiceConfig
 from repro.service.client import STORE_NAME
 
@@ -23,13 +24,17 @@ def feed_window(client: ServiceClient, window: int, devices: int) -> None:
         assert result.accepted
 
 
+#: Shard counts the client drain test runs at.
+SHARDS = (1, 4)
+
+
 @pytest.fixture
 def service_root(tmp_path):
     return tmp_path / "service"
 
 
 class TestTransportsShareOneInterface:
-    @pytest.mark.parametrize("transport", ["inproc", "queue", "socket"])
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
     def test_submit_close_query_round_trip(self, tmp_path, transport):
         with ServiceClient(
             config(), tmp_path / transport, shards=2, transport=transport
@@ -45,7 +50,7 @@ class TestTransportsShareOneInterface:
 
     def test_transports_produce_identical_bits(self, tmp_path):
         extracts = []
-        for transport in ("inproc", "queue"):
+        for transport in ("inproc", "socket"):
             with ServiceClient(
                 config(), tmp_path / transport, shards=2, transport=transport
             ) as client:
@@ -78,7 +83,7 @@ class TestTransportsShareOneInterface:
             return answers
 
         runs = {}
-        for transport in ("inproc", "queue", "socket"):
+        for transport in ("inproc", "socket"):
             with ServiceClient(
                 config(window_capacity=2, queue_capacity=3),
                 tmp_path / transport,
@@ -107,34 +112,20 @@ class TestTransportsShareOneInterface:
             Admission.ACCEPTED,
             Admission.LATE,
         ]
-        assert runs["queue"] == runs["inproc"]
         assert runs["socket"] == runs["inproc"]
-
-    def test_submit_async_resolves_on_both_transports(self, tmp_path):
-        for transport in ("inproc", "queue"):
-            with ServiceClient(
-                config(), tmp_path / transport, transport=transport
-            ) as client:
-                future = client.submit_async(1, 0, 0, 42)
-                assert future.result().admission is Admission.ACCEPTED
-                assert client.submit_async(1, 0, 0, 42).result().admission \
-                    is Admission.DUPLICATE
-
-    def test_queue_barrier_flushes_before_close(self, service_root):
-        with ServiceClient(
-            config(), service_root, shards=2, transport="queue", dispatchers=2
-        ) as client:
-            futures = [
-                client.submit_async(device, 0, 0, 100 + device)
-                for device in range(8)
-            ]
-            summary = client.close_window(0)  # barrier runs inside
-            assert summary.accepted == 8
-            assert all(f.result().accepted for f in futures)
 
     def test_unknown_transport_rejected(self, service_root):
         with pytest.raises(ServiceError, match="unknown transport"):
             ServiceClient(config(), service_root, transport="carrier-pigeon")
+
+    def test_queue_transport_is_refused(self, service_root):
+        # Refused outright: neither entry point may fall back to another
+        # transport, and nothing is created on disk.
+        with pytest.raises(ServiceError, match="unknown transport"):
+            ServiceClient(config(), service_root, transport="queue")
+        assert not service_root.exists()
+        with pytest.raises(SpecError, match="'inproc' or 'socket'"):
+            ServiceSoakSpec(transport="queue")
 
 
 class TestRestartResume:
@@ -196,9 +187,9 @@ class TestRestartResume:
         assert answer["devices"]["2"]["total"] == 102
         revived.stop()
 
-    def test_restart_resume_queue_transport(self, service_root):
+    def test_restart_resume_socket_transport(self, service_root):
         client = ServiceClient(
-            config(), service_root, shards=2, transport="queue"
+            config(), service_root, shards=2, transport="socket"
         )
         feed_window(client, 0, devices=4)
         client.close_window(0)
@@ -206,7 +197,7 @@ class TestRestartResume:
         with pytest.raises(ServiceError, match="stopped"):
             client.submit(9, 1, 1, 1)
         revived = ServiceClient(
-            config(), service_root, shards=2, transport="queue"
+            config(), service_root, shards=2, transport="socket"
         )
         assert revived.recovered
         feed_window(revived, 1, devices=4)
@@ -239,16 +230,26 @@ class TestQueriesAndLifecycle:
             assert [w["window"] for w in after["windows"]] == [3]
             assert after["devices"] == before
 
-    @pytest.mark.parametrize("transport", ["inproc", "queue", "socket"])
-    def test_drain_closes_every_open_window(self, service_root, transport):
-        client = ServiceClient(
-            config(), service_root, shards=2, transport=transport
-        )
-        feed_window(client, 0, devices=2)
-        feed_window(client, 1, devices=3)
-        summaries = client.drain()
-        assert [s.window for s in summaries] == [0, 1]
-        assert [s.accepted for s in summaries] == [2, 3]
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_drain_closes_every_open_window(self, tmp_path, transport):
+        for shards in SHARDS:
+            service_dir = tmp_path / f"{transport}-{shards}"
+            client = ServiceClient(
+                config(), service_dir, shards=shards, transport=transport
+            )
+            feed_window(client, 0, devices=2)
+            feed_window(client, 1, devices=3)
+            assert client.pending == 5
+            summaries = client.drain()
+            assert [s.window for s in summaries] == [0, 1]
+            assert [s.accepted for s in summaries] == [2, 3]
+            # Nothing is left pending, and the store has both closes.
+            with ServiceClient(
+                config(), service_dir, shards=shards, transport=transport
+            ) as revived:
+                assert revived.pending == 0
+                assert revived.open_windows == ()
+                assert revived.store.windows == (0, 1)
 
     def test_shard_of_routes_by_modulo(self, service_root):
         with ServiceClient(config(), service_root, shards=3) as client:
@@ -266,7 +267,7 @@ class TestQueriesAndLifecycle:
 
 
 class TestRetryOptIn:
-    @pytest.mark.parametrize("transport", ["inproc", "queue"])
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
     def test_retry_param_accepted_on_every_transport(self, tmp_path, transport):
         with ServiceClient(
             config(), tmp_path / transport, transport=transport
@@ -310,7 +311,7 @@ class TestRetryOptIn:
 
 
 class TestContextManagerExitPaths:
-    @pytest.mark.parametrize("transport", ["inproc", "queue"])
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
     def test_exception_path_hard_stops(self, tmp_path, transport, monkeypatch):
         calls = []
         client = ServiceClient(
@@ -326,7 +327,9 @@ class TestContextManagerExitPaths:
                 raise RuntimeError("boom")
         assert calls == ["hard"]
         # The directory lock went with it: a successor may open.
-        with ServiceClient(config(), tmp_path / transport) as successor:
+        with ServiceClient(
+            config(), tmp_path / transport, transport=transport
+        ) as successor:
             assert successor.recovered
 
     def test_clean_path_stops_gracefully(self, service_root, monkeypatch):

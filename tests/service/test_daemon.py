@@ -192,18 +192,6 @@ class TestWindowLifecycle:
             with pytest.raises(ServiceError):
                 daemon.mark_degraded(0)
 
-    def test_drain_closes_all_open_windows(self, tmp_path):
-        for shards in SHARDS:
-            daemon = ShardedServiceDaemon(
-                config(), tmp_path / f"shards-{shards}", shards=shards
-            )
-            fill_window(daemon, 0, 2)
-            fill_window(daemon, 1, 3)
-            summaries = daemon.drain()
-            assert [s.window for s in summaries] == [0, 1]
-            assert [s.accepted for s in summaries] == [2, 3]
-            assert daemon.pending == 0
-
 
 class TestRecovery:
     def test_hard_kill_recovery_is_bit_identical(self, tmp_path):

@@ -143,7 +143,7 @@ class TestShardedScaleOut:
     def test_concurrent_producers_match_serial_totals(self):
         serial = run_service_soak(self.sharded_spec())
         concurrent = run_service_soak(
-            self.sharded_spec(producers=4, transport="queue")
+            self.sharded_spec(producers=4, transport="inproc")
         )
         assert window_totals(concurrent) == window_totals(serial)
         assert concurrent["billing_exact"] is True
@@ -153,7 +153,7 @@ class TestShardedScaleOut:
         baseline = window_totals(run_service_soak(self.sharded_spec()))
         payload = run_service_soak(
             self.sharded_spec(
-                producers=4, transport="queue", kill_at=(4, 13),
+                producers=4, transport="inproc", kill_at=(4, 13),
                 duplicate_every=3,
             )
         )
@@ -190,7 +190,7 @@ class TestShardedScaleOut:
             events=(FaultEvent(kind="pause_ingest", round=3, duration=2),)
         )
         with pytest.raises(Exception, match="producers == 1"):
-            self.sharded_spec(producers=2, transport="queue", faults=plan)
+            self.sharded_spec(producers=2, transport="inproc", faults=plan)
 
     def test_more_shards_than_devices_rejected(self):
         with pytest.raises(Exception, match="shards"):
