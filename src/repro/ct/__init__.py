@@ -1,11 +1,9 @@
-"""Concurrent-transmission protocols: Glossy and MiniCast.
+"""Concurrent-transmission protocol: MiniCast.
 
 * :mod:`repro.ct.packet` — sub-slot/chain layouts and payload sizing for
   the two SSS phases.
 * :mod:`repro.ct.slots` — TDMA round arithmetic (chain-slot durations,
   round lengths as a function of NTX and network depth).
-* :mod:`repro.ct.glossy` — the single-packet flood primitive (Zimmerling
-  et al., IPSN 2011), used for bootstrapping/synchronization.
 * :mod:`repro.ct.minicast` — the chain-of-packets many-to-many round
   (Saha et al., DCOSS 2017) that hosts both SSS phases.
 * :mod:`repro.ct.coverage` — the NTX → reachability profiler the S4
@@ -19,10 +17,8 @@ from repro.ct.packet import (
     sharing_psdu_bytes,
 )
 from repro.ct.slots import RoundSchedule, round_slots
-from repro.ct.glossy import GlossyFlood, GlossyResult
 from repro.ct.minicast import MiniCastRound, MiniCastResult, RadioOffPolicy
 from repro.ct.coverage import CoverageProfile, profile_coverage
-from repro.ct.sync import ClockModel, SyncCost, SyncPlan
 
 __all__ = [
     "ChainLayout",
@@ -31,14 +27,9 @@ __all__ = [
     "reconstruction_psdu_bytes",
     "RoundSchedule",
     "round_slots",
-    "GlossyFlood",
-    "GlossyResult",
     "MiniCastRound",
     "MiniCastResult",
     "RadioOffPolicy",
     "CoverageProfile",
     "profile_coverage",
-    "ClockModel",
-    "SyncCost",
-    "SyncPlan",
 ]

@@ -50,7 +50,6 @@ from repro.phy.capture import CaptureModel
 from repro.phy.link import LinkTable
 from repro.ct.slots import RoundSchedule
 from repro.sim.bitrandom import DEFAULT_PRECISION, quantize_probability, random_bitmask
-from repro.sim.trace import TraceRecorder
 
 class RadioOffPolicy(enum.Enum):
     """When a node may power its radio down within a round."""
@@ -251,7 +250,6 @@ class MiniCastRound:
         alive: set[int] | None = None,
         failures: Mapping[int, int] | None = None,
         arm_schedule: Mapping[int, int] | None = None,
-        trace: TraceRecorder | None = None,
     ) -> MiniCastResult:
         """Execute the round.
 
@@ -280,7 +278,6 @@ class MiniCastRound:
                 in turn trigger the second hop"): in a time-synchronized
                 network a node at hop h starts contending at slot h.
                 Reception still arms a node earlier if it happens.
-            trace: optional event recorder.
         """
         if self._fast:
             return self._run_fast(
@@ -291,7 +288,6 @@ class MiniCastRound:
                 alive=alive,
                 failures=failures,
                 arm_schedule=arm_schedule,
-                trace=trace,
             )
         return self._run_reference(
             rng,
@@ -301,7 +297,6 @@ class MiniCastRound:
             alive=alive,
             failures=failures,
             arm_schedule=arm_schedule,
-            trace=trace,
         )
 
     def _run_reference(
@@ -313,7 +308,6 @@ class MiniCastRound:
         alive: set[int] | None = None,
         failures: Mapping[int, int] | None = None,
         arm_schedule: Mapping[int, int] | None = None,
-        trace: TraceRecorder | None = None,
     ) -> MiniCastResult:
         """The readable straight-line implementation (the fast loop's oracle)."""
         nodes = self._links.node_ids
@@ -401,8 +395,6 @@ class MiniCastRound:
                     radio_on[node] = False
                     on_until_us[node] = slot * chain_slot_us
                     actual_failures[node] = slot
-                    if trace is not None:
-                        trace.record(slot * chain_slot_us, node, "node_failed")
 
             contenders = [
                 node
@@ -425,16 +417,11 @@ class MiniCastRound:
                 if force_tx[node] or rng.random() < self._tx_probability
             ]
             tx_set = set(transmitters)
-            slot_start_us = slot * chain_slot_us
 
             for node in transmitters:
                 force_tx[node] = False
                 tx_count[node] += 1
                 tx_us[node] += know[node].bit_count() * packet_us
-                if trace is not None:
-                    trace.record(
-                        slot_start_us, node, "chain_tx", know[node].bit_count()
-                    )
 
             if not tx_set:
                 # Every contender's coin flip said "listen"; the slot is
@@ -475,10 +462,6 @@ class MiniCastRound:
                 new_bits = received & ~know[node]
                 if new_bits:
                     know[node] |= new_bits
-                    if trace is not None:
-                        trace.record(
-                            slot_start_us, node, "chain_rx", new_bits.bit_count()
-                        )
                 if tx_count[node] < ntx:
                     armed[node] = True
 
@@ -500,10 +483,6 @@ class MiniCastRound:
                     radio_on[node] = False
                     radio_off_slot[node] = slot
                     on_until_us[node] = (slot + 1) * chain_slot_us
-                    if trace is not None:
-                        trace.record(
-                            (slot + 1) * chain_slot_us, node, "radio_off"
-                        )
 
         # RX time = radio-on time minus transmission time.  Nodes that kept
         # the radio on to the end idle-listen out the scheduled round: TDMA
@@ -532,7 +511,6 @@ class MiniCastRound:
         alive: set[int] | None = None,
         failures: Mapping[int, int] | None = None,
         arm_schedule: Mapping[int, int] | None = None,
-        trace: TraceRecorder | None = None,
     ) -> MiniCastResult:
         """Bitmask hot loop, distribution-identical to the reference.
 
@@ -654,7 +632,6 @@ class MiniCastRound:
 
         rng_random = rng.random
         getrandbits = rng.getrandbits
-        tracing = trace is not None
 
         # Quiescence fast-out for the saturated tail: the union of all
         # knowledge is invariant over a round (bits only spread), so once
@@ -687,8 +664,6 @@ class MiniCastRound:
                         radio_mask &= ~bit
                         on_until_us[i] = slot * chain_slot_us
                         actual_failures[nodes[i]] = slot
-                        if tracing:
-                            trace.record(slot * chain_slot_us, nodes[i], "node_failed")
 
             contender_mask = radio_mask & armed_mask & budget_mask & know_mask
             if not contender_mask:
@@ -696,7 +671,6 @@ class MiniCastRound:
                     continue  # a scheduled joiner may still wake the round
                 break
             slots_run = slot + 1
-            slot_start_us = slot * chain_slot_us
 
             # Contender scan, transmit decision and transmit bookkeeping in
             # one ascending-index pass (same rng draw order as the
@@ -720,8 +694,6 @@ class MiniCastRound:
                 if count >= ntx:
                     budget_mask &= ~low
                 tx_us[i] += view.bit_count() * packet_us
-                if tracing:
-                    trace.record(slot_start_us, nodes[i], "chain_tx", view.bit_count())
 
             if not tx_mask:
                 # Every contender's coin flip said "listen"; the slot is
@@ -809,10 +781,6 @@ class MiniCastRound:
                     know[i] = know_i | new_bits
                     know_mask |= low
                     know_changed = True
-                    if tracing:
-                        trace.record(
-                            slot_start_us, nodes[i], "chain_rx", new_bits.bit_count()
-                        )
                 if budget_mask & low:
                     armed_mask |= low
 
@@ -844,8 +812,6 @@ class MiniCastRound:
                     radio_mask &= ~low
                     radio_off_slot[i] = slot
                     on_until_us[i] = (slot + 1) * chain_slot_us
-                    if tracing:
-                        trace.record((slot + 1) * chain_slot_us, nodes[i], "radio_off")
 
         return MiniCastResult(
             knowledge={node: know[i] for i, node in enumerate(nodes)},

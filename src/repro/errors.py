@@ -61,7 +61,7 @@ class TopologyError(ReproError):
 
 
 class SimulationError(ReproError):
-    """Discrete-event simulator misuse (time travel, double-start, ...)."""
+    """Invalid bit-mask sampling input (negative width, bad probability, ...)."""
 
 
 class PacketError(ReproError):

@@ -20,6 +20,40 @@ class TestStableSeed:
         with pytest.raises(TypeError):
             stable_seed(object())
 
+    def test_deterministic(self):
+        assert stable_seed(1, "x") == stable_seed(1, "x")
+
+    def test_order_matters(self):
+        assert stable_seed(1, 2) != stable_seed(2, 1)
+
+    def test_type_distinguished(self):
+        assert stable_seed(1) != stable_seed("1")
+        assert stable_seed(b"a") != stable_seed("a")
+
+    def test_no_concat_ambiguity(self):
+        assert stable_seed("ab", "c") != stable_seed("a", "bc")
+
+    def test_float_support(self):
+        assert stable_seed(0.5) == stable_seed(0.5)
+        assert stable_seed(0.5) != stable_seed(0.25)
+
+    def test_negative_int(self):
+        assert stable_seed(-5) != stable_seed(5)
+
+    def test_64_bit_range(self):
+        assert 0 <= stable_seed("anything") < (1 << 64)
+
+    def test_unsupported_type(self):
+        with pytest.raises(TypeError):
+            stable_seed([1, 2])  # type: ignore[arg-type]
+
+    def test_known_regression_value(self):
+        # Pin literal values: if the derivation ever changes, every recorded
+        # experiment seed silently changes meaning — fail loudly instead.
+        assert stable_seed(1, "sharing") == 9488653395405603147
+        assert stable_seed(1, "reconstruction") == 17251983286379422076
+        assert isinstance(stable_seed(1, "sharing"), int)
+
 
 class TestChildSeed:
     def test_matches_stable_seed_derivation(self):
