@@ -52,6 +52,11 @@ repository root so future PRs have a perf trajectory to compare against:
    the p99 per-share round trip, and the supervisor's shard-restart
    recovery time after a SIGKILL.  Absolute figures only, no speedup
    gate.
+9. **service_wire** — the per-admission Python cost on either side of
+   the socket: µs per call of ``encode_record``, ``decode_record``,
+   ``frame`` and ``unframe`` on a SUBMIT record and an ADMISSION_REPLY,
+   and of ``RetryPolicy.run`` on a first-try success.  Absolute figures
+   only, no speedup gate.
 
 The in-process campaign tiers (2+3) run with the disk cache disabled so
 "cold" keeps meaning "first time in any process state"; tier 5 measures
@@ -661,6 +666,47 @@ def bench_service_transport(iterations: int) -> dict:
     }
 
 
+def bench_service_wire(calls: int = 20_000) -> dict:
+    """Wire codec and first-try retry cost, µs per call (best of 5).
+
+    The records are the ones a metering admission moves: a SUBMIT with
+    a small reading and the ADMISSION_REPLY that acknowledges it.  The
+    retry figure is a policy whose first ``send`` is final, which is
+    how almost every submit ends.  No ``*speedup`` key: the gate
+    records these without enforcing them.
+    """
+    from repro.service import wire
+    from repro.service.shard import Admission, AdmissionResult
+    from repro.service.transport import RetryPolicy
+
+    records = {
+        "submit": wire.ShareSubmission(device=7, seq=3, window=3, value=317),
+        "reply": wire.AdmissionReply(admission="accepted", window=3),
+    }
+
+    def per_call_us(fn, arg) -> float:
+        def loop():
+            for _ in range(calls):
+                fn(arg)
+
+        return round(_best_of(loop, repeats=5) / calls * 1e6, 3)
+
+    result: dict = {"calls": calls}
+    for name, record in records.items():
+        payload = wire.encode_record(record)
+        framed = wire.frame(record)
+        result[f"{name}_encode_us"] = per_call_us(wire.encode_record, record)
+        result[f"{name}_decode_us"] = per_call_us(wire.decode_record, payload)
+        result[f"{name}_frame_us"] = per_call_us(wire.frame, record)
+        result[f"{name}_unframe_us"] = per_call_us(wire.unframe, framed)
+    accepted = AdmissionResult(Admission.ACCEPTED, 3)
+    policy = RetryPolicy(seed=17)
+    result["retry_first_try_us"] = per_call_us(
+        policy.run, lambda: accepted
+    )
+    return result
+
+
 # -- tier 5: cold start vs the persisted commissioning cache ---------------------
 
 _CHILD_SNIPPET = """
@@ -775,6 +821,10 @@ def main() -> int:
     transport = bench_service_transport(iterations)
     print(f"  {transport}")
 
+    print("== service wire (codec + first-try retry, us per call) ==")
+    service_wire = bench_service_wire()
+    print(f"  {service_wire}")
+
     print("== cold start (fresh subprocesses, persisted commissioning cache) ==")
     cold = bench_cold_start(iterations)
     print(f"  STUB: {cold['stub']}")
@@ -802,6 +852,7 @@ def main() -> int:
         "chaos_campaign": chaos,
         "service_throughput": service,
         "service_transport": transport,
+        "service_wire": service_wire,
         "cold_start": cold,
         "targets": {
             "figure1_stub_steady_speedup_min": 5.0,

@@ -22,6 +22,7 @@ one ``fold.wal`` (:data:`FOLD_NAME`) holding the authoritative closes.
 
 from __future__ import annotations
 
+import numbers
 import pathlib
 import time
 from dataclasses import dataclass, replace
@@ -124,7 +125,16 @@ class ServiceConfig:
             raise ServiceError(
                 f"window_capacity must be >= 1, got {self.window_capacity}"
             )
-        if self.retry_after_s <= 0:
+        # Every transport must answer the same hint: the socket reply
+        # frame carries only a float, so an int is coerced here, once.
+        if isinstance(self.retry_after_s, bool) or not isinstance(
+            self.retry_after_s, numbers.Real
+        ):
+            raise ServiceError(
+                f"retry_after_s must be a number, got {self.retry_after_s!r}"
+            )
+        object.__setattr__(self, "retry_after_s", float(self.retry_after_s))
+        if not self.retry_after_s > 0:  # NaN fails this too
             raise ServiceError(
                 f"retry_after_s must be > 0, got {self.retry_after_s}"
             )

@@ -12,9 +12,10 @@ frame is exactly ``wire.frame(record)``: ``RW`` magic + payload length
   undecodable payload raise :class:`~repro.errors.WireError`; a peer
   that vanishes mid-frame raises :class:`~repro.errors.TransportError`.
   Malformed bytes can never hang the reader or crash the interpreter.
-* **per-request deadlines** — every request sets a socket timeout; a
-  deadline miss closes the connection (a half-read reply must never
-  desynchronise the stream) and surfaces as ``TransportError``.
+* **request deadlines** — the socket timeout set when the connection
+  is made bounds every send and reply read; a deadline miss closes the
+  connection (a half-read reply must never desynchronise the stream)
+  and surfaces as ``TransportError``.
 * a client-side :class:`RetryPolicy` — decorrelated-jitter backoff in
   the exact shape of ``CampaignExecutor._backoff_delay``, honoring the
   daemon's ``retry_after_s`` hints, capped by a total deadline.  It
@@ -82,6 +83,9 @@ DROP_CONNECTION = object()
 
 _HEADER_SIZE = wire._FRAME_HEADER.size
 
+#: Outcome string on the wire -> :class:`Admission`.
+_ADMISSIONS = {admission.value: admission for admission in Admission}
+
 
 # -- admission <-> frame conversion -------------------------------------------
 
@@ -98,12 +102,11 @@ def admission_to_reply(result: AdmissionResult) -> wire.AdmissionReply:
 def admission_from_reply(reply: wire.AdmissionReply) -> AdmissionResult:
     """Decode an :class:`AdmissionReply`; unknown outcome strings are a
     wire error (a skewed peer, not a transient)."""
-    try:
-        admission = Admission(reply.admission)
-    except ValueError:
+    admission = _ADMISSIONS.get(reply.admission)
+    if admission is None:
         raise WireError(
             f"unknown admission outcome {reply.admission!r} on the wire"
-        ) from None
+        )
     return AdmissionResult(admission, reply.window, reply.retry_after_s)
 
 
@@ -235,8 +238,14 @@ class RetryPolicy:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ) -> AdmissionResult:
-        """Drive ``send`` to a final admission under this policy."""
-        rng = random.Random(self.seed)
+        """Drive ``send`` to a final admission under this policy.
+
+        The jitter generator is seeded when a retry first needs a delay,
+        so a first-try success (almost every submit) never builds one;
+        the draws, and so the sleeps, are those of a generator seeded up
+        front.
+        """
+        rng: random.Random | None = None
         started = clock()
         prev_delay = self.backoff_base_s
         last_error: TransportError | None = None
@@ -246,12 +255,15 @@ class RetryPolicy:
                 result = send()
             except TransportError as exc:
                 last_error = exc
-                delay = self._delay(rng, prev_delay)
+                hint = 0.0
             else:
                 if not result.retryable:
                     return result
                 last_error = None
-                delay = max(result.retry_after_s or 0.0, self._delay(rng, prev_delay))
+                hint = result.retry_after_s or 0.0
+            if rng is None:
+                rng = random.Random(self.seed)
+            delay = max(hint, self._delay(rng, prev_delay))
             prev_delay = max(prev_delay, delay)
             if attempt >= self.max_attempts:
                 break
@@ -336,7 +348,6 @@ class ShardEndpoint:
         with self._lock:
             try:
                 sock = self._connected()
-                sock.settimeout(self.request_deadline_s)
                 send_record(sock, record)
                 reply = recv_record(sock)
                 if reply is None:

@@ -325,22 +325,46 @@ def _decode_scalar(data: bytes, offset: int) -> tuple[Any, int]:
     raise WireError(f"unknown scalar tag {tag!r}")
 
 
-def encode_record(record: Any) -> bytes:
-    """Encode a registered flat-scalar record to its wire payload."""
-    for kind, cls in RECORD_TYPES.items():
-        if isinstance(record, cls):
+def _encoder_for(cls: type) -> tuple[bytes, tuple[str, ...]]:
+    """``(kind + field-count header, field names)`` for a record class."""
+    for kind, registered in RECORD_TYPES.items():
+        if issubclass(cls, registered):
             break
     else:
-        raise WireError(
-            f"{type(record).__name__} is not a registered wire record"
-        )
-    parts = [bytes([kind])]
-    fields = dataclasses.fields(record)
-    if len(fields) > 0xFF:  # pragma: no cover - records are small
+        raise WireError(f"{cls.__name__} is not a registered wire record")
+    names = tuple(spec_field.name for spec_field in dataclasses.fields(cls))
+    if len(names) > 0xFF:  # pragma: no cover - records are small
         raise WireError("too many fields for a wire record")
-    parts.append(bytes([len(fields)]))
-    for spec_field in fields:
-        parts.append(_encode_scalar(getattr(record, spec_field.name)))
+    return bytes([kind, len(names)]), names
+
+
+#: The codec tables, built once from RECORD_TYPES: record class ->
+#: (header bytes, field names) for encoding, kind -> (class, field
+#: count) for decoding.
+_ENCODERS: dict[type, tuple[bytes, tuple[str, ...]]] = {
+    cls: _encoder_for(cls) for cls in RECORD_TYPES.values()
+}
+_DECODERS: dict[int, tuple[type, int]] = {
+    kind: (cls, len(_ENCODERS[cls][1])) for kind, cls in RECORD_TYPES.items()
+}
+
+_TAG_INT64 = ord("i")
+_INT64_FIELD = 1 + _INT64.size
+
+
+def encode_record(record: Any) -> bytes:
+    """Encode a registered flat-scalar record to its wire payload."""
+    cls = type(record)
+    entry = _ENCODERS.get(cls)
+    # A subclass of a registered record encodes under its base's kind.
+    header, names = entry if entry is not None else _encoder_for(cls)
+    parts = [header]
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
+            parts.append(b"i" + _INT64.pack(value))
+        else:
+            parts.append(_encode_scalar(value))
     return b"".join(parts)
 
 
@@ -349,22 +373,27 @@ def decode_record(payload: bytes) -> Any:
     if len(payload) < 2:
         raise WireError("wire payload shorter than its header")
     kind, count = payload[0], payload[1]
-    cls = RECORD_TYPES.get(kind)
-    if cls is None:
+    entry = _DECODERS.get(kind)
+    if entry is None:
         raise WireError(f"unknown wire record kind {kind}")
-    fields = dataclasses.fields(cls)
-    if count != len(fields):
+    cls, expected = entry
+    if count != expected:
         raise WireError(
             f"{cls.__name__} frame carries {count} fields, "
-            f"expected {len(fields)}"
+            f"expected {expected}"
         )
     values = []
     offset = 2
+    size = len(payload)
     for _ in range(count):
-        value, offset = _decode_scalar(payload, offset)
-        values.append(value)
-    if offset != len(payload):
-        raise WireError(f"{len(payload) - offset} trailing bytes after record")
+        if offset + _INT64_FIELD <= size and payload[offset] == _TAG_INT64:
+            values.append(_INT64.unpack_from(payload, offset + 1)[0])
+            offset += _INT64_FIELD
+        else:
+            value, offset = _decode_scalar(payload, offset)
+            values.append(value)
+    if offset != size:
+        raise WireError(f"{size - offset} trailing bytes after record")
     return cls(*values)
 
 

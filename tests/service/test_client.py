@@ -265,6 +265,19 @@ class TestQueriesAndLifecycle:
             client.resume()
             assert client.submit(1, 0, 0, 9).accepted
 
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_int_retry_hint_answers_as_float(self, tmp_path, transport):
+        # ServiceConfig coerces the hint, so the socket reply frame (which
+        # carries floats only) answers exactly what inproc answers.
+        with ServiceClient(
+            config(retry_after_s=1), tmp_path / transport, transport=transport
+        ) as client:
+            client.pause()
+            held = client.submit(1, 0, 0, 9)
+            assert held.admission is Admission.RETRY_AFTER
+            assert held.retry_after_s == 1.0
+            assert type(held.retry_after_s) is float
+
 
 class TestRetryOptIn:
     @pytest.mark.parametrize("transport", ["inproc", "socket"])

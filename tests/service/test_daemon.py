@@ -432,8 +432,16 @@ class TestConfigValidation:
             {"queue_capacity": 0},
             {"window_capacity": 0},
             {"retry_after_s": 0.0},
+            {"retry_after_s": True},
+            {"retry_after_s": "0.05"},
+            {"retry_after_s": None},
+            {"retry_after_s": float("nan")},
         ],
     )
     def test_bad_knobs_rejected(self, overrides):
         with pytest.raises(ServiceError):
             config(**overrides)
+
+    def test_int_retry_hint_is_coerced_to_float(self):
+        hint = config(retry_after_s=1).retry_after_s
+        assert hint == 1.0 and type(hint) is float

@@ -229,6 +229,40 @@ class TestRetryPolicy:
             policy.run(send, sleep=fake.sleep, clock=fake.clock)
         assert all(0.01 <= s <= 0.05 for s in fake.sleeps)
 
+    def test_seeded_sleeps_are_pinned(self):
+        fake = FakeClock()
+        policy = RetryPolicy(
+            max_attempts=6,
+            backoff_base_s=0.01,
+            max_backoff_s=0.05,
+            total_deadline_s=1000.0,
+            seed=7,
+        )
+
+        def send():
+            raise TransportError("down")
+
+        with pytest.raises(ServiceError):
+            policy.run(send, sleep=fake.sleep, clock=fake.clock)
+        assert fake.sleeps == [
+            0.016476655296663246,
+            0.015947977782376242,
+            0.03566632406857988,
+            0.01702624535715197,
+            0.05,
+        ]
+
+    def test_first_try_success_seeds_no_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("jitter generator seeded without a retry")
+
+        monkeypatch.setattr("repro.service.transport.random.Random", refuse)
+        fake = FakeClock()
+        out = RetryPolicy(seed=1).run(
+            lambda: ACCEPTED, sleep=fake.sleep, clock=fake.clock
+        )
+        assert out is ACCEPTED
+
     def test_service_error_is_never_retried(self):
         calls = []
 

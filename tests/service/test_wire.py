@@ -57,6 +57,49 @@ class TestRecordRoundTrip:
         assert wire.unframe(wire.frame(record)) == record
 
 
+#: Literal bytes of the wire format: a change that still round-trips
+#: would otherwise slip past the round-trip tests and strand old journals.
+GOLDEN_PAYLOADS = [
+    (
+        ShareSubmission(7, 3, 3, 2**61 - 2),
+        "0104690000000000000007690000000000000003"
+        "690000000000000003691ffffffffffffffe",
+    ),
+    (
+        wire.AdmissionReply("retry_after", 4, 0.05),
+        "050373000b72657472795f6166746572690000000000000004663fa999999999999a",
+    ),
+    (
+        wire.AdmissionReply("accepted", 4),
+        "050373000861636365707465646900000000000000044e",
+    ),
+    (
+        DeviceTotal(1, 2, 3, -(2**70)),
+        "0304690000000000000001690000000000000002690000000000000003"
+        "49000affc00000000000000000",
+    ),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize(
+        "record,hexed", GOLDEN_PAYLOADS, ids=lambda v: type(v).__name__
+    )
+    def test_payload_bytes_are_pinned(self, record, hexed):
+        assert wire.encode_record(record).hex() == hexed
+        assert wire.decode_record(bytes.fromhex(hexed)) == record
+
+    def test_frame_bytes_are_pinned(self):
+        record = ShareSubmission(7, 3, 3, 317)
+        hexed = (
+            "525700000026e4b176c1"
+            "0104690000000000000007690000000000000003"
+            "69000000000000000369000000000000013d"
+        )
+        assert wire.frame(record).hex() == hexed
+        assert wire.unframe(bytes.fromhex(hexed)) == record
+
+
 class TestStrictness:
     def test_submission_validates_fields(self):
         with pytest.raises(WireError):
