@@ -57,6 +57,12 @@ repository root so future PRs have a perf trajectory to compare against:
    ``frame`` and ``unframe`` on a SUBMIT record and an ADMISSION_REPLY,
    and of ``RetryPolicy.run`` on a first-try success.  Absolute figures
    only, no speedup gate.
+10. **minicast** — ms per MiniCast phase of an S4 round on D-Cube
+   (the sharing phase's 810-bit chain and the reconstruction phase's
+   18-bit chain), with the native slot kernel and with the Python slot
+   loop on the same inputs and seeds.  ``native_speedup`` is gated like
+   every ``*speedup`` key, so a host that silently falls back to the
+   Python loop fails the regression check.
 
 The in-process campaign tiers (2+3) run with the disk cache disabled so
 "cold" keeps meaning "first time in any process state"; tier 5 measures
@@ -314,6 +320,52 @@ def bench_sss() -> dict:
         "reconstruct_batched_ops_per_sec": int(1.0 / t_rec_batched),
         "reconstruct_speedup": round(t_rec_scalar / t_rec_batched, 2),
     }
+
+
+def bench_minicast(seeds: int = 20) -> dict:
+    """MiniCast phase cost, native slot kernel vs the Python slot loop."""
+    from repro.analysis.experiments import build_engines, round_secrets
+    from repro.ct import native
+    from repro.ct.minicast import MiniCastRound
+    from repro.topology.testbeds import dcube
+
+    _, engine = build_engines(dcube(), CryptoMode.STUB)
+    nodes = engine.topology.node_ids
+    engine.run(round_secrets(nodes, 0), seed=0)  # commissioning
+    phases = []
+    original = MiniCastRound.run
+
+    def recording(self, rng, *args, **kwargs):
+        phases.append((self, args, kwargs))
+        return original(self, rng, *args, **kwargs)
+
+    MiniCastRound.run = recording
+    try:
+        engine.run(round_secrets(nodes, 1), seed=1)
+    finally:
+        MiniCastRound.run = original
+
+    def per_phase_ms(round_, args, kwargs) -> float:
+        def run_all():
+            for seed in range(seeds):
+                round_.run(random.Random(seed), *args, **kwargs)
+
+        return _best_of(run_all, repeats=5) / seeds * 1e3
+
+    kernel = native.minicast_kernel()
+    result = {"native": kernel is not None}
+    loader = native.minicast_kernel
+    for name, (round_, args, kwargs) in zip(("sharing", "reconstruction"), phases):
+        result[f"{name}_kernel_ms"] = round(per_phase_ms(round_, args, kwargs), 3)
+        native.minicast_kernel = lambda: None
+        try:
+            result[f"{name}_python_ms"] = round(per_phase_ms(round_, args, kwargs), 3)
+        finally:
+            native.minicast_kernel = loader
+    python_ms = result["sharing_python_ms"] + result["reconstruction_python_ms"]
+    kernel_ms = result["sharing_kernel_ms"] + result["reconstruction_kernel_ms"]
+    result["native_speedup"] = round(python_ms / kernel_ms, 2)
+    return result
 
 
 # -- tier 2+3: end-to-end campaigns --------------------------------------------
@@ -794,6 +846,8 @@ def main() -> int:
     print(f"  DRBG bulk:     {drbg_bulk}")
     sss = bench_sss()
     print(f"  Shamir SSS:    {sss}")
+    minicast = bench_minicast()
+    print(f"  MiniCast:      {minicast}")
 
     print("== figure1 campaigns (FlockLab sweep) ==")
     stub = bench_campaign(CryptoMode.STUB, iterations)
@@ -845,6 +899,7 @@ def main() -> int:
         "drbg": drbg,
         "drbg_bulk": drbg_bulk,
         "sss": sss,
+        "minicast": minicast,
         "figure1_stub": stub,
         "figure1_real": real,
         "campaign_parallel": parallel,

@@ -41,6 +41,7 @@ Two radio-off policies mirror S3 vs S4:
 from __future__ import annotations
 
 import enum
+import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -163,6 +164,7 @@ class MiniCastRound:
         "_fast",
         "_index",
         "_rx_fast",
+        "_kernel",
     )
 
     def __init__(
@@ -212,6 +214,7 @@ class MiniCastRound:
         if not self._fast:
             self._index = {}
             self._rx_fast: list[list[tuple[int, int, float]]] = []
+            self._kernel = None
             return
         node_ids = links.node_ids
         self._index = {node: i for i, node in enumerate(node_ids)}
@@ -230,6 +233,19 @@ class MiniCastRound:
                     quantized = quantize_probability(prr)
                     row.append((self._index[src], quantized, 1.0 - quantized / q_full))
             self._rx_fast.append(row)
+        # The native slot loop's fixed arguments (None when the round
+        # does not fit it).  Imported here, not at module level, so that
+        # processes which never build a fast round never load the binding.
+        from repro.ct import native
+
+        self._kernel = native.SlotKernel.for_round(
+            node_ids,
+            self._rx_fast,
+            schedule,
+            self._capture.max_diversity,
+            policy is RadioOffPolicy.EARLY_OFF,
+            tx_probability,
+        )
 
     @property
     def schedule(self) -> RoundSchedule:
@@ -532,21 +548,49 @@ class MiniCastRound:
         has the same distribution as the reference; seeded runs differ
         stream-wise, and ``tests/ct/test_minicast_fastpath.py`` checks
         both the exact deterministic cases and distributional agreement.
+
+        The slot loop itself exists twice, stream-identical: in C
+        (:mod:`repro.ct.native`), used for a plain ``random.Random``
+        whenever the kernel builds, and in Python (:meth:`_python_slots`),
+        its oracle and the fallback for every other case.  The prologue
+        and the epilogue around it are shared.
         """
+        flood = self._prologue(
+            initial_knowledge, requirements, initiators, alive, failures, arm_schedule
+        )
+        if not (
+            type(rng) is random.Random
+            and self._kernel is not None
+            and self._kernel.run(rng, flood)
+        ):
+            self._python_slots(rng, flood)
+        nodes = self._links.node_ids
+        on_until_us = flood.on_until_us
+        tx_us = flood.tx_us
+        return MiniCastResult(
+            knowledge=dict(zip(nodes, flood.know)),
+            completion_slot=dict(zip(nodes, flood.completion)),
+            tx_us=dict(zip(nodes, tx_us)),
+            rx_us={
+                node: max(0, on_until_us[i] - tx_us[i])
+                for i, node in enumerate(nodes)
+            },
+            radio_off_slot=dict(zip(nodes, flood.radio_off_slot)),
+            slots_run=flood.slots_run,
+            schedule=self._schedule,
+            failures=flood.failures,
+        )
+
+    def _prologue(
+        self, initial_knowledge, requirements, initiators, alive, failures, arm_schedule
+    ) -> "_Flood":
+        """Validate the inputs and lay them out for either slot loop."""
         nodes = self._links.node_ids
         index = self._index
         n = len(nodes)
         schedule = self._schedule
         chain_bits = schedule.chain_length
         ntx = schedule.ntx
-        packet_us = schedule.packet_slot_us
-        chain_slot_us = schedule.chain_slot_us
-        max_div = self._capture.max_diversity
-        early_off = self._policy is RadioOffPolicy.EARLY_OFF
-        tx_probability = self._tx_probability
-        rx_lists = self._rx_fast
-        precision = DEFAULT_PRECISION
-        q_full = 1 << precision
 
         if alive is None:
             alive_mask = (1 << n) - 1
@@ -585,19 +629,20 @@ class MiniCastRound:
             for node in initiator_set:
                 initiator_mask |= 1 << index[node]
 
-        armed_mask = initiator_mask & alive_mask & know_mask
-        force_mask = armed_mask
-        budget_mask = (1 << n) - 1 if ntx > 0 else 0  # bit set iff tx budget left
-        radio_mask = alive_mask
-        tx_count = [0] * n
-        tx_us = [0] * n
-        radio_off_slot: list[int | None] = [None] * n
+        flood = _Flood()
+        flood.know = know
+        flood.know_mask = know_mask
+        flood.alive_mask = alive_mask
+        flood.armed_mask = initiator_mask & alive_mask & know_mask
+        # bit set iff tx budget left
+        flood.budget_mask = (1 << n) - 1 if ntx > 0 else 0
+        flood.tx_us = [0] * n
+        flood.radio_off_slot = [None] * n
         round_duration_us = schedule.round_duration_us
-        on_until_us = [
-            round_duration_us if radio_mask >> i & 1 else 0 for i in range(n)
+        flood.on_until_us = [
+            round_duration_us if alive_mask >> i & 1 else 0 for i in range(n)
         ]
 
-        requirements = dict(requirements or {})
         completion: list[int | None] = [-1] * n
         completed_mask = (1 << n) - 1
         # (mask, min_count) per still-unsatisfied node; nodes without a
@@ -605,7 +650,7 @@ class MiniCastRound:
         # start, exactly like the reference.
         req_fast: list[tuple[int, int] | None] = [None] * n
         pending: list[int] = []
-        for node, requirement in requirements.items():
+        for node, requirement in (requirements or {}).items():
             i = index.get(node)
             if i is None or requirement.satisfied_by(know[i]):
                 continue
@@ -614,6 +659,10 @@ class MiniCastRound:
             req_fast[i] = (requirement.mask, requirement.min_count)
             pending.append(i)
         pending.sort()
+        flood.completion = completion
+        flood.completed_mask = completed_mask
+        flood.req_fast = req_fast
+        flood.pending = pending
 
         arm_by_slot: dict[int, list[int]] = {}
         max_arm_slot = -1
@@ -628,10 +677,10 @@ class MiniCastRound:
             i = index.get(node)
             if i is not None:
                 fail_by_slot.setdefault(fail_slot, []).append(i)
-        actual_failures: dict[int, int] = {}
-
-        rng_random = rng.random
-        getrandbits = rng.getrandbits
+        flood.arm_by_slot = arm_by_slot
+        flood.max_arm_slot = max_arm_slot
+        flood.fail_by_slot = fail_by_slot
+        flood.failures = {}
 
         # Quiescence fast-out for the saturated tail: the union of all
         # knowledge is invariant over a round (bits only spread), so once
@@ -641,11 +690,54 @@ class MiniCastRound:
         total_union = 0
         for view in know:
             total_union |= view
-        know_uniform = all(
-            know[i] == total_union
-            for i in range(n)
-            if radio_mask >> i & 1
+        flood.total_union = total_union
+        flood.know_uniform = all(
+            know[i] == total_union for i in range(n) if alive_mask >> i & 1
         )
+        flood.slots_run = 0
+        return flood
+
+    def _python_slots(self, rng, flood: "_Flood") -> None:
+        """The slot loop in Python: the native kernel's oracle, and the
+        loop that runs wherever the kernel does not."""
+        nodes = self._links.node_ids
+        n = len(nodes)
+        schedule = self._schedule
+        chain_bits = schedule.chain_length
+        ntx = schedule.ntx
+        packet_us = schedule.packet_slot_us
+        chain_slot_us = schedule.chain_slot_us
+        max_div = self._capture.max_diversity
+        early_off = self._policy is RadioOffPolicy.EARLY_OFF
+        tx_probability = self._tx_probability
+        rx_lists = self._rx_fast
+        precision = DEFAULT_PRECISION
+        q_full = 1 << precision
+
+        know = flood.know
+        know_mask = flood.know_mask
+        alive_mask = flood.alive_mask
+        radio_mask = alive_mask
+        armed_mask = flood.armed_mask
+        force_mask = armed_mask  # initiators transmit slot 0 unconditionally
+        budget_mask = flood.budget_mask
+        tx_count = [0] * n
+        tx_us = flood.tx_us
+        on_until_us = flood.on_until_us
+        radio_off_slot = flood.radio_off_slot
+        completion = flood.completion
+        completed_mask = flood.completed_mask
+        req_fast = flood.req_fast
+        pending = flood.pending
+        arm_by_slot = flood.arm_by_slot
+        max_arm_slot = flood.max_arm_slot
+        fail_by_slot = flood.fail_by_slot
+        actual_failures = flood.failures
+        total_union = flood.total_union
+        know_uniform = flood.know_uniform
+
+        rng_random = rng.random
+        getrandbits = rng.getrandbits
 
         slots_run = 0
         for slot in range(schedule.num_slots):
@@ -813,18 +905,34 @@ class MiniCastRound:
                     radio_off_slot[i] = slot
                     on_until_us[i] = (slot + 1) * chain_slot_us
 
-        return MiniCastResult(
-            knowledge={node: know[i] for i, node in enumerate(nodes)},
-            completion_slot={node: completion[i] for i, node in enumerate(nodes)},
-            tx_us={node: tx_us[i] for i, node in enumerate(nodes)},
-            rx_us={
-                node: max(0, on_until_us[i] - tx_us[i])
-                for i, node in enumerate(nodes)
-            },
-            radio_off_slot={
-                node: radio_off_slot[i] for i, node in enumerate(nodes)
-            },
-            slots_run=slots_run,
-            schedule=schedule,
-            failures=actual_failures,
-        )
+        flood.slots_run = slots_run
+
+
+class _Flood:
+    """One fast-path round between the prologue, a slot loop and the
+    epilogue.  Node sets are bit masks over dense node indices (bit i is
+    ``links.node_ids[i]``); chain views are ints.  Either slot loop
+    updates ``know``, ``tx_us``, ``on_until_us``, ``radio_off_slot``,
+    ``completion``, ``failures`` and ``slots_run``."""
+
+    __slots__ = (
+        "know",
+        "know_mask",
+        "alive_mask",
+        "armed_mask",
+        "budget_mask",
+        "tx_us",
+        "on_until_us",
+        "radio_off_slot",
+        "completion",
+        "completed_mask",
+        "req_fast",
+        "pending",
+        "arm_by_slot",
+        "max_arm_slot",
+        "fail_by_slot",
+        "failures",
+        "total_union",
+        "know_uniform",
+        "slots_run",
+    )

@@ -52,7 +52,7 @@ import struct
 import tempfile
 import time
 import zlib
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 #: Bump when the serialized form of any cached artifact changes shape.
 CACHE_VERSION = 1
@@ -448,15 +448,30 @@ class AppendLog:
                 self._count += 1
         return valid, size - valid
 
-    def append(self, payload: bytes) -> int:
-        """Durably append one record; returns its record index."""
+    @staticmethod
+    def _frame(payload: bytes) -> bytes:
         if len(payload) > LOG_MAX_RECORD:
             raise ValueError(
                 f"record of {len(payload)} bytes exceeds the "
                 f"{LOG_MAX_RECORD}-byte frame cap"
             )
-        frame = _LOG_HEADER.pack(LOG_MAGIC, len(payload), zlib.crc32(payload))
-        self._handle.write(frame + payload)
+        return _LOG_HEADER.pack(LOG_MAGIC, len(payload), zlib.crc32(payload)) + payload
+
+    def stage(self, payloads: Iterable[bytes]) -> None:
+        """Write records in one buffered write, with no flush or fsync.
+
+        Staged records become durable together with the next
+        :meth:`append` (or :meth:`sync`), so a caller that stages a batch
+        and then appends the record committing it pays one fsync for the
+        whole batch.  Until then a crash may keep any prefix of them.
+        """
+        frames = [self._frame(payload) for payload in payloads]
+        self._handle.write(b"".join(frames))
+        self.records += len(frames)
+
+    def append(self, payload: bytes) -> int:
+        """Durably append one record; returns its record index."""
+        self._handle.write(self._frame(payload))
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())

@@ -14,6 +14,13 @@ benchmarking against the reference, or for debugging a suspected fast-path
 divergence — via the ``REPRO_FASTPATH=0`` environment variable or the
 :func:`disabled` context manager.
 
+One fast-path kernel is native: MiniCast's slot loop runs in C
+(:mod:`repro.ct.native`, built with the system compiler on the first
+fast-path round and cached per user) whenever it builds, drawing the
+same random numbers in the same order as its Python twin, which stays
+as the oracle and the fallback.  With the fast path off the reference
+MiniCast loop runs and the kernel is never built.
+
 Components consult the flag at *construction* time (cipher objects, DRBG
 instances, MiniCast rounds) or at cheap call-time branch points, so
 toggling the flag affects objects built afterwards, not objects already
@@ -118,8 +125,9 @@ def clear_process_caches() -> None:
     construction); it exists for tests that must force a rebuild — e.g.
     proving that a disk-cache hit is bit-identical to a fresh bootstrap —
     and as the documented reset point if a long-lived service wants to
-    drop commissioning state.  Imports live inside the function to keep
-    this module dependency-free at import time.
+    drop commissioning state.  The native MiniCast kernel stays loaded:
+    it is code, not commissioning state.  Imports live inside the
+    function to keep this module dependency-free at import time.
     """
     from repro.core import protocol
     from repro.crypto import prng

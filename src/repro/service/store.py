@@ -175,9 +175,10 @@ class ResultStore:
                     f"contribution of window {submission.window} published "
                     f"under close of window {summary.window}"
                 )
-            if self._log is not None:
-                self._log.append(wire.encode_record(submission))
         if self._log is not None:
+            # One fsync per window: the close frame commits the staged
+            # contributions, and replay drops contributions with no close.
+            self._log.stage(wire.encode_record(s) for s in contributions)
             self._log.append(wire.encode_record(summary))
         self._windows[summary.window] = _WindowEntry(
             summary, list(contributions)
@@ -242,17 +243,18 @@ class ResultStore:
         horizon = max(self.horizon, retired[-1])
         tmp_path = self.path.with_suffix(self.path.suffix + ".compact")
         tmp_path.unlink(missing_ok=True)
-        rewritten = diskcache.AppendLog(tmp_path, fsync=self.fsync)
-        rewritten.append(wire.encode_record(StoreCheckpoint(horizon)))
-        for device in sorted(folded):
-            rewritten.append(wire.encode_record(folded[device]))
+        # Nobody reads the temporary log before the replace, so its
+        # records are staged and made durable by the one sync below.
+        records = [StoreCheckpoint(horizon)]
+        records.extend(folded[device] for device in sorted(folded))
         for window in sorted(self._windows):
             if window in retired:
                 continue
             entry = self._windows[window]
-            for submission in entry.contributions:
-                rewritten.append(wire.encode_record(submission))
-            rewritten.append(wire.encode_record(entry.summary))
+            records.extend(entry.contributions)
+            records.append(entry.summary)
+        rewritten = diskcache.AppendLog(tmp_path, fsync=False)
+        rewritten.stage(wire.encode_record(record) for record in records)
         rewritten.sync()
         rewritten.close()
         self._log.close()

@@ -110,6 +110,68 @@ class TestTornPublishAtomicity:
         reopened.close()
 
 
+    def test_truncation_anywhere_in_a_publish_keeps_it_whole_or_absent(
+        self, store_file, tmp_path
+    ):
+        with ResultStore(store_file, fsync=False) as store:
+            fill(store, windows=1)
+        committed = store_file.stat().st_size
+        contributions = readings(1, 5)
+        with ResultStore(store_file, fsync=False) as store:
+            store.publish(close_of(1, contributions), contributions)
+            whole = store.billing_extract()
+        data = store_file.read_bytes()
+        torn = tmp_path / "torn.store"
+        for offset in range(committed, len(data) + 1):
+            torn.write_bytes(data[:offset])
+            with ResultStore(torn, fsync=False) as reopened:
+                if offset == len(data):
+                    assert reopened.windows == (0, 1)
+                    assert reopened.contributions(1) == contributions
+                    assert reopened.billing_extract() == whole
+                else:
+                    assert reopened.windows == (0,), offset
+                    assert reopened.contributions(1) == []
+
+
+def count_fsyncs(monkeypatch) -> list[int]:
+    import os
+
+    calls = []
+    real = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", counting)
+    return calls
+
+
+class TestFsyncBudget:
+    def test_publish_fsyncs_once_whatever_its_size(self, store_file, monkeypatch):
+        with ResultStore(store_file, fsync=True) as store:
+            fsyncs = count_fsyncs(monkeypatch)
+            contributions = readings(0, 200)
+            store.publish(close_of(0, contributions), contributions)
+            assert len(fsyncs) == 1
+        with ResultStore(store_file, fsync=False) as reopened:
+            assert reopened.contributions(0) == contributions
+
+    def test_compaction_fsyncs_do_not_grow_with_records(self, tmp_path, monkeypatch):
+        counts = []
+        for windows in (2, 12):
+            with ResultStore(tmp_path / f"{windows}.store", fsync=True) as store:
+                fill(store, windows=windows, devices=10)
+                before = store.billing_extract()
+                fsyncs = count_fsyncs(monkeypatch)
+                store.compact(through_window=0)
+                counts.append(len(fsyncs))
+                monkeypatch.undo()
+                assert store.billing_extract() == before
+        assert counts[0] == counts[1] <= 2
+
+
 class TestCompactionAndRetention:
     def test_compaction_preserves_billing_bit_for_bit(self, store_file):
         with ResultStore(store_file, fsync=False) as store:
