@@ -63,6 +63,13 @@ repository root so future PRs have a perf trajectory to compare against:
    loop on the same inputs and seeds.  ``native_speedup`` is gated like
    every ``*speedup`` key, so a host that silently falls back to the
    Python loop fails the regression check.
+11. **native_crypto** — the round's other two native kernels on the
+   inputs one REAL S4 round on D-Cube hands them: ms per
+   ``aesbatch.ctr_cbc_mac`` seal (sender) and open (receiver) call over
+   the round's lanes, in C and in numpy, and ms per round of the 45
+   dealers' ``Polynomial.evaluate_values`` calls, in C and in Python.
+   ``seal_speedup``, ``open_speedup`` and ``evaluate_speedup`` are gated
+   like every ``*speedup`` key.
 
 The in-process campaign tiers (2+3) run with the disk cache disabled so
 "cold" keeps meaning "first time in any process state"; tier 5 measures
@@ -365,6 +372,85 @@ def bench_minicast(seeds: int = 20) -> dict:
     python_ms = result["sharing_python_ms"] + result["reconstruction_python_ms"]
     kernel_ms = result["sharing_kernel_ms"] + result["reconstruction_kernel_ms"]
     result["native_speedup"] = round(python_ms / kernel_ms, 2)
+    return result
+
+
+def bench_native_crypto(repeats: int = 20) -> dict:
+    """Packet crypto and dealer evaluation, native kernels vs numpy/Python.
+
+    One REAL S4 round on D-Cube is run with its ``ctr_cbc_mac`` and
+    ``evaluate_values`` calls recorded; every figure then replays those
+    same inputs, with the native library and with the loader made to
+    find none (numpy gathers the key columns, ``horner_eval_many``
+    evaluates).
+    """
+    from repro import native
+    from repro.analysis.experiments import build_engines, round_secrets
+    from repro.crypto import aesbatch
+    from repro.field.polynomial import Polynomial
+    from repro.topology.testbeds import dcube
+
+    if not aesbatch.HAVE_NUMPY:
+        return {}
+    # An earlier tier may have dealt these rounds already: an empty
+    # dealt-share pool makes every dealer evaluate.
+    fastpath.clear_process_caches()
+    _, engine = build_engines(dcube(), CryptoMode.REAL)
+    nodes = engine.topology.node_ids
+    engine.run(round_secrets(nodes, 0), seed=0)  # commissioning
+    crypto, dealers = [], []
+    ctr_cbc_mac, evaluate_values = aesbatch.ctr_cbc_mac, Polynomial.evaluate_values
+
+    def record_crypto(*args, **kwargs):
+        crypto.append((args, kwargs))
+        return ctr_cbc_mac(*args, **kwargs)
+
+    def record_dealer(polynomial, xs):
+        dealers.append((polynomial, xs))
+        return evaluate_values(polynomial, xs)
+
+    aesbatch.ctr_cbc_mac, Polynomial.evaluate_values = record_crypto, record_dealer
+    try:
+        engine.run(round_secrets(nodes, 1), seed=1)
+    finally:
+        aesbatch.ctr_cbc_mac, Polynomial.evaluate_values = ctr_cbc_mac, evaluate_values
+    (seal,) = [call for call in crypto if not call[1].get("mac_over_input")]
+    (open_,) = [call for call in crypto if call[1].get("mac_over_input")]
+
+    def per_call_ms(args, kwargs) -> float:
+        def run_all():
+            for _ in range(repeats):
+                ctr_cbc_mac(*args, **kwargs)
+
+        return _best_of(run_all, repeats=5) / repeats * 1e3
+
+    def per_round_ms() -> float:
+        def run_all():
+            for _ in range(repeats):
+                for polynomial, xs in dealers:
+                    polynomial.evaluate_values(xs)
+
+        return _best_of(run_all, repeats=5) / repeats * 1e3
+
+    result = {
+        "native": native.library() is not None,
+        "lanes": len(seal[1]["columns"]),
+        "dealers": len(dealers),
+    }
+    timings = {}
+    for path in ("native", "fallback"):
+        loader = native.library
+        if path == "fallback":
+            native.library = lambda: None
+        try:
+            timings[path] = (per_call_ms(*seal), per_call_ms(*open_), per_round_ms())
+        finally:
+            native.library = loader
+    for name, native_ms, fallback_ms in zip(("seal", "open", "evaluate"), *timings.values()):
+        fallback = "python" if name == "evaluate" else "numpy"
+        result[f"{name}_native_ms"] = round(native_ms, 3)
+        result[f"{name}_{fallback}_ms"] = round(fallback_ms, 3)
+        result[f"{name}_speedup"] = round(fallback_ms / native_ms, 2)
     return result
 
 
@@ -848,6 +934,8 @@ def main() -> int:
     print(f"  Shamir SSS:    {sss}")
     minicast = bench_minicast()
     print(f"  MiniCast:      {minicast}")
+    native_crypto = bench_native_crypto()
+    print(f"  native crypto: {native_crypto}")
 
     print("== figure1 campaigns (FlockLab sweep) ==")
     stub = bench_campaign(CryptoMode.STUB, iterations)
@@ -900,6 +988,7 @@ def main() -> int:
         "drbg_bulk": drbg_bulk,
         "sss": sss,
         "minicast": minicast,
+        "native_crypto": native_crypto,
         "figure1_stub": stub,
         "figure1_real": real,
         "campaign_parallel": parallel,

@@ -402,10 +402,11 @@ def batch_encrypt_shares(
 
     keys = plan.keys
     ciphertext, mac = aesbatch.ctr_cbc_mac(
-        keys.enc[:, plan.send],
-        keys.mac[:, plan.send],
+        keys.enc,
+        keys.mac,
         _nonce_words(round_nonce, plan.source, plan.destination),
         aesbatch.words_from_ints(plaintexts),
+        columns=plan.send,
     )
     return ShareLanes(plan, ciphertext, mac)
 
@@ -425,14 +426,14 @@ def batch_decrypt_values(
 
     plan = sealed.plan
     keys = plan.keys
-    columns = plan.receive[lanes]
     received_mac = sealed.mac[:, lanes]
     plaintext, expected_mac = aesbatch.ctr_cbc_mac(
-        keys.enc[:, columns],
-        keys.mac[:, columns],
+        keys.enc,
+        keys.mac,
         _nonce_words(round_nonce, plan.source[lanes], plan.destination[lanes]),
         sealed.ciphertext[:, lanes],
         mac_over_input=True,
+        columns=plan.receive[lanes],
     )
     # Compare the first tag_bytes bytes of each MAC: whole words, then
     # the leading bytes of a partial word.

@@ -22,10 +22,20 @@ Layouts:
   cast, and every value stays below ``2**32``;
 * **keys** — ``(44, N)`` uint32, row ``k`` holding round-key word ``k``
   of every lane's cipher (``(44, 1)`` broadcasts one key to all lanes).
+
+Share-packet protection (:func:`ctr_cbc_mac` keyed by ``columns``) also
+exists in C (``aes_lanes.c``, in the native library of
+:mod:`repro.native`), over these same tables; this module owns that
+kernel's calling convention, and the numpy code stays its oracle and
+its fallback.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+
+from repro import native
 from repro.crypto.aes import _RCON, _SBOX, _TE0, _TE1, _TE2, _TE3, AES128
 
 try:  # pragma: no cover - import guard
@@ -48,6 +58,17 @@ if HAVE_NUMPY:
     _ROT1 = _np.array([1, 2, 3, 0])
     _ROT2 = _np.array([2, 3, 0, 1])
     _ROT3 = _np.array([3, 0, 1, 2])
+    # The native kernel reads the same tables: Te0..Te3 back to back,
+    # then the S-box.
+    _TABLE_WORDS = _np.array([_TE0, _TE1, _TE2, _TE3], dtype=_np.uint32)
+    _SBOX_BYTES = _np.frombuffer(_SBOX, dtype=_np.uint8)
+    _TABLES = (_TABLE_WORDS.ctypes.data, _SBOX_BYTES.ctypes.data)
+
+#: ``aes_ctr_cbc_mac`` in ``aes_lanes.c``: int64 status; the lane count,
+#: the T-tables, the S-box, the two key matrices and their width, the
+#: key columns, the nonce and data states, the direction, and the two
+#: output states.
+_LANES_SIGNATURE = "qqpppp" + "q" + "ppp" + "q" + "pp"
 
 
 def key_schedules(keys: bytes) -> "object":
@@ -100,17 +121,27 @@ def cipher_schedules(ciphers) -> "object":
 
 def words_from_ints(values) -> "object":
     """128-bit block ints as a ``(4, N)`` big-endian word state."""
-    raw = b"".join([value.to_bytes(16, "big") for value in values])
-    return (
-        _np.frombuffer(raw, dtype=">u4")
-        .reshape(-1, 4)
-        .T.astype(_np.int64, order="C")
-    )
+    try:  # blocks below 2**64 (GF(2**61 - 1) shares) fill words 2 and 3
+        low = array("Q", values)
+    except OverflowError:
+        raw = b"".join([value.to_bytes(16, "big") for value in values])
+        return (
+            _np.frombuffer(raw, dtype=">u4")
+            .reshape(-1, 4)
+            .T.astype(_np.int64, order="C")
+        )
+    if sys.byteorder == "little":
+        low.byteswap()
+    state = _np.zeros((4, len(low)), dtype=_np.int64)
+    state[2:] = _np.frombuffer(low, dtype=">u4").reshape(-1, 2).T
+    return state
 
 
 def ints_from_words(state) -> list[int]:
     """Inverse of :func:`words_from_ints`."""
     words = state.view(_np.uint64)
+    if not words[0:2].any():
+        return ((words[2] << _np.uint64(32)) | words[3]).tolist()
     high = ((words[0] << _np.uint64(32)) | words[1]).tolist()
     low = ((words[2] << _np.uint64(32)) | words[3]).tolist()
     return [(h << 64) | lo for h, lo in zip(high, low)]
@@ -225,7 +256,7 @@ def keystream_runs(rk, counters, counts) -> list[bytes]:
     return streams
 
 
-def ctr_cbc_mac(enc_rk, mac_rk, nonce, data, mac_over_input: bool = False):
+def ctr_cbc_mac(enc_rk, mac_rk, nonce, data, mac_over_input: bool = False, columns=None):
     """Share protection per lane: AES-CTR + length-prepended CBC-MAC.
 
     All arguments are lane-major word layouts: ``(44, N)`` key columns
@@ -242,8 +273,20 @@ def ctr_cbc_mac(enc_rk, mac_rk, nonce, data, mac_over_input: bool = False):
     the plaintext) and the MAC must cover the *input* — select that with
     ``mac_over_input=True``.
 
+    With ``columns`` (N key column indices), ``enc_rk`` and ``mac_rk``
+    are ``(44, K)`` key matrices and lane ``i`` is keyed by their column
+    ``columns[i]``.  That form runs in the native kernel where it loaded,
+    reading the columns in place; otherwise the columns are gathered and
+    the numpy code below runs.
+
     Returns (CTR output state, MAC state).
     """
+    if columns is not None:
+        sealed = _native_ctr_cbc_mac(enc_rk, mac_rk, columns, nonce, data, mac_over_input)
+        if sealed is not None:
+            return sealed
+        enc_rk = enc_rk[:, columns]
+        mac_rk = mac_rk[:, columns]
     outputs = data ^ encrypt_state(enc_rk, nonce)
     covered = data if mac_over_input else outputs
 
@@ -262,3 +305,44 @@ def ctr_cbc_mac(enc_rk, mac_rk, nonce, data, mac_over_input: bool = False):
     block[0:2] = covered[2:4]
     block[2:] = 0x08080808
     return outputs, encrypt_state(mac_rk, mac ^ block)
+
+
+def _native_ctr_cbc_mac(enc, mac, columns, nonce, data, mac_over_input):
+    """:func:`ctr_cbc_mac` by key column in C, or ``None``, having
+    computed nothing, where the kernel did not load or the arguments are
+    not uint32 ``(44, K)`` key matrices, int64 ``(4, N)`` states and
+    ``N`` int64 columns in range (the numpy code then decides what they
+    mean)."""
+    kernel = native.kernel("aes_ctr_cbc_mac", _LANES_SIGNATURE)
+    if kernel is None:
+        return None
+    columns = _np.ascontiguousarray(columns)
+    lanes = len(columns)
+    if not (
+        columns.ndim == 1
+        and columns.dtype == _np.int64
+        and enc.ndim == 2
+        and enc.shape[0] == 44
+        and mac.shape == enc.shape
+        and enc.dtype == mac.dtype == _np.uint32
+        and nonce.shape == data.shape == (4, lanes)
+        and nonce.dtype == data.dtype == _np.int64
+    ):
+        return None
+    enc, mac, nonce, data = map(_np.ascontiguousarray, (enc, mac, nonce, data))
+    outputs = _np.empty((4, lanes), dtype=_np.int64)
+    tags = _np.empty((4, lanes), dtype=_np.int64)
+    status = kernel(
+        lanes,
+        *_TABLES,
+        enc.ctypes.data,
+        mac.ctypes.data,
+        enc.shape[1],
+        columns.ctypes.data,
+        nonce.ctypes.data,
+        data.ctypes.data,
+        bool(mac_over_input),
+        outputs.ctypes.data,
+        tags.ctypes.data,
+    )
+    return None if status else (outputs, tags)

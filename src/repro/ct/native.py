@@ -1,25 +1,8 @@
-"""Build, load and call the native MiniCast slot kernel (``minicast_kernel.c``).
+"""The native MiniCast slot kernel's calling convention (``minicast_kernel.c``).
 
-The kernel is compiled with the system C compiler the first time a
-fast-path MiniCast round asks for it, never at import, and at most once
-per process: the outcome (the loaded function, or ``None``) is
-remembered, so a host without a compiler pays for one failed attempt,
-not one per round.  Any failure — no compiler, a cache directory that is
-unwritable or not private, a library that will not load — yields
-``None`` and the caller runs the Python slot loop instead, without an
-error.
-
-The shared library is cached per user, not per run: under
-``$XDG_CACHE_HOME`` (else ``~/.cache``) in ``repro-native/``, else in a
-per-user directory under the system temp directory, both created mode
-0700 and used only when owned by this user and writable by no one else.
-The file name carries the SHA-256 of the source, the compiler flags and
-the platform tag, so an edited source or another architecture gets its
-own build.  It is deliberately not under ``REPRO_CACHE_DIR``, which holds
-commissioning state that callers point at fresh directories; a compiler
-run there would land in every cold start.  A build is written under a
-temporary name and moved into place with ``os.replace``, so processes
-that build concurrently each load a complete library.
+The kernel is one function of the package's native library, built and
+loaded by :mod:`repro.native`; where that library is missing,
+:func:`minicast_kernel` is ``None`` and the Python slot loop runs.
 
 :class:`SlotKernel` is the call: a fast-path :class:`~repro.ct.minicast
 .MiniCastRound` builds one at construction (its receive lists as C
@@ -33,141 +16,25 @@ bits and sentinels is in this module.
 from __future__ import annotations
 
 import math
-import os
-import sys
-import threading
 from array import array
 
+from repro import native
 from repro.errors import SimulationError
 from repro.sim.bitrandom import DEFAULT_PRECISION
 
-SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "minicast_kernel.c")
-#: No fused multiply-adds: the kernel's float arithmetic must round as
-#: Python's does.  No -ffast-math and no -march=native for the same
-#: reason, and so a cached build runs on any host of the platform.
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-COMPILE_TIMEOUT_S = 120
-
+#: ``minicast_slots``: int64 result; 9 int64s, a double, 3 int64s, 17 arrays.
+SIGNATURE = "q" + "q" * 9 + "d" + "q" * 3 + "p" * 17
 #: Node flags and the unmet-requirement completion of ``minicast_kernel.c``.
 _ALIVE, _RADIO, _ARMED, _FORCE, _BUDGET = 1, 2, 4, 8, 16
 _PENDING = -2
 #: Radio times and budgets below this fit the kernel's 64-bit arithmetic.
 _LIMIT = 1 << 62
 
-_UNTRIED = object()
-_kernel = _UNTRIED
-_load_lock = threading.Lock()
-
 
 def minicast_kernel():
-    """The kernel's ``minicast_slots`` function, or ``None`` where it
-    cannot be built or loaded in this process."""
-    global _kernel
-    if _kernel is _UNTRIED:
-        with _load_lock:
-            if _kernel is _UNTRIED:
-                _kernel = _load()
-    return _kernel
-
-
-def compiler() -> str | None:
-    """The C compiler on ``PATH`` (``cc``, else ``gcc``), if any."""
-    import shutil
-
-    return shutil.which("cc") or shutil.which("gcc")
-
-
-def _load():
-    try:
-        path = _library()
-        if path is None:
-            return None
-        import ctypes
-
-        function = ctypes.CDLL(path).minicast_slots
-    except (OSError, ImportError, AttributeError):
-        return None
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    function.argtypes = [i64] * 9 + [f64] + [i64] * 3 + [ptr] * 17
-    function.restype = i64
-    return function
-
-
-def _library() -> str | None:
-    """Path of a built library, building it on a cache miss.  A hit
-    imports only ``hashlib``, which keeps the first round of a fresh
-    process (a spawn worker, a cold start) cheap."""
-    import hashlib
-
-    with open(SOURCE, "rb") as handle:
-        source = handle.read()
-    platform = f"{sys.platform}-{os.uname().machine}"
-    key = hashlib.sha256(
-        b"\0".join([source, " ".join(FLAGS).encode(), platform.encode()])
-    ).hexdigest()[:24]
-    directory = _cache_directory()
-    if directory is None:
-        return None
-    path = os.path.join(directory, f"minicast-{key}.so")
-    if not os.path.exists(path):
-        cc = compiler()
-        if cc is None or not _build(cc, directory, path):
-            return None
-    return path if _private(path) else None
-
-
-def _build(cc: str, directory: str, path: str) -> bool:
-    """Compile to a temporary name in ``directory``, then move it to
-    ``path``; False when the compiler fails."""
-    import subprocess
-    import tempfile
-
-    handle, temporary = tempfile.mkstemp(dir=directory, prefix=".minicast-", suffix=".so")
-    os.close(handle)
-    try:
-        subprocess.run(
-            [cc, *FLAGS, "-o", temporary, SOURCE, "-lm"],
-            check=True,
-            capture_output=True,
-            timeout=COMPILE_TIMEOUT_S,
-        )
-        os.chmod(temporary, 0o700)
-        os.replace(temporary, path)
-    except subprocess.SubprocessError:
-        return False
-    finally:
-        if os.path.exists(temporary):
-            os.unlink(temporary)
-    return True
-
-
-def _cache_directory() -> str | None:
-    """The first usable private per-user directory for the library."""
-    import tempfile
-
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    for directory in (
-        os.path.join(base, "repro-native"),
-        os.path.join(tempfile.gettempdir(), f"repro-native-{os.getuid()}"),
-    ):
-        if not os.path.isabs(directory):
-            continue  # no home directory: never build relative to the cwd
-        try:
-            os.makedirs(directory, mode=0o700, exist_ok=True)
-        except OSError:
-            continue
-        if _private(directory) and os.access(directory, os.W_OK):
-            return directory
-    return None
-
-
-def _private(path: str) -> bool:
-    """Owned by this user and writable by no one else."""
-    try:
-        status = os.stat(path)
-    except OSError:
-        return False
-    return status.st_uid == os.getuid() and not status.st_mode & 0o022
+    """The kernel's ``minicast_slots`` function, or ``None`` where the
+    native library cannot be built or loaded in this process."""
+    return native.kernel("minicast_slots", SIGNATURE)
 
 
 class SlotKernel:

@@ -499,12 +499,15 @@ class AppendLog:
                     return
                 yield payload
 
-    def close(self) -> None:
-        """Flush and close the underlying file."""
+    def close(self, sync: bool = True) -> None:
+        """Flush and close the underlying file, fsyncing it first under
+        ``fsync=True`` unless ``sync`` is False: a log about to be
+        replaced needs no fsync, since :meth:`append` already made its
+        records durable."""
         if self._handle.closed:
             return
         self._handle.flush()
-        if self.fsync:
+        if self.fsync and sync:
             os.fsync(self._handle.fileno())
         self._handle.close()
 

@@ -11,15 +11,16 @@ The library keeps two implementations of every hot primitive:
 
 The fast path is on by default.  It can be disabled globally — for
 benchmarking against the reference, or for debugging a suspected fast-path
-divergence — via the ``REPRO_FASTPATH=0`` environment variable or the
-:func:`disabled` context manager.
+divergence — via the ``REPRO_FASTPATH=0`` environment variable or, within
+a process, the :func:`forced` context manager.
 
-One fast-path kernel is native: MiniCast's slot loop runs in C
-(:mod:`repro.ct.native`, built with the system compiler on the first
-fast-path round and cached per user) whenever it builds, drawing the
-same random numbers in the same order as its Python twin, which stays
-as the oracle and the fallback.  With the fast path off the reference
-MiniCast loop runs and the kernel is never built.
+Three fast-path kernels are native, all in one library that
+:mod:`repro.native` builds with the system compiler on first use and
+caches per user: MiniCast's slot loop (drawing the same random numbers
+in the same order as its Python twin), share-packet AES over lanes, and
+GF(2**61 - 1) polynomial evaluation.  Each gives bit-identical results,
+and its Python twin stays as the oracle and the fallback.  With the
+fast path off a protocol round never asks for the library.
 
 Components consult the flag at *construction* time (cipher objects, DRBG
 instances, MiniCast rounds) or at cheap call-time branch points, so
@@ -110,11 +111,6 @@ def forced(flag: bool) -> Iterator[None]:
         set_enabled(previous)
 
 
-def disabled() -> contextlib.AbstractContextManager[None]:
-    """Run a block on the reference path (seed-equivalent behaviour)."""
-    return forced(False)
-
-
 # -- multiprocessing support ---------------------------------------------------
 
 
@@ -125,8 +121,8 @@ def clear_process_caches() -> None:
     construction); it exists for tests that must force a rebuild — e.g.
     proving that a disk-cache hit is bit-identical to a fresh bootstrap —
     and as the documented reset point if a long-lived service wants to
-    drop commissioning state.  The native MiniCast kernel stays loaded:
-    it is code, not commissioning state.  Imports live inside the
+    drop commissioning state.  The native library stays loaded: it is
+    code, not commissioning state.  Imports live inside the
     function to keep this module dependency-free at import time.
     """
     from repro.core import protocol

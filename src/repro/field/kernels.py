@@ -19,7 +19,9 @@ ints:
   ``pow(x, -1, p)`` (much faster than a Python-level extended Euclid);
 * :func:`horner_eval` / :func:`horner_eval_many` — dealer-polynomial
   evaluation without intermediate ``FieldElement`` objects (the bulk
-  form as one dot product per point against cached power rows);
+  form as one dot product per point against cached power rows), and
+  :func:`horner_eval_m61`, the same bulk form over ``2**61 - 1`` in the
+  native library's C kernel (``m61_horner.c``);
 * :func:`lagrange_weight_values` — Lagrange basis weights with a single
   batched inversion (Montgomery's trick: ``k`` inverses for the price of
   one ``pow(x, -1, p)`` and ``3k`` multiplications).
@@ -30,9 +32,11 @@ shadows; ``tests/field/test_kernels.py`` enforces exact agreement.
 
 from __future__ import annotations
 
+from array import array
 from operator import mul
 from typing import Sequence
 
+from repro import fastpath, native
 from repro.errors import InterpolationError, NonInvertibleError
 
 #: The Mersenne prime 2**61 - 1, the library-wide default modulus.
@@ -124,6 +128,40 @@ def horner_eval_many(
     """
     rows = _power_rows(xs, len(coefficients), prime)
     return [sum(map(mul, coefficients, row)) % prime for row in rows]
+
+
+#: ``m61_horner`` in ``m61_horner.c``: no result; the coefficient count,
+#: the coefficients, the point count, the points and the output array.
+_M61_SIGNATURE = "vqpqpp"
+
+
+def horner_eval_m61(coefficients: Sequence[int], xs: Sequence[int]) -> list[int] | None:
+    """:func:`horner_eval_many` over :data:`M61` in C, value for value.
+
+    Returns ``None``, having computed nothing, where the C kernel cannot
+    run it: the fast path is off, the native library did not load, or a
+    coefficient or point is not an int in ``[0, 2**64)``.  The caller
+    then keeps the Python path.
+    """
+    if not fastpath.enabled():
+        return None
+    kernel = native.kernel("m61_horner", _M61_SIGNATURE)
+    if kernel is None:
+        return None
+    try:
+        coefficient_words = array("Q", coefficients)
+        point_words = array("Q", xs)
+    except (OverflowError, TypeError):
+        return None
+    out = array("Q", bytes(8 * len(point_words)))
+    kernel(
+        len(coefficient_words),
+        coefficient_words.buffer_info()[0],
+        len(point_words),
+        point_words.buffer_info()[0],
+        out.buffer_info()[0],
+    )
+    return out.tolist()
 
 
 def batch_inverse(values: Sequence[int], prime: int) -> list[int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.errors import PolynomialError
+from repro.field.kernels import M61, horner_eval_m61, horner_eval_many
 from repro.field.prime_field import FieldElement, IntoElement, PrimeField
 
 
@@ -123,10 +124,15 @@ class Polynomial:
         The allocation-free bulk form of :meth:`__call__` used by the
         sharing hot path: no ``FieldElement`` is created per evaluation.
         The caller is responsible for ``xs`` being canonical (``0 <= x < p``).
+        Over ``2**61 - 1`` the native Horner kernel evaluates, where it
+        loaded; every other prime and input takes the Python kernel.
         """
-        from repro.field.kernels import horner_eval_many
-
-        return horner_eval_many(self._coeffs, xs, self._field.prime)
+        prime = self._field.prime
+        if prime == M61:
+            values = horner_eval_m61(self._coeffs, xs)
+            if values is not None:
+                return values
+        return horner_eval_many(self._coeffs, xs, prime)
 
     def evaluate_many(self, xs: Sequence[IntoElement]) -> list[FieldElement]:
         """Evaluate at many points (the sharing phase's bulk operation)."""

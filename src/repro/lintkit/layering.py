@@ -43,6 +43,7 @@ LAYER_RANKS: Dict[str, int] = {
     "repro.fastpath": 8,  # module-level stdlib-only accelerator front
     "repro.diskcache": 8,
     "repro.service.wire": 10,  # leaf codec: records + framing, no deps up
+    "repro.native": 12,  # the C kernels' one loader: stdlib only
     "repro.field": 14,
     "repro.crypto": 16,
     "repro.phy": 18,

@@ -257,7 +257,7 @@ class ResultStore:
         rewritten.stage(wire.encode_record(record) for record in records)
         rewritten.sync()
         rewritten.close()
-        self._log.close()
+        self._log.close(sync=False)  # retired by the replace below
         os.replace(tmp_path, self.path)
         self._log = diskcache.AppendLog(self.path, fsync=self.fsync)
         self._compacted = folded

@@ -50,8 +50,17 @@ class TestStackedKernel:
 
     def test_word_conversion_round_trips(self):
         rnd = random.Random(6)
-        values = [0, 1, (1 << 128) - 1, 1 << 127] + [rnd.getrandbits(128) for _ in range(50)]
-        assert aesbatch.ints_from_words(aesbatch.words_from_ints(values)) == values
+        # 64-bit blocks take the conversion's uint64 path, 128-bit ones
+        # the byte path; both must give the same big-endian word layout.
+        for bits in (128, 64):
+            top = (1 << bits) - 1
+            values = [0, 1, top, 1 << (bits - 1)] + [rnd.getrandbits(bits) for _ in range(50)]
+            state = aesbatch.words_from_ints(values)
+            assert state.dtype == aesbatch._np.int64
+            assert state.T.tolist() == [
+                [value >> (96 - 32 * c) & 0xFFFFFFFF for c in range(4)] for value in values
+            ]
+            assert aesbatch.ints_from_words(state) == values
 
     def test_mac_tags_match_scalar_for_every_tag_width(self):
         from repro.crypto.mac import cbc_mac

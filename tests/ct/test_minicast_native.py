@@ -11,17 +11,15 @@ reproduces a round exactly.  Three layers of evidence:
   statistics look right; every pin holds with the kernel and without;
 * **equivalence** — on random networks and inputs, the kernel and the
   Python loop agree on every result field and on the final rng state;
-* **loading** — the kernel builds where a compiler exists, and every way
-  it can fail falls back to the Python loop, once per process.
+* **fallback** — a round the kernel cannot run exactly takes the Python
+  loop (how the shared library builds, caches and fails is tested once,
+  in ``tests/native/test_loader.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import random
-import stat
-import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -288,7 +286,7 @@ def test_kernel_matches_python_loop(kernel, monkeypatch, case, seed):
     assert len(calls) == (0 if isinstance(in_c, str) else 1)
 
 
-# -- loading ---------------------------------------------------------------
+# -- fallback ---------------------------------------------------------------
 
 
 def small_round():
@@ -305,17 +303,6 @@ def small_run(round_, rng):
     return outcome(round_.run(rng, initial), rng)
 
 
-@pytest.fixture
-def fresh_process(monkeypatch, tmp_path):
-    """The loader as a new process sees it, caching under ``tmp_path``
-    (the temp-directory fallback included)."""
-    monkeypatch.setattr(native, "_kernel", native._UNTRIED)
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    (tmp_path / "tmp").mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-    return tmp_path
-
-
 def test_random_subclass_takes_python_loop(monkeypatch):
     class Recorded(random.Random):
         pass
@@ -328,60 +315,3 @@ def test_random_subclass_takes_python_loop(monkeypatch):
     expected = small_run(round_, random.Random(4))
     monkeypatch.setattr(native, "minicast_kernel", refuse)
     assert small_run(round_, Recorded(4)) == expected
-
-
-def test_failed_build_falls_back_silently_once(fresh_process, monkeypatch):
-    attempts = []
-
-    def broken_compiler():
-        attempts.append(1)
-        return "false"  # exits 1: a compiler that fails
-
-    monkeypatch.setattr(native, "compiler", broken_compiler)
-    round_ = small_round()
-    first = small_run(round_, random.Random(9))
-    second = small_run(round_, random.Random(9))
-    assert native.minicast_kernel() is None
-    assert attempts == [1]
-    monkeypatch.setattr(native, "minicast_kernel", lambda: None)
-    assert first == second == small_run(round_, random.Random(9))
-    # The failed build left no library and no temporary file behind.
-    assert os.listdir(fresh_process / "repro-native") == []
-
-
-def test_untrusted_cache_directory_is_never_used(fresh_process, monkeypatch):
-    shared = fresh_process / "repro-native"
-    shared.mkdir(mode=0o777)
-    shared.chmod(0o777)
-    monkeypatch.setattr(native, "compiler", lambda: None)
-    assert native.minicast_kernel() is None
-    assert native._cache_directory() == str(
-        fresh_process / "tmp" / f"repro-native-{os.getuid()}"
-    )
-
-
-def test_relative_cache_home_is_ignored(fresh_process, monkeypatch):
-    monkeypatch.setenv("XDG_CACHE_HOME", "relative-cache")
-    monkeypatch.chdir(fresh_process)
-    assert native._cache_directory() == str(
-        fresh_process / "tmp" / f"repro-native-{os.getuid()}"
-    )
-    assert not (fresh_process / "relative-cache").exists()
-
-
-@pytest.mark.skipif(native.compiler() is None, reason="no C compiler on PATH")
-def test_kernel_builds_and_loads(fresh_process, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(fresh_process / "commissioning"))
-    kernel = native.minicast_kernel()
-    assert kernel is not None
-    fastpath.clear_process_caches()  # code, not commissioning state
-    assert native.minicast_kernel() is kernel
-    directory = fresh_process / "repro-native"
-    (library,) = os.listdir(directory)
-    assert library.startswith("minicast-") and library.endswith(".so")
-    assert stat.S_IMODE(directory.stat().st_mode) == 0o700
-    assert not (fresh_process / "commissioning").exists()
-    # A second process finds the cached build and compiles nothing.
-    monkeypatch.setattr(native, "_kernel", native._UNTRIED)
-    monkeypatch.setattr(native, "compiler", lambda: None)
-    assert native.minicast_kernel() is not None

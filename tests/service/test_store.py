@@ -169,7 +169,7 @@ class TestFsyncBudget:
                 counts.append(len(fsyncs))
                 monkeypatch.undo()
                 assert store.billing_extract() == before
-        assert counts[0] == counts[1] <= 2
+        assert counts[0] == counts[1] == 1
 
 
 class TestCompactionAndRetention:
