@@ -63,13 +63,17 @@ repository root so future PRs have a perf trajectory to compare against:
    loop on the same inputs and seeds.  ``native_speedup`` is gated like
    every ``*speedup`` key, so a host that silently falls back to the
    Python loop fails the regression check.
-11. **native_crypto** — the round's other two native kernels on the
-   inputs one REAL S4 round on D-Cube hands them: ms per
-   ``aesbatch.ctr_cbc_mac`` seal (sender) and open (receiver) call over
-   the round's lanes, in C and in numpy, and ms per round of the 45
-   dealers' ``Polynomial.evaluate_values`` calls, in C and in Python.
-   ``seal_speedup``, ``open_speedup`` and ``evaluate_speedup`` are gated
-   like every ``*speedup`` key.
+11. **native_crypto** — the round's native kernels on the inputs one
+   REAL S4 round on D-Cube hands them: ms per ``aesbatch.ctr_cbc_mac``
+   seal (sender) and open (receiver) call over the round's lanes, in C
+   and in numpy; ms per round of the 45 dealers' ``evaluate_values``
+   calls, in C and in Python; ms per ``prefill_many`` over the round's
+   45 dealer forks and per 32-block DRBG refill (the fold's), in C and
+   in numpy; and ms per round of the 45 ``random_with_secret`` calls,
+   with ``randrange_many`` and with the per-draw loop.
+   ``seal_speedup``, ``open_speedup``, ``evaluate_speedup``,
+   ``prefill_speedup``, ``refill_speedup`` and ``draws_speedup`` are
+   gated like every ``*speedup`` key.
 
 The in-process campaign tiers (2+3) run with the disk cache disabled so
 "cold" keeps meaning "first time in any process state"; tier 5 measures
@@ -89,6 +93,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -98,7 +103,7 @@ import sys
 import tempfile
 import time
 
-from repro import diskcache, fastpath
+from repro import diskcache, fastpath, native
 from repro.analysis.campaign import CampaignExecutor
 from repro.core.config import CryptoMode
 from repro.crypto.aes import AES128
@@ -122,6 +127,18 @@ def _timed(fn) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
+
+
+@contextlib.contextmanager
+def _without_native():
+    """Within the block the native loader finds no library, so every
+    kernel's numpy or Python twin runs."""
+    loader = native.library
+    native.library = lambda: None
+    try:
+        yield
+    finally:
+        native.library = loader
 
 
 # -- tier 1: primitives --------------------------------------------------------
@@ -224,8 +241,10 @@ def bench_packet_batch(aesbatch) -> dict:
 
 
 def bench_drbg() -> dict:
+    """The scalar T-table fast path against the reference stream; the
+    native keystream is timed in the ``native_crypto`` tier."""
     n_bytes = 1 << 16
-    with fastpath.forced(True), fastpath.forced_vector(False):
+    with fastpath.forced(True), fastpath.forced_vector(False), _without_native():
         fast = AesCtrDrbg.from_seed(b"bench")
         t_fast = _best_of(lambda: fast.random_bytes(n_bytes), repeats=5)
     with fastpath.forced(False):
@@ -245,18 +264,19 @@ def bench_drbg_bulk() -> dict:
     """Bulk keystream: scalar T-table refills vs the aesbatch lane kernel.
 
     Both sides run the batched fast path (geometric refills, pooled
-    ciphers); the only difference is ``REPRO_VECTOR``, i.e. whether big
-    refills go through :func:`repro.crypto.aesbatch.ctr_keystream`.  The
-    output stream is bit-identical either way, so the tracked ratio is a
-    pure kernel comparison.  Also times the batched dealer-fork prefill
+    ciphers) without the native library, which would serve both; the
+    only difference is ``REPRO_VECTOR``, i.e. whether big refills go
+    through :func:`repro.crypto.aesbatch.ctr_keystream`.  The output
+    stream is bit-identical either way, so the tracked ratio is a pure
+    kernel comparison.  Also times the batched dealer-fork prefill
     (``fork_many`` + ``prefill_many``) against sequential scalar forks —
     the protocol's per-round dealing pattern.
     """
     n_bytes = 1 << 20
-    with fastpath.forced(True), fastpath.forced_vector(False):
+    with fastpath.forced(True), fastpath.forced_vector(False), _without_native():
         scalar = AesCtrDrbg.from_seed(b"bulk-bench")
         t_scalar = _best_of(lambda: scalar.random_bytes(n_bytes), repeats=3)
-    with fastpath.forced(True), fastpath.forced_vector(True):
+    with fastpath.forced(True), fastpath.forced_vector(True), _without_native():
         lane = AesCtrDrbg.from_seed(b"bulk-bench")
         t_lane = _best_of(lambda: lane.random_bytes(n_bytes), repeats=3)
 
@@ -278,8 +298,9 @@ def bench_drbg_bulk() -> dict:
             for child in children:
                 child.random_bytes(blocks_bytes)
 
-    t_forks_scalar = _best_of(forks_scalar, repeats=5)
-    t_forks_lane = _best_of(forks_lane, repeats=5)
+    with _without_native():
+        t_forks_scalar = _best_of(forks_scalar, repeats=5)
+        t_forks_lane = _best_of(forks_lane, repeats=5)
     return {
         "scalar_mib_per_sec": round(n_bytes / t_scalar / 2**20, 2),
         "lane_mib_per_sec": round(n_bytes / t_lane / 2**20, 2),
@@ -376,15 +397,18 @@ def bench_minicast(seeds: int = 20) -> dict:
 
 
 def bench_native_crypto(repeats: int = 20) -> dict:
-    """Packet crypto and dealer evaluation, native kernels vs numpy/Python.
+    """Packet crypto, dealing and dealer evaluation: native kernels and
+    batched draws vs their numpy/Python twins.
 
-    One REAL S4 round on D-Cube is run with its ``ctr_cbc_mac`` and
-    ``evaluate_values`` calls recorded; every figure then replays those
-    same inputs, with the native library and with the loader made to
-    find none (numpy gathers the key columns, ``horner_eval_many``
-    evaluates).
+    One REAL S4 round on D-Cube is run with its ``ctr_cbc_mac``,
+    ``prefill_many``, ``random_with_secret`` and ``evaluate_values``
+    calls recorded; every figure then replays those same inputs, with
+    the native library and with the loader made to find none (numpy
+    gathers the key columns and runs the keystream lanes,
+    ``horner_eval_many`` evaluates).  The coefficient draws compare
+    ``randrange_many`` against the per-draw loop, both on DRBGs the
+    round's prefill left buffered.
     """
-    from repro import native
     from repro.analysis.experiments import build_engines, round_secrets
     from repro.crypto import aesbatch
     from repro.field.polynomial import Polynomial
@@ -398,24 +422,39 @@ def bench_native_crypto(repeats: int = 20) -> dict:
     _, engine = build_engines(dcube(), CryptoMode.REAL)
     nodes = engine.topology.node_ids
     engine.run(round_secrets(nodes, 0), seed=0)  # commissioning
-    crypto, dealers = [], []
+    crypto, prefills, deals, dealers = [], [], [], []
     ctr_cbc_mac, evaluate_values = aesbatch.ctr_cbc_mac, Polynomial.evaluate_values
+    prefill_many = AesCtrDrbg.__dict__["prefill_many"]
+    random_with_secret = Polynomial.__dict__["random_with_secret"]
 
     def record_crypto(*args, **kwargs):
         crypto.append((args, kwargs))
         return ctr_cbc_mac(*args, **kwargs)
+
+    def record_prefill(drbgs, length):
+        prefills.append(([drbg.key_bytes for drbg in drbgs], length))
+        return prefill_many.__func__(drbgs, length)
+
+    def record_deal(cls, field, secret, degree, rng):
+        deals.append((field, secret, degree))
+        return random_with_secret.__func__(cls, field, secret, degree, rng)
 
     def record_dealer(polynomial, xs):
         dealers.append((polynomial, xs))
         return evaluate_values(polynomial, xs)
 
     aesbatch.ctr_cbc_mac, Polynomial.evaluate_values = record_crypto, record_dealer
+    AesCtrDrbg.prefill_many = staticmethod(record_prefill)
+    Polynomial.random_with_secret = classmethod(record_deal)
     try:
         engine.run(round_secrets(nodes, 1), seed=1)
     finally:
         aesbatch.ctr_cbc_mac, Polynomial.evaluate_values = ctr_cbc_mac, evaluate_values
+        AesCtrDrbg.prefill_many = prefill_many
+        Polynomial.random_with_secret = random_with_secret
     (seal,) = [call for call in crypto if not call[1].get("mac_over_input")]
     (open_,) = [call for call in crypto if call[1].get("mac_over_input")]
+    ((keys, length),) = prefills
 
     def per_call_ms(args, kwargs) -> float:
         def run_all():
@@ -423,6 +462,41 @@ def bench_native_crypto(repeats: int = 20) -> dict:
                 ctr_cbc_mac(*args, **kwargs)
 
         return _best_of(run_all, repeats=5) / repeats * 1e3
+
+    def best_ms(prepare, run) -> float:
+        """Best of 5 of ``run`` over ``repeats`` fresh inputs each, per
+        input; ``prepare`` builds an input outside the clock."""
+        best = float("inf")
+        for _ in range(5):
+            inputs = [prepare() for _ in range(repeats)]
+            best = min(best, _timed(lambda: [run(item) for item in inputs]))
+        return best / repeats * 1e3
+
+    def fresh_dealers() -> list:
+        return [AesCtrDrbg(key) for key in keys]
+
+    def buffered_dealers() -> list:
+        drbgs = fresh_dealers()
+        AesCtrDrbg.prefill_many(drbgs, length)
+        return drbgs
+
+    def refill_drbg() -> AesCtrDrbg:
+        # Past the geometric ramp with nothing buffered, so the next
+        # 512-byte read is exactly one 32-block refill.
+        drbg = AesCtrDrbg.from_seed(b"refill")
+        while drbg._refill_blocks < 32 or drbg._offset < len(drbg._buffer):
+            drbg.random_bytes(16)
+        return drbg
+
+    class LoopOnly:
+        """A DRBG seen without ``randrange_many``: the per-draw loop."""
+
+        def __init__(self, drbg):
+            self.randrange = drbg.randrange
+
+    def deal_all(drbgs, wrap):
+        for (field, secret, degree), drbg in zip(deals, drbgs):
+            Polynomial.random_with_secret(field, secret, degree, wrap(drbg))
 
     def per_round_ms() -> float:
         def run_all():
@@ -432,25 +506,36 @@ def bench_native_crypto(repeats: int = 20) -> dict:
 
         return _best_of(run_all, repeats=5) / repeats * 1e3
 
+    def timings() -> tuple:
+        return (
+            per_call_ms(*seal),
+            per_call_ms(*open_),
+            per_round_ms(),
+            best_ms(fresh_dealers, lambda drbgs: AesCtrDrbg.prefill_many(drbgs, length)),
+            best_ms(refill_drbg, lambda drbg: drbg.random_bytes(512)),
+        )
+
     result = {
         "native": native.library() is not None,
         "lanes": len(seal[1]["columns"]),
         "dealers": len(dealers),
+        "prefill_dealers": len(keys),
     }
-    timings = {}
-    for path in ("native", "fallback"):
-        loader = native.library
-        if path == "fallback":
-            native.library = lambda: None
-        try:
-            timings[path] = (per_call_ms(*seal), per_call_ms(*open_), per_round_ms())
-        finally:
-            native.library = loader
-    for name, native_ms, fallback_ms in zip(("seal", "open", "evaluate"), *timings.values()):
+    with fastpath.forced(True):
+        measured = {"native": timings()}
+        with _without_native():
+            measured["fallback"] = timings()
+        batched_ms = best_ms(buffered_dealers, lambda drbgs: deal_all(drbgs, lambda d: d))
+        loop_ms = best_ms(buffered_dealers, lambda drbgs: deal_all(drbgs, LoopOnly))
+    names = ("seal", "open", "evaluate", "prefill", "refill")
+    for name, native_ms, fallback_ms in zip(names, *measured.values()):
         fallback = "python" if name == "evaluate" else "numpy"
         result[f"{name}_native_ms"] = round(native_ms, 3)
         result[f"{name}_{fallback}_ms"] = round(fallback_ms, 3)
         result[f"{name}_speedup"] = round(fallback_ms / native_ms, 2)
+    result["draws_batched_ms"] = round(batched_ms, 3)
+    result["draws_loop_ms"] = round(loop_ms, 3)
+    result["draws_speedup"] = round(loop_ms / batched_ms, 2)
     return result
 
 

@@ -26,7 +26,9 @@ they are — that knowledge lives in :mod:`repro.core.s3` /
 
 from __future__ import annotations
 
+import contextlib
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -423,6 +425,10 @@ class AggregationEngine:
                     src: [layout.index_of(src, dst) for dst in destinations]
                     for src in sources
                 }
+                # The points as machine words, so each dealer's native
+                # evaluation copies them instead of converting them.
+                with contextlib.suppress(OverflowError):
+                    destination_points = array("Q", destination_points)
                 if len(self._round_consts) >= _ROUND_CONST_MAX:
                     self._round_consts.clear()
                 consts = (destination_points, initial, requirements, index_rows)

@@ -1,4 +1,4 @@
-"""Vectorized AES-128 over packet batches (numpy backend).
+"""Vectorized AES-128 over packet batches and keystream runs.
 
 A sharing round encrypts and MACs hundreds of independent share packets,
 each under its own pairwise key.  Per-block Python AES costs ~10 µs; the
@@ -23,15 +23,20 @@ Layouts:
 * **keys** — ``(44, N)`` uint32, row ``k`` holding round-key word ``k``
   of every lane's cipher (``(44, 1)`` broadcasts one key to all lanes).
 
-Share-packet protection (:func:`ctr_cbc_mac` keyed by ``columns``) also
-exists in C (``aes_lanes.c``, in the native library of
-:mod:`repro.native`), over these same tables; this module owns that
-kernel's calling convention, and the numpy code stays its oracle and
-its fallback.
+Share-packet protection (:func:`ctr_cbc_mac` keyed by ``columns``) and
+CTR keystream runs under raw keys (:func:`native_keystream_runs`) also
+exist in C (``aes_lanes.c``, in the native library of
+:mod:`repro.native`), over these same tables; this module owns both
+kernels' calling conventions, and the numpy code and
+:meth:`~repro.crypto.aes.AES128.ctr_blocks` stay their oracles and
+fallbacks.  The C kernels' table buffers are built without numpy, so
+the keystream runs natively on a host that has no numpy.
 """
 
 from __future__ import annotations
 
+import ctypes
+import struct
 import sys
 from array import array
 
@@ -58,17 +63,21 @@ if HAVE_NUMPY:
     _ROT1 = _np.array([1, 2, 3, 0])
     _ROT2 = _np.array([2, 3, 0, 1])
     _ROT3 = _np.array([3, 0, 1, 2])
-    # The native kernel reads the same tables: Te0..Te3 back to back,
-    # then the S-box.
-    _TABLE_WORDS = _np.array([_TE0, _TE1, _TE2, _TE3], dtype=_np.uint32)
-    _SBOX_BYTES = _np.frombuffer(_SBOX, dtype=_np.uint8)
-    _TABLES = (_TABLE_WORDS.ctypes.data, _SBOX_BYTES.ctypes.data)
+
+# The native kernels read the same tables, built without numpy: Te0..Te3
+# back to back as native-order 32-bit words, then the S-box bytes.
+_TABLES = (struct.pack("=1024I", *_TE0, *_TE1, *_TE2, *_TE3), _SBOX)
+_RCON_BYTES = bytes(_RCON)
 
 #: ``aes_ctr_cbc_mac`` in ``aes_lanes.c``: int64 status; the lane count,
 #: the T-tables, the S-box, the two key matrices and their width, the
 #: key columns, the nonce and data states, the direction, and the two
 #: output states.
 _LANES_SIGNATURE = "qqpppp" + "q" + "ppp" + "q" + "pp"
+#: ``aes_ctr_runs`` in ``aes_lanes.c``: no result; the run count, the
+#: T-tables, the S-box, the round constants, the raw keys, the
+#: big-endian first counters, the block counts and the output.
+_CTR_RUNS_SIGNATURE = "vqppppppp"
 
 
 def key_schedules(keys: bytes) -> "object":
@@ -213,6 +222,43 @@ def ctr_keystream_many(ciphers, counters, counts) -> list[bytes]:
     if sum(counts) == 0:
         return [b"" for _ in counts]
     return keystream_runs(cipher_schedules(ciphers), counters, counts)
+
+
+def native_keystream_runs(keys: bytes, counters, counts) -> list[bytes] | None:
+    """CTR keystream runs under raw 16-byte keys, in C.
+
+    Run ``i`` is ``AES128(keys[16 * i : 16 * i + 16]).ctr_blocks(
+    counters[i], counts[i])``, bit for bit (the C kernel expands every
+    key itself, so no cipher object or key schedule is built here).
+    Returns ``None``, having computed nothing, where the native library
+    did not load, a count is negative or the keys, counters and counts
+    do not line up; the caller then keeps its own path.
+    """
+    kernel = native.kernel("aes_ctr_runs", _CTR_RUNS_SIGNATURE)
+    if kernel is None:
+        return None
+    runs = len(counts)
+    count_words = array("q", counts)
+    if len(keys) != 16 * runs or len(counters) != runs or (runs and min(count_words) < 0):
+        return None
+    total = sum(count_words)
+    out = ctypes.create_string_buffer(16 * total)
+    kernel(
+        runs,
+        *_TABLES,
+        _RCON_BYTES,
+        keys,
+        b"".join([(counter & _MASK128).to_bytes(16, "big") for counter in counters]),
+        count_words.buffer_info()[0],
+        out,
+    )
+    raw = out.raw
+    streams = []
+    offset = 0
+    for count in counts:
+        streams.append(raw[offset : offset + 16 * count])
+        offset += 16 * count
+    return streams
 
 
 def keystream_runs(rk, counters, counts) -> list[bytes]:

@@ -13,29 +13,34 @@ The generator exposes the subset of the ``random.Random`` interface the
 library uses (``randrange``, ``getrandbits``, ``random_bytes``) so it can
 be passed anywhere a stdlib RNG is accepted.
 
-Performance: the keystream is produced in multi-block batches through
-:meth:`repro.crypto.aes.AES128.ctr_blocks` (one call per refill instead of
-one ``encrypt_block`` call per 16 bytes) and consumed through a moving
-offset instead of re-slicing the buffer.  Batching only changes *when*
-keystream blocks are computed, never their values, so the output stream is
-bit-identical to the seed implementation; the reference path
-(:mod:`repro.fastpath` disabled) refills one block at a time exactly as
-the original code did.
+Performance: the keystream is produced in multi-block batches (one call
+per refill instead of one ``encrypt_block`` call per 16 bytes) and
+consumed through a moving offset instead of re-slicing the buffer.  A
+refill runs in the native library's CTR kernel
+(:func:`repro.crypto.aesbatch.native_keystream_runs`), straight from the
+raw key; where that did not load, large refills take the numpy lane
+kernel and the rest :meth:`repro.crypto.aes.AES128.ctr_blocks`.  Batching
+and routing only change *when* and *where* keystream blocks are computed,
+never their values, so the output stream is bit-identical to the seed
+implementation; the reference path (:mod:`repro.fastpath` disabled)
+refills one block at a time exactly as the original code did.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 
 from repro import fastpath
 from repro.crypto.aes import AES128, BLOCK_SIZE
 from repro.errors import CryptoError
 
-#: Process-wide cipher pool (fast path): protocol randomness is seeded
-#: deterministically, so identical campaigns re-derive identical DRBG
-#: keys — pooling the expanded schedules makes repeat campaigns skip the
-#: per-key setup entirely.  Fork keys never enter it.  AES128 objects are
-#: immutable after construction, so sharing is safe.
+#: Process-wide cipher pool (fast path without the native kernel, which
+#: expands keys itself): protocol randomness is seeded deterministically,
+#: so identical campaigns re-derive identical DRBG keys — pooling the
+#: expanded schedules makes repeat campaigns skip the per-key setup
+#: entirely.  Fork keys never enter it.  AES128 objects are immutable
+#: after construction, so sharing is safe.
 _CIPHER_POOL: dict[bytes, AES128] = {}
 _CIPHER_POOL_MAX = 8192
 
@@ -49,10 +54,11 @@ _CIPHER_POOL_MAX = 8192
 _FAST_REFILL_BLOCKS_MAX = 32
 
 #: Minimum refill size (blocks) worth routing through the numpy lane
-#: kernel.  Below this the per-call numpy dispatch overhead exceeds the
-#: scalar T-table loop; above it the lane kernel's ~an-order-of-magnitude
-#: per-block advantage dominates.  Bulk consumers (``random_bytes`` of
-#: whole buffers) blow straight past it.
+#: kernel, where the native one did not load.  Below this the per-call
+#: numpy dispatch overhead exceeds the scalar T-table loop; above it the
+#: lane kernel's ~an-order-of-magnitude per-block advantage dominates.
+#: Bulk consumers (``random_bytes`` of whole buffers) blow straight past
+#: it.
 _LANE_REFILL_BLOCKS_MIN = 16
 
 
@@ -147,15 +153,21 @@ class AesCtrDrbg:
     def _generate_blocks(self, count: int) -> bytes:
         """``count`` keystream blocks from the current counter position.
 
-        Large batches go through the :mod:`repro.crypto.aesbatch` lane
-        kernel when the vector backend is on; the bytes are bit-identical
-        to the scalar ``ctr_blocks`` either way, so the routing decision
+        On the fast path every refill runs in the native CTR kernel,
+        which expands the raw key itself; where that did not load, large
+        batches go through the :mod:`repro.crypto.aesbatch` lane kernel
+        when the vector backend is on.  The bytes are bit-identical to
+        the scalar ``ctr_blocks`` either way, so the routing decision
         never shows in the output stream.
         """
-        if count >= _LANE_REFILL_BLOCKS_MIN and self._batching:
-            if _lane_keystream_available():
-                from repro.crypto import aesbatch
+        if self._batching:
+            from repro.crypto import aesbatch
 
+            streams = aesbatch.native_keystream_runs(self._key, (self._counter,), (count,))
+            if streams is not None:
+                self._counter += count
+                return streams[0]
+            if count >= _LANE_REFILL_BLOCKS_MIN and _lane_keystream_available():
                 fresh = aesbatch.ctr_keystream(
                     self._refill_cipher(), self._counter, count
                 )
@@ -238,6 +250,33 @@ class AesCtrDrbg:
             if candidate < bound:
                 return candidate
 
+    def randrange_many(self, bound: int, count: int) -> list[int]:
+        """``count`` draws of :meth:`randrange`, in one buffered read.
+
+        Stream-identical to ``[self.randrange(bound) for _ in
+        range(count)]``, stream position included.  When ``bound`` takes
+        8-byte candidates (57 to 64 bits, as over ``2**61 - 1``) and all
+        ``count`` of them are already buffered, they are unpacked with
+        one ``struct`` call; if every one is below ``bound`` the loop
+        would take them all, so they are taken at once.  Otherwise (a
+        rejection, too little buffered, other widths) the loop runs from
+        the same offset.
+        """
+        if bound <= 0:
+            raise CryptoError(f"bound must be >= 1, got {bound}")
+        excess = 64 - bound.bit_length()
+        offset = self._offset
+        end = offset + 8 * count
+        if 0 <= excess < 8 and 0 < count and end <= len(self._buffer):
+            values = struct.unpack_from(f">{count}Q", self._buffer, offset)
+            if excess:
+                values = [value >> excess for value in values]
+            if max(values) < bound:
+                self._offset = end
+                return list(values)
+        randrange = self.randrange
+        return [randrange(bound) for _ in range(count)]
+
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in ``[low, high]`` (inclusive, like stdlib)."""
         if high < low:
@@ -276,13 +315,14 @@ class AesCtrDrbg:
     def prefill_many(drbgs, length: int) -> None:
         """Buffer ``length`` keystream bytes into every DRBG, batched.
 
-        One vectorized key schedule and one
-        :func:`repro.crypto.aesbatch.keystream_runs` call cover all the
-        streams' blocks (each under its own key), so a fleet of
-        short-lived forks pays the AES interpreter overhead once instead
-        of per fork and builds no cipher object.  Falls back to
-        per-stream scalar prefills when the vector backend (or numpy) is
-        unavailable.  Either way every stream's future output is
+        One native CTR kernel call covers all the streams' blocks, each
+        under its own raw key, so a fleet of short-lived forks pays the
+        call overhead once instead of per fork and builds no cipher
+        object or key schedule.  Where that kernel did not load, one
+        vectorized key schedule and one
+        :func:`repro.crypto.aesbatch.keystream_runs` call do the same;
+        without the vector backend (or numpy) each stream prefills on
+        its own.  Either way every stream's future output is
         bit-identical to the unprefilled one.
         """
         if length <= 0:
@@ -298,17 +338,22 @@ class AesCtrDrbg:
             counts.append(blocks)
         if not pending:
             return
-        use_lanes = _lane_keystream_available() and all(
-            drbg._batching for drbg in pending
-        )
-        if use_lanes and sum(counts) >= _LANE_REFILL_BLOCKS_MIN:
+        streams = None
+        if all(drbg._batching for drbg in pending):
             from repro.crypto import aesbatch
 
-            streams = aesbatch.keystream_runs(
-                aesbatch.key_schedules(b"".join(drbg._key for drbg in pending)),
-                [drbg._counter for drbg in pending],
-                counts,
-            )
+            keys = b"".join([drbg._key for drbg in pending])
+            counters = [drbg._counter for drbg in pending]
+            streams = aesbatch.native_keystream_runs(keys, counters, counts)
+            if (
+                streams is None
+                and _lane_keystream_available()
+                and sum(counts) >= _LANE_REFILL_BLOCKS_MIN
+            ):
+                streams = aesbatch.keystream_runs(
+                    aesbatch.key_schedules(keys), counters, counts
+                )
+        if streams is not None:
             for drbg, count, fresh in zip(pending, counts, streams):
                 drbg._counter += count
                 drbg._buffer = drbg._buffer[drbg._offset :] + fresh

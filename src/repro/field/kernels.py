@@ -131,37 +131,35 @@ def horner_eval_many(
 
 
 #: ``m61_horner`` in ``m61_horner.c``: no result; the coefficient count,
-#: the coefficients, the point count, the points and the output array.
-_M61_SIGNATURE = "vqpqpp"
+#: the point count and one word buffer holding the coefficients, then
+#: the points, which the kernel overwrites with the values.
+_M61_SIGNATURE = "vqqp"
 
 
 def horner_eval_m61(coefficients: Sequence[int], xs: Sequence[int]) -> list[int] | None:
     """:func:`horner_eval_many` over :data:`M61` in C, value for value.
 
-    Returns ``None``, having computed nothing, where the C kernel cannot
-    run it: the fast path is off, the native library did not load, or a
-    coefficient or point is not an int in ``[0, 2**64)``.  The caller
-    then keeps the Python path.
+    ``xs`` may be an ``array("Q")``, which a caller that evaluates at
+    the same points every round keeps: it is then copied into the
+    kernel's buffer without a per-point conversion.  Returns ``None``,
+    having computed nothing, where the C kernel cannot run it: the fast
+    path is off, the native library did not load, or a coefficient or
+    point is not an int in ``[0, 2**64)``.  The caller then keeps the
+    Python path.
     """
     if not fastpath.enabled():
         return None
     kernel = native.kernel("m61_horner", _M61_SIGNATURE)
     if kernel is None:
         return None
+    length = len(coefficients)
     try:
-        coefficient_words = array("Q", coefficients)
-        point_words = array("Q", xs)
+        words = array("Q", coefficients)
+        words.extend(xs)
     except (OverflowError, TypeError):
         return None
-    out = array("Q", bytes(8 * len(point_words)))
-    kernel(
-        len(coefficient_words),
-        coefficient_words.buffer_info()[0],
-        len(point_words),
-        point_words.buffer_info()[0],
-        out.buffer_info()[0],
-    )
-    return out.tolist()
+    kernel(length, len(words) - length, words.buffer_info()[0])
+    return words[length:].tolist()
 
 
 def batch_inverse(values: Sequence[int], prime: int) -> list[int]:

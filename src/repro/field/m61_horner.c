@@ -3,12 +3,18 @@
  * built into the package's native library by repro.native and called by
  * repro.field.kernels, which owns this calling convention.
  *
- * out[j] = sum_i coefficients[i] * xs[j]^i mod p, canonical, by Horner's
- * rule with 128-bit products folded onto 61 bits (2^61 = 1 mod p).
- * Coefficients and points may be any uint64: each point is reduced
- * first, and a coefficient enters a sum below 2^123, so the fold is
- * exact.  Without a 128-bit integer type the function is left out, and
- * the caller's lookup finds nothing and keeps the Python path.
+ * One buffer carries everything, so a call converts three arguments:
+ * words holds the length coefficients, then the points; each point is
+ * replaced in place by
+ *
+ *   sum_i coefficients[i] * x^i mod p, canonical,
+ *
+ * by Horner's rule with 128-bit products folded onto 61 bits
+ * (2^61 = 1 mod p).  Coefficients and points may be any uint64: each
+ * point is reduced first.  Between steps an accumulator is only kept
+ * below 2^62 (partial); it is made canonical once, at the end (fold).
+ * Without a 128-bit integer type the function is left out, and the
+ * caller's lookup finds nothing and keeps the Python path.
  */
 #include <stdint.h>
 
@@ -25,15 +31,37 @@ static uint64_t fold(unsigned __int128 value)
     return sum >= M61 ? sum - M61 : sum;
 }
 
-void m61_horner(int64_t length, const uint64_t *coefficients, int64_t points,
-                const uint64_t *xs, uint64_t *out)
+/* A residue below 2^62 congruent to value, for value < 2^124: an
+ * accumulator below 2^62 times a canonical point plus any uint64
+ * coefficient stays below 2^123 + 2^64.  The first fold leaves
+ * t < 2^61 + 2^63, the second less than 2^61 + 8. */
+static uint64_t partial(unsigned __int128 value)
 {
-    for (int64_t j = 0; j < points; j++) {
-        uint64_t x = fold(xs[j]);
-        uint64_t accumulator = 0;
+    uint64_t t = ((uint64_t)value & M61) + (uint64_t)(value >> 61);
+    return (t & M61) + (t >> 61);
+}
+
+/* Points are evaluated BLOCK at a time, coefficient by coefficient, so
+ * the block's Horner chains are independent and overlap in the
+ * pipeline. */
+#define BLOCK 16
+
+void m61_horner(int64_t length, int64_t points, uint64_t *words)
+{
+    const uint64_t *coefficients = words;
+    uint64_t *values = words + length;
+    for (int64_t start = 0; start < points; start += BLOCK) {
+        int64_t n = points - start < BLOCK ? points - start : BLOCK;
+        uint64_t x[BLOCK], accumulator[BLOCK];
+        for (int64_t j = 0; j < n; j++) {
+            x[j] = fold(values[start + j]);
+            accumulator[j] = 0;
+        }
         for (int64_t i = length - 1; i >= 0; i--)
-            accumulator = fold((unsigned __int128)accumulator * x + coefficients[i]);
-        out[j] = accumulator;
+            for (int64_t j = 0; j < n; j++)
+                accumulator[j] = partial((unsigned __int128)accumulator[j] * x[j] + coefficients[i]);
+        for (int64_t j = 0; j < n; j++)
+            values[start + j] = fold(accumulator[j]);
     }
 }
 

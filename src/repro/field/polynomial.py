@@ -69,7 +69,13 @@ class Polynomial:
         prime = field.prime
         randrange = rng.randrange
         coeffs: list[int] = [field(secret).value]
-        coeffs.extend([randrange(prime) for _ in range(degree - 1)])
+        # An rng with ``randrange_many`` (the protocol's DRBG) draws the
+        # middle coefficients in one call, stream-identical to the loop.
+        randrange_many = getattr(rng, "randrange_many", None)
+        if randrange_many is not None:
+            coeffs.extend(randrange_many(prime, degree - 1))
+        else:
+            coeffs.extend([randrange(prime) for _ in range(degree - 1)])
         if degree >= 1:
             coeffs.append(1 + randrange(prime - 1))
         # Every coefficient is already a canonical residue and, from degree

@@ -101,19 +101,43 @@ class TestFork:
         child = parent.fork("x")
         assert parent.random_bytes(16) != child.random_bytes(16)
 
-    def test_fork_keys_never_enter_the_cipher_pool(self):
+    @staticmethod
+    def _fork_and_draw(label: bytes) -> "tuple[AesCtrDrbg, list[AesCtrDrbg]]":
         from repro import fastpath
-        from repro.crypto import prng
 
         with fastpath.forced(True):
-            parent = AesCtrDrbg.from_seed(b"pool-check")
+            parent = AesCtrDrbg.from_seed(label)
             forks = parent.fork_many([f"dealer-{i}" for i in range(20)])
             AesCtrDrbg.prefill_many(forks, 32)
             for fork in forks:
                 fork.random_bytes(600)  # past the prefill: own refills
+        return parent, forks
+
+    def test_fork_keys_never_enter_the_cipher_pool(self, monkeypatch):
+        # Without the native library the DRBG builds and pools ciphers.
+        from repro import native
+        from repro.crypto import prng
+
+        monkeypatch.setattr(native, "library", lambda: None)
+        parent, forks = self._fork_and_draw(b"pool-check")
         keys = {fork.key_bytes for fork in forks}
         assert keys.isdisjoint(prng._CIPHER_POOL)
         assert parent.key_bytes in prng._CIPHER_POOL
+
+    def test_native_keystream_builds_no_cipher(self, monkeypatch):
+        from repro import native
+        from repro.crypto import aesbatch, prng
+
+        if native.kernel("aes_ctr_runs", aesbatch._CTR_RUNS_SIGNATURE) is None:
+            pytest.skip("no native library: the DRBG builds its ciphers")
+        built = []
+        monkeypatch.setattr(prng, "AES128", lambda *args, **kwargs: built.append(args))
+        parent, forks = self._fork_and_draw(b"native-pool-check")
+        assert built == []
+        assert parent._cipher is None
+        assert all(fork._cipher is None for fork in forks)
+        keys = {fork.key_bytes for fork in forks}
+        assert keys.isdisjoint(prng._CIPHER_POOL)
 
 
 class TestStatisticalSanity:

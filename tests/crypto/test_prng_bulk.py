@@ -1,18 +1,26 @@
 """The DRBG's bulk/lane refill paths must never change the stream.
 
-The ``REPRO_VECTOR`` backend only changes *which kernel* produces
-keystream blocks — aesbatch lanes vs the scalar T-table loop — so every
-byte a consumer reads must be identical across: reference path, scalar
-fast path, lane fast path, and any prefill schedule.
+Where the native keystream kernel did not load, the ``REPRO_VECTOR``
+backend only changes *which kernel* produces keystream blocks — aesbatch
+lanes vs the scalar T-table loop — so every byte a consumer reads must
+be identical across: reference path, scalar fast path, lane fast path,
+and any prefill schedule.  These tests run with the loader made to find
+nothing, so both fallbacks really run; ``test_prng_native.py`` holds the
+native kernel to them.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import fastpath
+from repro import fastpath, native
 from repro.crypto.aes import AES128
 from repro.crypto.prng import AesCtrDrbg
+
+
+@pytest.fixture(autouse=True)
+def no_native_library(monkeypatch):
+    monkeypatch.setattr(native, "library", lambda: None)
 
 
 def consume(drbg):
@@ -64,13 +72,12 @@ class TestStreamIdentity:
     def test_prefill_many_without_numpy_path(self, monkeypatch):
         import repro.crypto.prng as prng
 
-        monkeypatch.setattr(prng, "_lane_keystream_available", lambda: False)
-        with fastpath.forced(True):
+        with monkeypatch.context() as patch, fastpath.forced(True):
+            patch.setattr(prng, "_lane_keystream_available", lambda: False)
             parent = AesCtrDrbg.from_seed(b"forks-nonp")
             children = parent.fork_many(["a", "b", "c"])
             AesCtrDrbg.prefill_many(children, 128)
             degraded = [c.random_bytes(256) for c in children]
-        monkeypatch.undo()
         with fastpath.forced(True), fastpath.forced_vector(True):
             parent = AesCtrDrbg.from_seed(b"forks-nonp")
             children = parent.fork_many(["a", "b", "c"])

@@ -33,6 +33,7 @@ from repro.phy.radio import NRF52840_154
 KERNELS = {
     "minicast_slots": minicast_native.SIGNATURE,
     "aes_ctr_cbc_mac": aesbatch._LANES_SIGNATURE,
+    "aes_ctr_runs": aesbatch._CTR_RUNS_SIGNATURE,
     "m61_horner": kernels._M61_SIGNATURE,
 }
 
