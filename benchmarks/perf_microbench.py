@@ -74,6 +74,13 @@ repository root so future PRs have a perf trajectory to compare against:
    ``seal_speedup``, ``open_speedup``, ``evaluate_speedup``,
    ``prefill_speedup``, ``refill_speedup`` and ``draws_speedup`` are
    gated like every ``*speedup`` key.
+12. **commissioning** — ms for one cold REAL S4 round on D-Cube (link
+   tables, bootstrap, key schedules, the round), and its two kernels on
+   that commissioning's inputs: the bootstrap's 40 reference-loop probe
+   floods replayed in C and in Python, and the 45 share codecs' 3,960
+   key schedules expanded in C and in Python.
+   ``reference_flood_speedup`` and ``key_schedule_speedup`` are gated
+   like every ``*speedup`` key.
 
 The in-process campaign tiers (2+3) run with the disk cache disabled so
 "cold" keeps meaning "first time in any process state"; tier 5 measures
@@ -98,6 +105,7 @@ import json
 import os
 import pathlib
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -227,16 +235,34 @@ def bench_packet_batch(aesbatch) -> dict:
                 destination, FieldElement(field, value), round_nonce
             )
 
-    t_batch = (
-        _best_of(lambda: batch_encrypt_shares(values, plan, round_nonce), repeats=9)
-        / len(plan)
-    )
-    t_scalar = _best_of(per_packet, repeats=3) / len(plan)
+    def batch():
+        for _ in range(batch_calls):
+            batch_encrypt_shares(values, plan, round_nonce)
+
+    # Both paths once untimed, then in alternating repeats, so that a
+    # slow or fast phase of the host lands on both sides of a pair; the
+    # speedup is the median of the per-pair ratios.
+    batch_calls = 10
+    batch()
+    per_packet()
+    pairs = []
+    for repeat in range(7):
+        if repeat % 2:
+            scalar_s = _timed(per_packet)
+            batch_s = _timed(batch) / batch_calls
+        else:
+            batch_s = _timed(batch) / batch_calls
+            scalar_s = _timed(per_packet)
+        pairs.append((scalar_s, batch_s))
+    t_scalar = statistics.median(scalar for scalar, _ in pairs) / len(plan)
+    t_batch = statistics.median(batch for _, batch in pairs) / len(plan)
     return {
         "packet_batch_lanes": len(plan),
         "packet_scalar_us_per_packet": round(t_scalar * 1e6, 2),
         "packet_batch_us_per_packet": round(t_batch * 1e6, 2),
-        "packet_batch_speedup": round(t_scalar / t_batch, 2),
+        "packet_batch_speedup": round(
+            statistics.median(scalar / batch for scalar, batch in pairs), 2
+        ),
     }
 
 
@@ -537,6 +563,82 @@ def bench_native_crypto(repeats: int = 20) -> dict:
     result["draws_loop_ms"] = round(loop_ms, 3)
     result["draws_speedup"] = round(loop_ms / batched_ms, 2)
     return result
+
+
+def bench_commissioning(repeats: int = 5) -> dict:
+    """One cold D-Cube commissioning, and its two kernels in C vs Python.
+
+    ``cold_ms`` is the first REAL S4 round on D-Cube with every process
+    pool empty (the disk cache is off in this script): link tables, the
+    S4 bootstrap's 40 probe floods on the reference loop, 45 share
+    codecs' 3,960 key schedules and the round itself.  The floods are
+    recorded from that bootstrap, random state included, and replayed
+    with the native reference loop and with the Python one
+    (``reference_flood_speedup``); the codecs are built with the native
+    key schedules and with the loader finding none
+    (``key_schedule_speedup``).
+    """
+    from repro.analysis.experiments import build_engines, round_secrets
+    from repro.core.payload import RealShareCodec
+    from repro.ct import native as ct_native
+    from repro.ct.minicast import MiniCastRound
+    from repro.topology.testbeds import dcube
+
+    spec = dcube()
+    nodes = spec.topology.node_ids
+    floods = []
+    original = MiniCastRound.run
+
+    def recording(self, rng, *args, **kwargs):
+        floods.append((self, rng.getstate(), args, kwargs))
+        return original(self, rng, *args, **kwargs)
+
+    def cold() -> None:
+        fastpath.clear_process_caches()
+        _, engine = build_engines(spec, CryptoMode.REAL)
+        engine.run(round_secrets(nodes, 0), seed=0)
+
+    cold_s = _best_of(cold, repeats=3)
+    fastpath.clear_process_caches()
+    _, engine = build_engines(spec, CryptoMode.STUB)
+    MiniCastRound.run = recording
+    try:
+        engine.bootstrap_for(nodes)
+    finally:
+        MiniCastRound.run = original
+
+    def replay() -> None:
+        for round_, state, args, kwargs in floods:
+            rng = random.Random()
+            rng.setstate(state)
+            round_.run(rng, *args, **kwargs)
+
+    def codecs() -> None:
+        for node in nodes:
+            RealShareCodec(node, nodes, b"bench-master")
+
+    flood_kernel_s = _best_of(replay, repeats=repeats)
+    key_kernel_s = _best_of(codecs, repeats=repeats)
+    loader = ct_native.reference_kernel
+    ct_native.reference_kernel = lambda: None
+    try:
+        flood_python_s = _best_of(replay, repeats=repeats)
+    finally:
+        ct_native.reference_kernel = loader
+    with _without_native():
+        key_python_s = _best_of(codecs, repeats=repeats)
+    return {
+        "native": native.library() is not None,
+        "cold_ms": round(cold_s * 1e3, 2),
+        "reference_floods": len(floods),
+        "flood_kernel_ms": round(flood_kernel_s * 1e3, 2),
+        "flood_python_ms": round(flood_python_s * 1e3, 2),
+        "reference_flood_speedup": round(flood_python_s / flood_kernel_s, 2),
+        "key_schedules": 2 * len(nodes) * (len(nodes) - 1),
+        "key_schedule_kernel_ms": round(key_kernel_s * 1e3, 2),
+        "key_schedule_python_ms": round(key_python_s * 1e3, 2),
+        "key_schedule_speedup": round(key_python_s / key_kernel_s, 2),
+    }
 
 
 # -- tier 2+3: end-to-end campaigns --------------------------------------------
@@ -1021,6 +1123,8 @@ def main() -> int:
     print(f"  MiniCast:      {minicast}")
     native_crypto = bench_native_crypto()
     print(f"  native crypto: {native_crypto}")
+    commissioning = bench_commissioning()
+    print(f"  commissioning: {commissioning}")
 
     print("== figure1 campaigns (FlockLab sweep) ==")
     stub = bench_campaign(CryptoMode.STUB, iterations)
@@ -1074,6 +1178,7 @@ def main() -> int:
         "sss": sss,
         "minicast": minicast,
         "native_crypto": native_crypto,
+        "commissioning": commissioning,
         "figure1_stub": stub,
         "figure1_real": real,
         "campaign_parallel": parallel,

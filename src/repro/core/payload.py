@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.keystore import PairwiseKeyStore, derive_pairwise_key
+from repro.crypto.keystore import PairwiseKeyStore
 from repro.crypto.mac import cbc_mac, check_tag_length, verify_mac
 from repro.crypto.modes import ctr_transform
 from repro.errors import AuthenticationError, CryptoError, PacketError
@@ -61,17 +61,9 @@ class RealShareCodec:
         tag_bytes: int = 4,
     ):
         check_tag_length(tag_bytes)
-        self._enc_store = PairwiseKeyStore(node_id)
-        self._mac_store = PairwiseKeyStore(node_id)
-        for peer in peers:
-            if peer == node_id:
-                continue
-            self._enc_store.install_key(
-                peer, derive_pairwise_key(master_secret + b"|enc", node_id, peer)
-            )
-            self._mac_store.install_key(
-                peer, derive_pairwise_key(master_secret + b"|mac", node_id, peer)
-            )
+        peers = list(peers)
+        self._enc_store = PairwiseKeyStore.provision(node_id, peers, master_secret + b"|enc")
+        self._mac_store = PairwiseKeyStore.provision(node_id, peers, master_secret + b"|mac")
         self._tag_bytes = tag_bytes
 
     @property

@@ -267,26 +267,73 @@ class AES128:
             raise CryptoError(f"AES-128 key must be {KEY_SIZE} bytes, got {len(key)}")
         if use_tables is None:
             use_tables = fastpath.enabled()
-        self._use_tables = use_tables
         if use_tables:
-            self._enc_words = _expand_key_words(key)
-            self._dec_words: list[int] | None = None
-            self._round_keys: list[list[int]] | None = None
-            #: 128-bit-int → 128-bit-int single-block encryption, the
-            #: primitive behind every fast bulk path (CTR, CBC-MAC).
-            self.encrypt_int = _make_int_encryptor(
-                self._enc_words, _TE0, _TE1, _TE2, _TE3, _SBOX
-            )
+            self._set_schedule(_expand_key_words(key))
         else:
+            self._use_tables = False
             self._round_keys = self._expand_key(key)
             self._enc_words = None
             self._dec_words = None
             self.encrypt_int = self._encrypt_int_reference
 
+    @classmethod
+    def many(cls, keys) -> list["AES128"]:
+        """``[AES128(key) for key in keys]``, the key schedules expanded
+        together.
+
+        On the fast path one native call expands every key
+        (:func:`repro.crypto.aesbatch.native_key_schedules`), where the
+        library loaded; otherwise :func:`_expand_key_words`, its oracle,
+        expands them one by one.  Either way each cipher's state, and so
+        its pickle, is that of ``AES128(key)``.
+        """
+        keys = list(keys)
+        if not fastpath.enabled():
+            return [cls(key) for key in keys]
+        for key in keys:
+            if len(key) != KEY_SIZE:
+                raise CryptoError(f"AES-128 key must be {KEY_SIZE} bytes, got {len(key)}")
+        from repro.crypto import aesbatch
+
+        schedules = aesbatch.native_key_schedules(b"".join(keys))
+        if schedules is None:
+            schedules = [_expand_key_words(key) for key in keys]
+        ciphers = []
+        for words in schedules:
+            cipher = cls.__new__(cls)
+            cipher._set_schedule(words)
+            ciphers.append(cipher)
+        return ciphers
+
+    def _set_schedule(self, enc_words: list[int]) -> None:
+        """Become the table-mode cipher of the schedule ``enc_words``."""
+        self._use_tables = True
+        self._enc_words = enc_words
+        self._dec_words: list[int] | None = None
+        self._round_keys: list[list[int]] | None = None
+
+    def __getattr__(self, name: str):
+        """A table-mode cipher's ``encrypt_int``, generated on first use.
+
+        ``encrypt_int`` is the 128-bit-int → 128-bit-int single-block
+        encryption, the primitive behind every fast bulk path (CTR,
+        CBC-MAC).  Only an unset slot reaches this method.  A deployment
+        builds and loads its pairwise ciphers by the thousand, and most of
+        them only lend their schedule words to the lane kernels, so the
+        closure is made for those that encrypt block by block; a
+        concurrent double-build is benign (both build the same closure).
+        """
+        if name != "encrypt_int" or not self._use_tables:
+            raise AttributeError(name)
+        encrypt_int = _make_int_encryptor(self._enc_words, _TE0, _TE1, _TE2, _TE3, _SBOX)
+        self.encrypt_int = encrypt_int
+        return encrypt_int
+
     # Cipher objects are persisted by the commissioning disk cache (the
     # pairwise key *schedules* are the artifact worth keeping), but the
     # generated ``encrypt_int`` closure cannot be pickled — so state is
-    # the expanded schedule words and the closure is regenerated on load.
+    # the expanded schedule words and the closure is regenerated after a
+    # load, on first use.
     def __getstate__(self) -> dict:
         return {
             "use_tables": self._use_tables,
@@ -300,11 +347,7 @@ class AES128:
         self._enc_words = state["enc_words"]
         self._dec_words = state["dec_words"]
         self._round_keys = state["round_keys"]
-        if self._use_tables:
-            self.encrypt_int = _make_int_encryptor(
-                self._enc_words, _TE0, _TE1, _TE2, _TE3, _SBOX
-            )
-        else:
+        if not self._use_tables:
             self.encrypt_int = self._encrypt_int_reference
 
     @staticmethod

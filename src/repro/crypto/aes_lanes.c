@@ -12,6 +12,9 @@
  * counters[16 i .. 16 i + 15], each next one that value plus one modulo
  * 2^128.  The runs' blocks are written back to back into out.
  *
+ * aes_expand_keys is the key schedule alone (AES128(key)._enc_words for
+ * many keys at once): key i expands into out[44 i .. 44 i + 43].
+ *
  * aes_ctr_cbc_mac is share-packet protection (aesbatch.ctr_cbc_mac keyed
  * by columns).  Lane i is keyed by column columns[i] of two (44, K)
  * round-key matrices (word k of column c at keys[k * K + c]: the layout
@@ -131,6 +134,13 @@ static void expand_key(const uint8_t *sbox, const uint8_t *rcon, const uint8_t *
         rk[k + 2] = rk[k - 2] ^ rk[k + 1];
         rk[k + 3] = rk[k - 1] ^ rk[k + 2];
     }
+}
+
+void aes_expand_keys(int64_t n, const uint8_t *sbox, const uint8_t *rcon,
+                     const uint8_t *keys, uint32_t *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        expand_key(sbox, rcon, keys + 16 * i, out + 44 * i);
 }
 
 void aes_ctr_runs(int64_t runs, const uint32_t *tables, const uint8_t *sbox,

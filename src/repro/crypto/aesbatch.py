@@ -23,12 +23,14 @@ Layouts:
 * **keys** — ``(44, N)`` uint32, row ``k`` holding round-key word ``k``
   of every lane's cipher (``(44, 1)`` broadcasts one key to all lanes).
 
-Share-packet protection (:func:`ctr_cbc_mac` keyed by ``columns``) and
-CTR keystream runs under raw keys (:func:`native_keystream_runs`) also
+Share-packet protection (:func:`ctr_cbc_mac` keyed by ``columns``),
+CTR keystream runs under raw keys (:func:`native_keystream_runs`) and
+the key schedules of many raw keys (:func:`native_key_schedules`) also
 exist in C (``aes_lanes.c``, in the native library of
-:mod:`repro.native`), over these same tables; this module owns both
-kernels' calling conventions, and the numpy code and
-:meth:`~repro.crypto.aes.AES128.ctr_blocks` stay their oracles and
+:mod:`repro.native`), over these same tables; this module owns the
+kernels' calling conventions, and the numpy code,
+:meth:`~repro.crypto.aes.AES128.ctr_blocks` and
+:func:`~repro.crypto.aes._expand_key_words` stay their oracles and
 fallbacks.  The C kernels' table buffers are built without numpy, so
 the keystream runs natively on a host that has no numpy.
 """
@@ -78,6 +80,9 @@ _LANES_SIGNATURE = "qqpppp" + "q" + "ppp" + "q" + "pp"
 #: T-tables, the S-box, the round constants, the raw keys, the
 #: big-endian first counters, the block counts and the output.
 _CTR_RUNS_SIGNATURE = "vqppppppp"
+#: ``aes_expand_keys`` in ``aes_lanes.c``: no result; the key count, the
+#: S-box, the round constants, the raw keys and the output words.
+_EXPAND_KEYS_SIGNATURE = "vqpppp"
 
 
 def key_schedules(keys: bytes) -> "object":
@@ -222,6 +227,24 @@ def ctr_keystream_many(ciphers, counters, counts) -> list[bytes]:
     if sum(counts) == 0:
         return [b"" for _ in counts]
     return keystream_runs(cipher_schedules(ciphers), counters, counts)
+
+
+def native_key_schedules(keys: bytes) -> list[list[int]] | None:
+    """FIPS-197 key expansion of N concatenated 16-byte keys, in C.
+
+    List ``i`` is ``_expand_key_words(keys[16 * i : 16 * i + 16])`` of
+    :mod:`repro.crypto.aes`, word for word: the ``_enc_words`` of
+    ``AES128(key)``.  Returns ``None``, having computed nothing, where
+    the native library did not load or ``keys`` is not whole keys.
+    """
+    kernel = native.kernel("aes_expand_keys", _EXPAND_KEYS_SIGNATURE)
+    if kernel is None or len(keys) % 16:
+        return None
+    count = len(keys) // 16
+    out = array("I", bytes(176 * count))
+    kernel(count, _SBOX, _RCON_BYTES, keys, out.buffer_info()[0])
+    words = out.tolist()
+    return [words[44 * i : 44 * i + 44] for i in range(count)]
 
 
 def native_keystream_runs(keys: bytes, counters, counts) -> list[bytes] | None:

@@ -12,7 +12,7 @@ would provision a real deployment.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro.crypto.aes import AES128
 from repro.errors import CryptoError, KeyNotFoundError
@@ -69,17 +69,25 @@ class PairwiseKeyStore:
     ) -> "PairwiseKeyStore":
         """Build a fully provisioned store for ``node_id`` against ``peers``."""
         store = cls(node_id)
-        for peer in peers:
-            if peer == node_id:
-                continue
-            store.install_key(peer, derive_pairwise_key(master_secret, node_id, peer))
+        store.install_keys(
+            {
+                peer: derive_pairwise_key(master_secret, node_id, peer)
+                for peer in peers
+                if peer != node_id
+            }
+        )
         return store
 
     def install_key(self, peer_id: int, key: bytes) -> None:
         """Install (or replace) the key shared with ``peer_id``."""
-        if peer_id == self._node_id:
+        self.install_keys({peer_id: key})
+
+    def install_keys(self, keys: Mapping[int, bytes]) -> None:
+        """Install (or replace) the key shared with each peer of ``keys``,
+        their schedules expanded together (:meth:`AES128.many`)."""
+        if self._node_id in keys:
             raise CryptoError("cannot install a key with oneself")
-        self._ciphers[peer_id] = AES128(key)
+        self._ciphers.update(zip(keys, AES128.many(keys.values())))
 
     def cipher_for(self, peer_id: int) -> AES128:
         """The AES cipher shared with ``peer_id``.

@@ -303,13 +303,32 @@ class AesCtrDrbg:
         the parent material draws happen in the same order and the child
         keys come out bit-for-bit the same — but the parent draws are one
         buffered read, which keeps a round's worth of dealer forks off
-        the scalar refill path.
+        the scalar refill path, and each child is built straight from
+        its key, without ``from_seed`` and ``__init__``.
         """
-        labels = list(labels)
+        labels = [label.encode("utf-8") if isinstance(label, str) else label for label in labels]
         if not labels:
             return []
         self.prefill(16 * len(labels))
-        return [self.fork(label) for label in labels]
+        material = self.random_bytes(16 * len(labels))
+        # Reads are byte-granular, so one read of 16 * n bytes is the n
+        # reads of 16 that fork makes; each child is what from_seed
+        # builds from its key (a bytes seed hashes as it is).
+        sha256 = hashlib.sha256
+        batching = fastpath.enabled()
+        children = []
+        for offset, label in zip(range(0, len(material), 16), labels):
+            child = AesCtrDrbg.__new__(AesCtrDrbg)
+            child._key = sha256(material[offset : offset + 16] + label).digest()[:16]
+            child._cipher = None
+            child._batching = batching
+            child._pooled = False
+            child._counter = 0
+            child._buffer = b""
+            child._offset = 0
+            child._refill_blocks = 1
+            children.append(child)
+        return children
 
     @staticmethod
     def prefill_many(drbgs, length: int) -> None:

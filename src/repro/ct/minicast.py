@@ -176,13 +176,16 @@ class MiniCastRound:
         tx_probability: float = 0.5,
         force_reference: bool = False,
     ):
-        """``force_reference`` pins this round to the readable loop even
-        when the fast path is globally enabled.  Commissioning-time
-        measurements (NTX-coverage profiling, S4 bootstrap) use it so the
-        derived deployment parameters — collector sets, truncated
-        schedules — are *bit-identical* to the seed implementation
-        regardless of the compute path, keeping every downstream
-        statistic on the exact configuration the reproduction validated.
+        """``force_reference`` pins this round to the readable loop's
+        stream even when the fast path is globally enabled.
+        Commissioning-time measurements (NTX-coverage profiling, S4
+        bootstrap) use it so the derived deployment parameters —
+        collector sets, truncated schedules — are *bit-identical* to the
+        seed implementation regardless of the compute path, keeping every
+        downstream statistic on the exact configuration the reproduction
+        validated.  With the fast path on, that loop runs in C where the
+        native library loaded (:class:`repro.ct.native.ReferenceKernel`),
+        drawing the same numbers in the same order.
         """
         if not 0.0 < tx_probability <= 1.0:
             raise ConfigurationError(
@@ -215,6 +218,21 @@ class MiniCastRound:
             self._index = {}
             self._rx_fast: list[list[tuple[int, int, float]]] = []
             self._kernel = None
+            if fastpath.enabled():
+                # The reference loop's C twin (None when the round does
+                # not fit it); the binding is imported only here.
+                from repro.ct import native
+
+                self._kernel = native.ReferenceKernel.for_round(
+                    links.node_ids,
+                    self._rx_order,
+                    self._prr,
+                    self._capture.prr_floor,
+                    schedule,
+                    self._capture.max_diversity,
+                    policy is RadioOffPolicy.EARLY_OFF,
+                    tx_probability,
+                )
             return
         node_ids = links.node_ids
         self._index = {node: i for i, node in enumerate(node_ids)}
@@ -271,7 +289,10 @@ class MiniCastRound:
 
         Dispatches to the bitmask fast loop or the readable reference
         loop depending on the :mod:`repro.fastpath` flag captured at
-        construction.  The two paths are *distribution*-identical: every
+        construction (and ``force_reference``); a reference round whose
+        fast path was on runs that loop's C twin for a plain
+        ``random.Random`` where it loaded, with the same stream and
+        result.  The two paths are *distribution*-identical: every
         outcome statistic has the same law, but they spend ``rng`` draws
         differently, so a given seed generally produces different (yet
         equally valid) runs.  They coincide exactly only when no
@@ -305,6 +326,12 @@ class MiniCastRound:
                 failures=failures,
                 arm_schedule=arm_schedule,
             )
+        if type(rng) is random.Random and self._kernel is not None:
+            result = self._kernel.run(
+                rng, initial_knowledge, requirements, initiators, alive, failures, arm_schedule
+            )
+            if result is not None:
+                return result
         return self._run_reference(
             rng,
             initial_knowledge,
@@ -325,7 +352,8 @@ class MiniCastRound:
         failures: Mapping[int, int] | None = None,
         arm_schedule: Mapping[int, int] | None = None,
     ) -> MiniCastResult:
-        """The readable straight-line implementation (the fast loop's oracle)."""
+        """The readable straight-line implementation: the fast loop's
+        oracle, and that of its own C twin (``minicast_reference``)."""
         nodes = self._links.node_ids
         schedule = self._schedule
         chain_bits = schedule.chain_length

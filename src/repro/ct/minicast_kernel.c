@@ -9,10 +9,16 @@
  * out the same way.  Chain views are little-endian arrays of 64-bit
  * words, so any chain width works.
  *
- * repro/ct/native.py builds it (its FLAGS keep -ffp-contract=off: no
+ * minicast_reference, further down, is the same for the readable loop
+ * that commissioning runs (MiniCastRound._run_reference): it samples
+ * every eligible transmitter's full delivery mask, as random_bitmask
+ * does, and so draws exactly what that loop draws.
+ *
+ * repro/native.py builds both (its FLAGS keep -ffp-contract=off: no
  * fused multiply-adds, so the running miss product and random() round
- * exactly as Python's float arithmetic does) and calls it.  The kernel
- * keeps no static mutable state, so concurrent calls are safe.
+ * exactly as Python's float arithmetic does) and repro/ct/native.py
+ * calls them.  The kernels keep no static mutable state, so concurrent
+ * calls are safe.
  */
 
 #include <math.h>
@@ -454,6 +460,181 @@ int64_t minicast_slots(
                     radio_off_slot[i] = slot;
                     on_until_us[i] = (slot + 1) * chain_slot_us;
                 }
+    }
+
+    memcpy(mt, g.state, sizeof(g.state));
+    mt[MT_N] = (uint32_t)g.index;
+    free(scratch);
+    free(tx_count);
+    free(contenders);
+    free(need);
+    free(fold);
+    return slots_run;
+}
+
+/* ---- the reference loop -------------------------------------------- */
+
+/*
+ * Run one round of the reference loop.  The arguments are those of
+ * minicast_slots, less what the reference loop does not have (the
+ * running union, the BUDGET flag, the miss probabilities): budgets are
+ * counted against ntx per node, a receive list holds every source above
+ * the capture floor, strongest first, with its quantized PRR (0: no
+ * delivery and no draw, q_full: every eligible sub-slot and no draw),
+ * and flags arrive as ALIVE/RADIO/ARMED/FORCE only.
+ *
+ * Per listener, every transmitting source with eligible sub-slots costs
+ * random_bitmask's `precision` getrandbits(chain_bits) draws; only the
+ * words the eligible mask touches are tempered, as sample_fresh does.
+ *
+ * Returns the number of slots run, or -1 if scratch memory could not be
+ * allocated (nothing has been drawn or changed then).
+ */
+int64_t minicast_reference(
+    int64_t n, int64_t words, int64_t chain_bits, int64_t num_slots,
+    int64_t ntx, int64_t packet_us, int64_t chain_slot_us,
+    int64_t max_div, int64_t early_off, double tx_probability,
+    int64_t precision, int64_t max_arm_slot,
+    uint64_t *know, uint8_t *flags,
+    const uint64_t *req_mask, const int64_t *req_min,
+    const int64_t *arm_slot, const int64_t *fail_slot,
+    const int64_t *rx_start, const int64_t *rx_src, const int64_t *rx_q,
+    int64_t *tx_us, int64_t *on_until_us, int64_t *radio_off_slot,
+    int64_t *completion, int64_t *failed_at, uint32_t *mt)
+{
+    const int64_t q_full = (int64_t)1 << precision;
+    /* received, eligible, got, attempted[max_div] */
+    uint64_t *scratch = calloc((size_t)((3 + max_div) * words), sizeof(uint64_t));
+    int64_t *tx_count = calloc((size_t)n, sizeof(int64_t));
+    int64_t *contenders = malloc((size_t)n * sizeof(int64_t));
+    int64_t *need = malloc((size_t)(2 * words) * sizeof(int64_t));
+    uint32_t *fold = malloc((size_t)(2 * words) * sizeof(uint32_t));
+    if (!scratch || !tx_count || !contenders || !need || !fold) {
+        free(scratch);
+        free(tx_count);
+        free(contenders);
+        free(need);
+        free(fold);
+        return -1;
+    }
+    uint64_t *received = scratch;
+    uint64_t *eligible = received + words;
+    uint64_t *got = eligible + words;
+    uint64_t *attempted = got + words;
+    const uint64_t *saturated = attempted + (max_div - 1) * words;
+
+    mt19937 g;
+    memcpy(g.state, mt, sizeof(g.state));
+    g.index = (int)mt[MT_N];
+
+    for (int64_t i = 0; i < n; i++)
+        if (any_bits(know + i * words, words))
+            flags[i] |= HAS_DATA;
+
+    int64_t slots_run = 0;
+    for (int64_t slot = 0; slot < num_slots; slot++) {
+        /* TDMA wave, then fault injection, as the reference orders them. */
+        for (int64_t i = 0; i < n; i++)
+            if (arm_slot[i] == slot && (flags[i] & ALIVE) && (flags[i] & HAS_DATA)
+                && tx_count[i] < ntx)
+                flags[i] |= ARMED;
+        for (int64_t i = 0; i < n; i++)
+            if (fail_slot[i] == slot && (flags[i] & ALIVE)) {
+                flags[i] &= (uint8_t)~(ALIVE | RADIO);
+                on_until_us[i] = slot * chain_slot_us;
+                failed_at[i] = slot;
+            }
+
+        const uint8_t contend = RADIO | ARMED | HAS_DATA;
+        int64_t num_contenders = 0;
+        for (int64_t i = 0; i < n; i++)
+            if ((flags[i] & contend) == contend && tx_count[i] < ntx)
+                contenders[num_contenders++] = i;
+        if (!num_contenders) {
+            if (max_arm_slot > slot)
+                continue;
+            break;
+        }
+        slots_run = slot + 1;
+
+        int any_tx = 0;
+        for (int64_t c = 0; c < num_contenders; c++) {
+            int64_t i = contenders[c];
+            if (!(flags[i] & FORCE) && !(genrand_res53(&g) < tx_probability))
+                continue;
+            flags[i] = (uint8_t)((flags[i] & ~FORCE) | TX);
+            any_tx = 1;
+            tx_count[i]++;
+            tx_us[i] += popcount_and(know + i * words, know + i * words, words) * packet_us;
+        }
+        if (!any_tx)
+            continue;
+
+        for (int64_t i = 0; i < n; i++) {
+            if (!(flags[i] & RADIO) || (flags[i] & TX))
+                continue;
+            int decoded_any = 0;
+            memset(received, 0, (size_t)words * sizeof(uint64_t));
+            memset(attempted, 0, (size_t)(max_div * words) * sizeof(uint64_t));
+            for (int64_t e = rx_start[i]; e < rx_start[i + 1]; e++) {
+                int64_t src = rx_src[e];
+                if (!(flags[src] & TX))
+                    continue;
+                const uint64_t *know_src = know + src * words;
+                uint64_t eligible_any = 0;
+                for (int64_t j = 0; j < words; j++) {
+                    eligible[j] = know_src[j] & ~saturated[j];
+                    eligible_any |= eligible[j];
+                }
+                if (!eligible_any)
+                    continue;
+                int64_t quantized = rx_q[e];
+                const uint64_t *delivered = NULL;
+                if (quantized >= q_full)
+                    delivered = eligible;
+                else if (quantized > 0) {
+                    sample_fresh(&g, chain_bits, precision, quantized, eligible,
+                                 words, need, fold, got);
+                    delivered = got;
+                }
+                if (delivered)
+                    for (int64_t j = 0; j < words; j++)
+                        if (delivered[j]) {
+                            decoded_any = 1;
+                            received[j] |= delivered[j];
+                        }
+                for (int64_t j = 0; j < words; j++) {
+                    uint64_t el = eligible[j];
+                    for (int64_t plane = max_div - 1; plane > 0; plane--)
+                        attempted[plane * words + j] |= attempted[(plane - 1) * words + j] & el;
+                    attempted[j] |= el;
+                }
+            }
+            if (!decoded_any)
+                continue;
+            uint64_t *know_i = know + i * words;
+            for (int64_t j = 0; j < words; j++)
+                know_i[j] |= received[j];
+            flags[i] |= HAS_DATA;
+            if (tx_count[i] < ntx)
+                flags[i] |= ARMED;
+        }
+        for (int64_t c = 0; c < num_contenders; c++)
+            flags[contenders[c]] &= (uint8_t)~TX;
+
+        /* End-of-slot bookkeeping: completion and early radio-off. */
+        for (int64_t i = 0; i < n; i++) {
+            if (!(flags[i] & RADIO))
+                continue;
+            if (completion[i] == PENDING
+                && popcount_and(know + i * words, req_mask + i * words, words) >= req_min[i])
+                completion[i] = slot;
+            if (early_off && tx_count[i] >= ntx && completion[i] != PENDING) {
+                flags[i] &= (uint8_t)~RADIO;
+                radio_off_slot[i] = slot;
+                on_until_us[i] = (slot + 1) * chain_slot_us;
+            }
+        }
     }
 
     memcpy(mt, g.state, sizeof(g.state));

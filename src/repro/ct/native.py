@@ -1,16 +1,21 @@
-"""The native MiniCast slot kernel's calling convention (``minicast_kernel.c``).
+"""The native MiniCast kernels' calling conventions (``minicast_kernel.c``).
 
-The kernel is one function of the package's native library, built and
-loaded by :mod:`repro.native`; where that library is missing,
-:func:`minicast_kernel` is ``None`` and the Python slot loop runs.
+The kernels are two functions of the package's native library, built
+and loaded by :mod:`repro.native`; where that library is missing,
+:func:`minicast_kernel` and :func:`reference_kernel` are ``None`` and
+the Python loops run.
 
 :class:`SlotKernel` is the call: a fast-path :class:`~repro.ct.minicast
 .MiniCastRound` builds one at construction (its receive lists as C
 arrays), and each round moves the prologue's state into word arrays,
 the ``random.Random`` state in through ``getstate`` and back out through
 ``setstate``, and the kernel's outputs back into the state the shared
-epilogue reads.  Everything that knows the kernel's argument order, flag
-bits and sentinels is in this module.
+epilogue reads.  :class:`ReferenceKernel` is the same for the reference
+loop that commissioning runs (``force_reference=True``): it builds the
+whole :class:`~repro.ct.minicast.MiniCastResult`, or declines an input
+the reference loop would reject or read differently, so that the loop
+itself runs and decides.  Everything that knows the kernels' argument
+order, flag bits and sentinels is in this module.
 """
 
 from __future__ import annotations
@@ -19,11 +24,14 @@ import math
 from array import array
 
 from repro import native
+from repro.ct.minicast import MiniCastResult, Requirement
 from repro.errors import SimulationError
-from repro.sim.bitrandom import DEFAULT_PRECISION
+from repro.sim.bitrandom import DEFAULT_PRECISION, quantize_probability
 
 #: ``minicast_slots``: int64 result; 9 int64s, a double, 3 int64s, 17 arrays.
 SIGNATURE = "q" + "q" * 9 + "d" + "q" * 3 + "p" * 17
+#: ``minicast_reference``: int64 result; 9 int64s, a double, 2 int64s, 15 arrays.
+REFERENCE_SIGNATURE = "q" + "q" * 9 + "d" + "q" * 2 + "p" * 15
 #: Node flags and the unmet-requirement completion of ``minicast_kernel.c``.
 _ALIVE, _RADIO, _ARMED, _FORCE, _BUDGET = 1, 2, 4, 8, 16
 _PENDING = -2
@@ -35,6 +43,67 @@ def minicast_kernel():
     """The kernel's ``minicast_slots`` function, or ``None`` where the
     native library cannot be built or loaded in this process."""
     return native.kernel("minicast_slots", SIGNATURE)
+
+
+def reference_kernel():
+    """The kernel's ``minicast_reference`` function, or ``None`` where
+    the native library cannot be built or loaded in this process."""
+    return native.kernel("minicast_reference", REFERENCE_SIGNATURE)
+
+
+def _fits(schedule, tx_probability) -> bool:
+    """Whether a round's transmit probability is a double and its radio
+    times and budget fit the kernels' 64-bit arithmetic."""
+    return (
+        float(tx_probability) == tx_probability
+        and abs(schedule.ntx) < _LIMIT
+        and schedule.num_slots
+        * (schedule.chain_slot_us + schedule.chain_length * schedule.packet_slot_us)
+        < _LIMIT
+    )
+
+
+def _mt_state(rng):
+    """``rng``'s state as the kernels' 625 words, and what they pass through."""
+    version, state, gauss_next = rng.getstate()
+    return array("I", state), (version, gauss_next)
+
+
+def _set_mt_state(rng, mt, passed) -> None:
+    version, gauss_next = passed
+    rng.setstate((version, tuple(mt), gauss_next))
+
+
+def _words(views, width: int) -> array:
+    """Chain views as little-endian 64-bit words, ``width`` bytes each."""
+    return array("Q", b"".join([view.to_bytes(width, "little") for view in views]))
+
+
+def _requirements(pending, words: int) -> tuple[array, array]:
+    """Each node's unmet reception requirement, a ``(mask, min_count)``
+    pair or None, as the kernels' mask words and minimum counts.  Only
+    pending nodes carry a requirement; bits past the chain and counts
+    past its width change no comparison."""
+    width = 8 * words
+    full = (1 << 64 * words) - 1
+    unmet = 64 * words + 1
+    encoded = {None: (bytes(width), 0)}  # nodes often share one requirement
+    masks, mins = [], []
+    for requirement in pending:
+        pair = encoded.get(requirement)
+        if pair is None:
+            pair = encoded[requirement] = (
+                (requirement[0] & full).to_bytes(width, "little"),
+                min(math.ceil(requirement[1]), unmet),
+            )
+        masks.append(pair[0])
+        mins.append(pair[1])
+    return array("Q", b"".join(masks)), array("q", mins)
+
+
+def _views(words: array, n: int, width: int) -> list[int]:
+    raw = words.tobytes()
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(n)]
 
 
 class SlotKernel:
@@ -69,13 +138,7 @@ class SlotKernel:
         """The kernel arguments of a round, or None when the kernel could
         not run it exactly: a transmit probability that is not a double,
         or radio times past 64-bit integers."""
-        if not (
-            float(tx_probability) == tx_probability
-            and abs(schedule.ntx) < _LIMIT
-            and schedule.num_slots
-            * (schedule.chain_slot_us + schedule.chain_length * schedule.packet_slot_us)
-            < _LIMIT
-        ):
+        if not _fits(schedule, tx_probability):
             return None
         return cls(nodes, rx_lists, schedule, max_diversity, early_off, tx_probability)
 
@@ -111,25 +174,9 @@ class SlotKernel:
                 for i in range(n)
             ],
         )
-        know = array("Q", b"".join([view.to_bytes(width, "little") for view in flood.know]))
-        total_union = array("Q", flood.total_union.to_bytes(width, "little"))
-        # Only pending nodes carry a requirement; bits past the chain and
-        # counts past its width change no comparison.
-        full = (1 << 64 * words) - 1
-        unmet = 64 * words + 1
-        encoded = {None: (bytes(width), 0)}  # nodes often share one requirement
-        req_masks, req_mins = [], []
-        for req in flood.req_fast:
-            pair = encoded.get(req)
-            if pair is None:
-                pair = encoded[req] = (
-                    (req[0] & full).to_bytes(width, "little"),
-                    min(math.ceil(req[1]), unmet),
-                )
-            req_masks.append(pair[0])
-            req_mins.append(pair[1])
-        req_mask = array("Q", b"".join(req_masks))
-        req_min = array("q", req_mins)
+        know = _words(flood.know, width)
+        total_union = _words((flood.total_union,), width)
+        req_mask, req_min = _requirements(flood.req_fast, words)
         arm_slot = array("q", [-1] * n)
         for slot, members in arm_by_slot.items():
             if 0 <= slot < num_slots:
@@ -147,8 +194,7 @@ class SlotKernel:
             "q", [_PENDING if slot is None else slot for slot in flood.completion]
         )
         failed_at = array("q", [-1] * n)
-        version, state, gauss_next = rng.getstate()
-        mt = array("I", state)  # 624 state words, then the position
+        mt, passed = _mt_state(rng)  # 624 state words, then the position
 
         slots_run = kernel(
             n,
@@ -174,12 +220,9 @@ class SlotKernel:
         )
         if slots_run < 0:
             raise SimulationError("the MiniCast slot kernel could not allocate its scratch space")
-        rng.setstate((version, tuple(mt), gauss_next))
+        _set_mt_state(rng, mt, passed)
 
-        raw = know.tobytes()
-        flood.know = [
-            int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(n)
-        ]
+        flood.know = _views(know, n, width)
         flood.tx_us = tx_us.tolist()
         flood.on_until_us = on_until_us.tolist()
         flood.radio_off_slot = [None if slot < 0 else slot for slot in radio_off_slot]
@@ -190,3 +233,191 @@ class SlotKernel:
                     flood.failures[nodes[i]] = slot
         flood.slots_run = slots_run
         return True
+
+
+class ReferenceKernel:
+    """One commissioning round's fixed kernel arguments: its schedule,
+    capture cap and policy, and the reference loop's receive lists as C
+    arrays (listener i's entries are ``rx_start[i]:rx_start[i + 1]`` of
+    the source and quantized-PRR arrays: every source above the capture
+    floor, strongest first)."""
+
+    __slots__ = ("_nodes", "_index", "_schedule", "_max_div", "_early_off", "_tx_probability", "_rx")
+
+    @classmethod
+    def for_round(
+        cls, nodes, rx_order, prr, floor, schedule, max_diversity, early_off, tx_probability
+    ) -> "ReferenceKernel | None":
+        """The kernel arguments of a reference round, or None when the
+        kernel could not run it exactly: a transmit probability that is
+        not a double, radio times past 64-bit integers, or a receive list
+        the reference loop would not walk the same way (a PRR above the
+        floor after one at or below it, or a PRR ``random_bitmask``
+        rejects)."""
+        if not _fits(schedule, tx_probability):
+            return None
+        index = {node: i for i, node in enumerate(nodes)}
+        rx_start = array("q", [0])
+        sources = array("q")
+        quantized = array("q")
+        for dst in nodes:
+            row = [(src, prr[src][dst]) for src in rx_order[dst]]
+            for k, (src, probability) in enumerate(row):
+                if probability <= floor:
+                    # The loop stops at the first transmitter at or
+                    # below the floor; that ends the list only if every
+                    # later source is at or below it too.
+                    if not all(rest <= floor for _, rest in row[k:]):
+                        return None
+                    break
+                if not 0.0 <= probability <= 1.0:
+                    return None
+                sources.append(index[src])
+                quantized.append(quantize_probability(probability))
+            rx_start.append(len(sources))
+        kernel = cls()
+        kernel._nodes = nodes
+        kernel._index = index
+        kernel._schedule = schedule
+        kernel._max_div = max_diversity
+        kernel._early_off = early_off
+        kernel._tx_probability = tx_probability
+        kernel._rx = (rx_start, sources, quantized)
+        return kernel
+
+    def run(
+        self, rng, initial_knowledge, requirements, initiators, alive, failures, arm_schedule
+    ) -> MiniCastResult | None:
+        """``MiniCastRound._run_reference`` in C, drawing from ``rng`` (a
+        ``random.Random``) what the loop draws.  Returns None, having
+        drawn nothing, where the kernel did not load or where the loop
+        raises or could read an input otherwise: views, requirements and
+        slots that are not plain ints, no or unknown initiators, slot
+        schedules naming unknown nodes.  The caller then runs the loop."""
+        kernel = reference_kernel()
+        nodes = self._nodes
+        if kernel is None or not nodes:
+            return None
+        index = self._index
+        n = len(nodes)
+        schedule = self._schedule
+        chain_bits = schedule.chain_length
+        num_slots = schedule.num_slots
+        words = (chain_bits + 63) // 64
+        width = 8 * words
+
+        alive_set = set(nodes) if alive is None else set(alive)
+        know = []
+        for node in nodes:
+            mask = initial_knowledge.get(node, 0)
+            if type(mask) is not int or mask >> chain_bits:
+                return None
+            know.append(mask if node in alive_set else 0)
+        if initiators is None:
+            first = next((i for i in range(n) if know[i]), None)
+            if first is None:
+                return None
+            initiator_set = {nodes[first]}
+        else:
+            initiator_set = set(initiators)
+            if not initiator_set <= index.keys():
+                return None
+        flags = array(
+            "B",
+            [
+                (node in alive_set) * (_ALIVE | _RADIO)
+                | (node in initiator_set and know[i] != 0) * (_ARMED | _FORCE)
+                for i, node in enumerate(nodes)
+            ],
+        )
+
+        requirements = requirements or {}
+        completion = array("q")
+        pending = []
+        for i, node in enumerate(nodes):
+            requirement = requirements.get(node)
+            if requirement is not None and not (
+                type(requirement) is Requirement
+                and type(requirement.mask) is int
+                and type(requirement.min_count) is int
+            ):
+                return None
+            if requirement is None or requirement.satisfied_by(know[i]):
+                completion.append(-1)
+                pending.append(None)
+            else:
+                completion.append(_PENDING)
+                pending.append((requirement.mask, requirement.min_count))
+        req_mask, req_min = _requirements(pending, words)
+
+        arm_slot = array("q", [-1] * n)
+        max_arm_slot = -1
+        for node, slot in (arm_schedule or {}).items():
+            i = index.get(node)
+            if i is None or type(slot) is not int:
+                return None
+            if 0 <= slot < num_slots:
+                arm_slot[i] = slot
+            max_arm_slot = max(max_arm_slot, slot)
+        fail_slot = array("q", [-1] * n)
+        scheduled_failures = []
+        for node, slot in (failures or {}).items():
+            i = index.get(node)
+            if i is None or type(slot) is not int:
+                return None
+            if 0 <= slot < num_slots:
+                fail_slot[i] = slot
+                scheduled_failures.append((slot, i))
+
+        know_words = _words(know, width)
+        tx_us = array("q", bytes(8 * n))
+        round_duration_us = schedule.round_duration_us
+        on_until_us = array("q", [round_duration_us if node in alive_set else 0 for node in nodes])
+        radio_off_slot = array("q", [-1] * n)
+        failed_at = array("q", [-1] * n)
+        mt, passed = _mt_state(rng)
+
+        slots_run = kernel(
+            n,
+            words,
+            chain_bits,
+            num_slots,
+            schedule.ntx,
+            schedule.packet_slot_us,
+            schedule.chain_slot_us,
+            self._max_div,
+            self._early_off,
+            self._tx_probability,
+            DEFAULT_PRECISION,
+            max(-1, min(max_arm_slot, num_slots)),
+            *(
+                buffer.buffer_info()[0]
+                for buffer in (
+                    know_words, flags, req_mask, req_min, arm_slot, fail_slot, *self._rx,
+                    tx_us, on_until_us, radio_off_slot, completion, failed_at, mt,
+                )
+            ),
+        )
+        if slots_run < 0:
+            raise SimulationError("the MiniCast reference kernel could not allocate its scratch space")
+        _set_mt_state(rng, mt, passed)
+
+        tx = tx_us.tolist()
+        on_until = on_until_us.tolist()
+        # Failures in the order the loop records them: by slot, then in
+        # the order of the schedule.
+        scheduled_failures.sort(key=lambda entry: entry[0])
+        return MiniCastResult(
+            knowledge=dict(zip(nodes, _views(know_words, n, width))),
+            completion_slot={
+                node: None if slot == _PENDING else slot for node, slot in zip(nodes, completion)
+            },
+            tx_us=dict(zip(nodes, tx)),
+            rx_us={node: max(0, on_until[i] - tx[i]) for i, node in enumerate(nodes)},
+            radio_off_slot={
+                node: None if slot < 0 else slot for node, slot in zip(nodes, radio_off_slot)
+            },
+            slots_run=slots_run,
+            schedule=schedule,
+            failures={nodes[i]: slot for slot, i in scheduled_failures if failed_at[i] == slot},
+        )

@@ -69,6 +69,20 @@ class TestStreamIdentity:
         # the parents themselves continue identically too
         assert parent_a.random_bytes(64) == parent_b.random_bytes(64)
 
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_fork_many_children_are_fork_children(self, fast):
+        """Built without ``from_seed`` and ``__init__``, each child still
+        has every slot a forked child has, for str and bytes labels."""
+        labels = ["dealer-0", b"dealer-1", "", b"\xff" * 40]
+        with fastpath.forced(fast):
+            batched = AesCtrDrbg.from_seed(b"forks").fork_many(labels)
+            parent = AesCtrDrbg.from_seed(b"forks")
+            sequential = [parent.fork(label) for label in labels]
+        slots = AesCtrDrbg.__slots__
+        assert [[getattr(c, slot) for slot in slots] for c in batched] == [
+            [getattr(c, slot) for slot in slots] for c in sequential
+        ]
+
     def test_prefill_many_without_numpy_path(self, monkeypatch):
         import repro.crypto.prng as prng
 

@@ -192,13 +192,13 @@ def outcome(result, rng) -> tuple:
 
 
 @st.composite
-def flood_cases(draw):
+def flood_cases(draw, prrs=PRRS, widths=WIDTHS):
     n = draw(st.integers(min_value=2, max_value=8))
     nodes = [5 + 3 * i for i in range(n)]
-    chain_bits = draw(st.sampled_from(WIDTHS))
+    chain_bits = draw(st.sampled_from(widths))
     full = (1 << chain_bits) - 1
     prr = {
-        (a, b): draw(st.sampled_from(PRRS)) for a in nodes for b in nodes if a != b
+        (a, b): draw(st.sampled_from(prrs)) for a in nodes for b in nodes if a != b
     }
     num_slots = draw(st.integers(min_value=1, max_value=12))
     schedule = RoundSchedule(
@@ -284,6 +284,80 @@ def test_kernel_matches_python_loop(kernel, monkeypatch, case, seed):
     in_python = run()
     assert in_c == in_python
     assert len(calls) == (0 if isinstance(in_c, str) else 1)
+
+
+# -- the reference loop in C ------------------------------------------------
+
+#: PRRs at 0, at the 0.01 capture floor, quantizing to 0 and to 1024,
+#: between, and 1; chain widths on and off 32-bit word boundaries.
+REFERENCE_PRRS = (0.0, 0.0003, 0.01, 0.2, 0.5, 0.77, 0.93, 0.9996, 1.0)
+REFERENCE_WIDTHS = (1, 7, 31, 32, 33, 64, 95, 129, 200)
+
+
+@pytest.fixture(scope="module")
+def reference_kernel():
+    built = native.reference_kernel()
+    if built is None:
+        pytest.skip("no C compiler: the reference loop is all there is")
+    return built
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    case=flood_cases(REFERENCE_PRRS, REFERENCE_WIDTHS),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_reference_kernel_matches_reference_loop(reference_kernel, monkeypatch, case, seed):
+    links, schedule, round_args, run_args = case
+    with fastpath.forced(True):
+        round_ = MiniCastRound(links, schedule, force_reference=True, **round_args)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return reference_kernel(*args)
+
+    def run(loop):
+        rng = random.Random(seed)
+        try:
+            return outcome(loop(rng, **run_args), rng)
+        except ConfigurationError as error:
+            return str(error)
+
+    monkeypatch.setattr(native, "reference_kernel", lambda: counted)
+    in_c = run(round_.run)
+    in_python = run(round_._run_reference)
+    assert in_c == in_python
+    assert len(calls) == (0 if isinstance(in_c, str) else 1)
+
+
+def test_reference_round_keeps_the_loop_where_the_kernel_cannot_run(monkeypatch):
+    def refuse():
+        raise AssertionError("this round must not reach the reference kernel")
+
+    links = lossy_links(6, seed=1)
+    schedule = RoundSchedule(
+        chain_length=40, psdu_bytes=15, ntx=2, num_slots=8, timings=NRF52840_154
+    )
+    with fastpath.forced(True):
+        native_round = MiniCastRound(links, schedule, force_reference=True)
+    with fastpath.forced(False):
+        seed_round = MiniCastRound(links, schedule, force_reference=True)
+    links._prr[0, 1] = 1.5  # random_bitmask rejects it; so must the round
+    with fastpath.forced(True):
+        assert MiniCastRound(links, schedule, force_reference=True)._kernel is None
+    expected = small_run(native_round, random.Random(4))
+
+    class Recorded(random.Random):
+        pass
+
+    monkeypatch.setattr(native, "reference_kernel", refuse)
+    assert small_run(native_round, Recorded(4)) == expected
+    assert small_run(seed_round, random.Random(4)) == expected
 
 
 # -- fallback ---------------------------------------------------------------
