@@ -45,8 +45,8 @@ repository root so future PRs have a perf trajectory to compare against:
    tier asserts the two forms produce bit-identical aggregates.
 
 7. **DRBG bulk** — whole-buffer keystream and batched dealer-fork
-   prefill: scalar T-table refills vs the ``REPRO_VECTOR`` aesbatch
-   lane kernel, bit-identical output, kernel-only comparison.
+   prefill: scalar T-table refills vs the aesbatch lane kernel,
+   bit-identical output, kernel-only comparison.
 8. **service_transport** — the socket transport against real shard
    processes: accepted shares/sec through journal-before-ack over TCP,
    the p99 per-share round trip, and the supervisor's shard-restart
@@ -147,6 +147,21 @@ def _without_native():
         yield
     finally:
         native.library = loader
+
+
+@contextlib.contextmanager
+def _lane_keystream(flag: bool):
+    """Within the block the DRBG may take (``True``, where numpy is
+    importable) or must skip (``False``) the numpy lane keystream."""
+    from repro.crypto import prng
+
+    available = prng._lane_keystream_available
+    if not flag:
+        prng._lane_keystream_available = lambda: False
+    try:
+        yield
+    finally:
+        prng._lane_keystream_available = available
 
 
 # -- tier 1: primitives --------------------------------------------------------
@@ -270,7 +285,7 @@ def bench_drbg() -> dict:
     """The scalar T-table fast path against the reference stream; the
     native keystream is timed in the ``native_crypto`` tier."""
     n_bytes = 1 << 16
-    with fastpath.forced(True), fastpath.forced_vector(False), _without_native():
+    with fastpath.forced(True), _lane_keystream(False), _without_native():
         fast = AesCtrDrbg.from_seed(b"bench")
         t_fast = _best_of(lambda: fast.random_bytes(n_bytes), repeats=5)
     with fastpath.forced(False):
@@ -291,18 +306,18 @@ def bench_drbg_bulk() -> dict:
 
     Both sides run the batched fast path (geometric refills, pooled
     ciphers) without the native library, which would serve both; the
-    only difference is ``REPRO_VECTOR``, i.e. whether big refills go
-    through :func:`repro.crypto.aesbatch.ctr_keystream`.  The output
+    only difference is whether big refills go through
+    :func:`repro.crypto.aesbatch.ctr_keystream`.  The output
     stream is bit-identical either way, so the tracked ratio is a pure
     kernel comparison.  Also times the batched dealer-fork prefill
     (``fork_many`` + ``prefill_many``) against sequential scalar forks —
     the protocol's per-round dealing pattern.
     """
     n_bytes = 1 << 20
-    with fastpath.forced(True), fastpath.forced_vector(False), _without_native():
+    with fastpath.forced(True), _lane_keystream(False), _without_native():
         scalar = AesCtrDrbg.from_seed(b"bulk-bench")
         t_scalar = _best_of(lambda: scalar.random_bytes(n_bytes), repeats=3)
-    with fastpath.forced(True), fastpath.forced_vector(True), _without_native():
+    with fastpath.forced(True), _lane_keystream(True), _without_native():
         lane = AesCtrDrbg.from_seed(b"bulk-bench")
         t_lane = _best_of(lambda: lane.random_bytes(n_bytes), repeats=3)
 
@@ -310,14 +325,14 @@ def bench_drbg_bulk() -> dict:
     blocks_bytes = 96
 
     def forks_scalar():
-        with fastpath.forced(True), fastpath.forced_vector(False):
+        with fastpath.forced(True), _lane_keystream(False):
             parent = AesCtrDrbg.from_seed(b"fork-bench")
             children = [parent.fork(f"dealer-{i}") for i in range(forks)]
             for child in children:
                 child.random_bytes(blocks_bytes)
 
     def forks_lane():
-        with fastpath.forced(True), fastpath.forced_vector(True):
+        with fastpath.forced(True), _lane_keystream(True):
             parent = AesCtrDrbg.from_seed(b"fork-bench")
             children = parent.fork_many([f"dealer-{i}" for i in range(forks)])
             AesCtrDrbg.prefill_many(children, blocks_bytes)
@@ -442,8 +457,6 @@ def bench_native_crypto(repeats: int = 20) -> dict:
 
     if not aesbatch.HAVE_NUMPY:
         return {}
-    # An earlier tier may have dealt these rounds already: an empty
-    # dealt-share pool makes every dealer evaluate.
     fastpath.clear_process_caches()
     _, engine = build_engines(dcube(), CryptoMode.REAL)
     nodes = engine.topology.node_ids
@@ -1193,9 +1206,9 @@ def main() -> int:
             "figure1_real_steady_speedup_min": 10.0,
             "campaign_parallel_speedup_min": 2.0,
             "campaign_parallel_min_cores": 4,
-            # 3.0 since PR 4: steady state now amortises the per-round
-            # dealt-share pool and round-constant caches, which a fresh
-            # process legitimately lacks — the warm cold start itself
+            # 3.0 since PR 4: steady state amortises the per-round
+            # round-constant caches, which a fresh process
+            # legitimately lacks — the warm cold start itself
             # kept improving (see cold_start.*.warm_s), only the
             # denominator got faster.
             "cold_start_warm_vs_steady_max": 3.0,

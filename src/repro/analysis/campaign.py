@@ -71,19 +71,11 @@ def resolve_workers(workers: int | None) -> int:
 
 @dataclass(frozen=True)
 class WorkerState:
-    """The parent's runtime switches, replayed in every spawn worker.
-
-    ``vector_enabled`` rides along so the ``REPRO_VECTOR`` backend is
-    consistent across the pool: a parent that forced the flag at runtime
-    (rather than via the environment) would otherwise split the fleet
-    between kernels.  The kernels are bit-identical, so this is about
-    determinism of *which code ran*, not of results.
-    """
+    """The parent's runtime switches, replayed in every spawn worker."""
 
     fastpath_enabled: bool
     disk_cache_enabled: bool
     cache_dir: str
-    vector_enabled: bool = True
 
 
 def current_worker_state() -> WorkerState:
@@ -92,7 +84,6 @@ def current_worker_state() -> WorkerState:
         fastpath_enabled=fastpath.enabled(),
         disk_cache_enabled=diskcache.enabled(),
         cache_dir=str(diskcache.cache_dir()),
-        vector_enabled=fastpath.vector_enabled(),
     )
 
 
@@ -101,7 +92,6 @@ def apply_worker_state(state: WorkerState) -> None:
     fastpath.set_enabled(state.fastpath_enabled)
     diskcache.set_enabled(state.disk_cache_enabled)
     diskcache.set_cache_dir(state.cache_dir)
-    fastpath.set_vector_enabled(state.vector_enabled)
 
 
 def _backoff_delay(

@@ -185,13 +185,13 @@ def _metrics_of_rounds(
     # Works on dense RoundMetrics and streaming RoundSummary rounds
     # alike: both expose has_latency / max_latency_us / mean_radio_on_us.
     latencies = [r.max_latency_us / 1000.0 for r in rounds if r.has_latency]
-    radio = [r.mean_radio_on_us / 1000.0 for r in rounds]
-    success = sum(r.success_fraction for r in rounds) / len(rounds)
     if not latencies:
         raise ProtocolError(
             f"{variant_label} never completed at n={size}; "
             "configuration is broken"
         )
+    radio = [r.mean_radio_on_us / 1000.0 for r in rounds]
+    success = sum(r.success_fraction for r in rounds) / len(rounds)
     return latencies, radio, success
 
 

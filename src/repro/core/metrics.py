@@ -19,15 +19,14 @@ dense ``per_node`` mapping dropped.  A sharded campaign returning
 summaries keeps worker IPC flat in deployment size: the payload per
 round is a fixed handful of scalars however many nodes a cell holds.
 Both classes answer the same summary questions (``success_fraction``,
-``all_correct``, ``max_latency_us``, ``mean_radio_on_us``, ...), so
-:func:`summarize_rounds` and the experiment harness accept either form.
+``all_correct``, ``max_latency_us``, ``mean_radio_on_us``, ...), so the
+experiment harness accepts either form.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.errors import ProtocolError
 
@@ -84,11 +83,6 @@ class RoundMetrics:
         return sorted(self.per_node)
 
     @property
-    def completed_nodes(self) -> list[int]:
-        """Nodes that obtained an aggregate."""
-        return [n for n, m in sorted(self.per_node.items()) if m.latency_us is not None]
-
-    @property
     def success_fraction(self) -> float:
         """Fraction of nodes that reconstructed a correct aggregate."""
         correct = sum(1 for m in self.per_node.values() if m.correct)
@@ -143,11 +137,6 @@ class RoundMetrics:
     def max_radio_on_us(self) -> int:
         """Worst-case per-node radio-on time."""
         return max(m.radio_on_us for m in self.per_node.values())
-
-    @property
-    def total_schedule_us(self) -> int:
-        """End-to-end scheduled duration of the round."""
-        return self.sharing_duration_us + self.reconstruction_duration_us
 
 
 #: Accepted per-round metrics payload modes for campaign work units.
@@ -262,11 +251,6 @@ class RoundSummary:
         """Fraction of nodes that reconstructed a correct aggregate."""
         return self.correct_count / self.num_nodes
 
-    @property
-    def total_schedule_us(self) -> int:
-        """End-to-end scheduled duration of the round."""
-        return self.sharing_duration_us + self.reconstruction_duration_us
-
 
 @dataclass(frozen=True, slots=True)
 class WindowSummary:
@@ -320,38 +304,3 @@ class WindowSummary:
     def exact(self) -> bool:
         """The reconstructed total equals the modular-sum oracle."""
         return self.total is not None and self.total == self.expected
-
-
-def summarize_rounds(
-    rounds: Iterable["RoundMetrics | RoundSummary"],
-) -> dict[str, float]:
-    """Mean-of-rounds summary used by the experiment harness.
-
-    Latency figures are means over rounds of the per-round maximum (the
-    network is done when its slowest node is), radio-on figures are means
-    of per-round means; both in milliseconds to match the paper's axes.
-    Accepts full :class:`RoundMetrics` and streaming :class:`RoundSummary`
-    rounds interchangeably (even mixed).
-    """
-    rounds = list(rounds)
-    if not rounds:
-        raise ProtocolError("cannot summarize zero rounds")
-    completed = [r for r in rounds if r.has_latency]
-    summary = {
-        "rounds": float(len(rounds)),
-        "completed_rounds": float(len(completed)),
-        "success_fraction": sum(r.success_fraction for r in rounds) / len(rounds),
-        "all_correct_fraction": sum(1.0 for r in rounds if r.all_correct)
-        / len(rounds),
-        "mean_radio_on_ms": sum(r.mean_radio_on_us for r in rounds)
-        / len(rounds)
-        / 1000.0,
-    }
-    if completed:
-        summary["latency_ms"] = sum(r.max_latency_us for r in completed) / len(
-            completed
-        ) / 1000.0
-        summary["mean_node_latency_ms"] = sum(
-            r.mean_latency_us for r in completed
-        ) / len(completed) / 1000.0
-    return summary

@@ -32,7 +32,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro import diskcache, fastpath
+from repro import fastpath
 from repro.crypto.prng import AesCtrDrbg
 from repro.ct.coverage import arm_offsets
 from repro.ct.minicast import (
@@ -99,17 +99,6 @@ _CODEC_POOL_MAX = 4096
 #: instantiation across a campaign shares them.
 _LAYOUT_POOL: dict[tuple, ChainLayout] = {}
 _LAYOUT_POOL_MAX = 4096
-
-#: Process-wide dealt-share pool (fast path).  A dealer's polynomial is a
-#: pure function of its fork key (itself derived from the round seed),
-#: the secret, the degree and the field, so the evaluated share vector
-#: for a given destination-point tuple is replayable: repeated rounds —
-#: warm service restarts, re-run campaigns, the steady-state bench —
-#: skip the DRBG draws and the Horner pass entirely and still produce
-#: bit-identical packets.  Same precedent as the cipher pool in
-#: :mod:`repro.crypto.prng` and the coverage-row disk cache.
-_DEAL_POOL: dict[tuple, list[int]] = {}
-_DEAL_POOL_MAX = 16384
 
 #: Per-engine cap on pooled per-(layout, sources) round constants.
 _ROUND_CONST_MAX = 128
@@ -261,32 +250,6 @@ class AggregationEngine:
             if pooled is not None:
                 self._codec_cache[node] = pooled
                 return pooled
-        # REAL codecs are worth persisting: provisioning expands two AES
-        # schedules per peer, and the pickled form carries the expanded
-        # key schedule words (see AES128.__getstate__), so a cold process
-        # reloads commissioning-time key material instead of re-deriving
-        # it — exactly how firmware ships provisioned keys.
-        disk_key = None
-        if (
-            pool_key is not None
-            and self._config.crypto_mode is CryptoMode.REAL
-            and diskcache.enabled()
-        ):
-            disk_key = diskcache.content_key(
-                "codec",
-                self._config.crypto_mode,
-                node,
-                self._topology.node_ids,
-                self._config.master_secret,
-                self._config.mac_tag_bytes,
-            )
-            stored = diskcache.load("codec", disk_key)
-            if isinstance(stored, RealShareCodec):
-                self._codec_cache[node] = stored
-                if len(_CODEC_POOL) >= _CODEC_POOL_MAX:
-                    _CODEC_POOL.clear()
-                _CODEC_POOL[pool_key] = stored
-                return stored
         if self._config.crypto_mode is CryptoMode.REAL:
             built = RealShareCodec(
                 node,
@@ -301,8 +264,6 @@ class AggregationEngine:
             if len(_CODEC_POOL) >= _CODEC_POOL_MAX:
                 _CODEC_POOL.clear()
             _CODEC_POOL[pool_key] = built
-        if disk_key is not None:
-            diskcache.store("codec", disk_key, built)
         return built
 
     # -- variant hooks -------------------------------------------------------------
@@ -457,53 +418,23 @@ class AggregationEngine:
         batch_indices: list[int] = []
         if fast:
             # Batched dealing: the per-dealer fork derivations collapse
-            # into one buffered parent read, the missing forks' keystream
-            # is prefetched through the aesbatch lane kernel, and share
-            # vectors replay from the dealt-share pool when this exact
-            # round was dealt before — all bit-identical to the scalar
+            # into one buffered parent read and the forks' keystream is
+            # prefetched in one call — bit-identical to the scalar
             # sequence below.
             dealers = dealer_root.fork_many(
                 [f"dealer-{src}" for src in sources]
             )
-            prime = field.prime
-            points_key = tuple(destination_points)
-            bytes_per_draw = (prime.bit_length() + 7) // 8
-            values_by_src: dict[int, list[int]] = {}
-            missing: list[tuple] = []
+            bytes_per_draw = (field.prime.bit_length() + 7) // 8
+            AesCtrDrbg.prefill_many(dealers, degree * bytes_per_draw + 8)
             for src, dealer in zip(sources, dealers):
-                deal_key = (
-                    dealer.key_bytes,
-                    degree,
-                    prime,
-                    field(secrets[src]).value,
-                    points_key,
+                polynomial = Polynomial.random_with_secret(
+                    field, secrets[src], degree, dealer
                 )
-                values = _DEAL_POOL.get(deal_key)
-                if values is None:
-                    missing.append((src, dealer, deal_key))
-                else:
-                    values_by_src[src] = values
-            if missing:
-                AesCtrDrbg.prefill_many(
-                    [dealer for _, dealer, _ in missing],
-                    degree * bytes_per_draw + 8,
-                )
-                for src, dealer, deal_key in missing:
-                    polynomial = Polynomial.random_with_secret(
-                        field, secrets[src], degree, dealer
-                    )
-                    # Bulk raw-int evaluation: one Horner pass per
-                    # destination without a FieldElement per product.
-                    values = polynomial.evaluate_values(destination_points)
-                    if len(_DEAL_POOL) >= _DEAL_POOL_MAX:
-                        _DEAL_POOL.clear()
-                    _DEAL_POOL[deal_key] = values
-                    values_by_src[src] = values
-            for src in sources:
+                # Bulk raw-int evaluation: one Horner pass per
+                # destination without a FieldElement per product.
+                values = polynomial.evaluate_values(destination_points)
                 src_codec = self.codec(src)
-                for dst, value_int, index in zip(
-                    destinations, values_by_src[src], index_rows[src]
-                ):
+                for dst, value_int, index in zip(destinations, values, index_rows[src]):
                     if dst == src:
                         # A node's share to itself never leaves the node;
                         # the sub-slot still exists (and costs airtime) in

@@ -284,8 +284,8 @@ class AES128:
         On the fast path one native call expands every key
         (:func:`repro.crypto.aesbatch.native_key_schedules`), where the
         library loaded; otherwise :func:`_expand_key_words`, its oracle,
-        expands them one by one.  Either way each cipher's state, and so
-        its pickle, is that of ``AES128(key)``.
+        expands them one by one.  Either way each cipher's state is that
+        of ``AES128(key)``.
         """
         keys = list(keys)
         if not fastpath.enabled():
@@ -328,27 +328,6 @@ class AES128:
         encrypt_int = _make_int_encryptor(self._enc_words, _TE0, _TE1, _TE2, _TE3, _SBOX)
         self.encrypt_int = encrypt_int
         return encrypt_int
-
-    # Cipher objects are persisted by the commissioning disk cache (the
-    # pairwise key *schedules* are the artifact worth keeping), but the
-    # generated ``encrypt_int`` closure cannot be pickled — so state is
-    # the expanded schedule words and the closure is regenerated after a
-    # load, on first use.
-    def __getstate__(self) -> dict:
-        return {
-            "use_tables": self._use_tables,
-            "enc_words": self._enc_words,
-            "dec_words": self._dec_words,
-            "round_keys": self._round_keys,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self._use_tables = state["use_tables"]
-        self._enc_words = state["enc_words"]
-        self._dec_words = state["dec_words"]
-        self._round_keys = state["round_keys"]
-        if not self._use_tables:
-            self.encrypt_int = self._encrypt_int_reference
 
     @staticmethod
     def _expand_key(key: bytes) -> list[list[int]]:

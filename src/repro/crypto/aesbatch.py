@@ -218,17 +218,6 @@ def ctr_keystream(cipher: AES128, counter: int, count: int) -> bytes:
     return keystream_runs(rk, [counter], [count])[0]
 
 
-def ctr_keystream_many(ciphers, counters, counts) -> list[bytes]:
-    """Per-cipher CTR keystream runs: :func:`keystream_runs` over ``ciphers``.
-
-    Each stream is bit-identical to ``ciphers[i].ctr_blocks(counters[i],
-    counts[i])``.
-    """
-    if sum(counts) == 0:
-        return [b"" for _ in counts]
-    return keystream_runs(cipher_schedules(ciphers), counters, counts)
-
-
 def native_key_schedules(keys: bytes) -> list[list[int]] | None:
     """FIPS-197 key expansion of N concatenated 16-byte keys, in C.
 

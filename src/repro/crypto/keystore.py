@@ -78,10 +78,6 @@ class PairwiseKeyStore:
         )
         return store
 
-    def install_key(self, peer_id: int, key: bytes) -> None:
-        """Install (or replace) the key shared with ``peer_id``."""
-        self.install_keys({peer_id: key})
-
     def install_keys(self, keys: Mapping[int, bytes]) -> None:
         """Install (or replace) the key shared with each peer of ``keys``,
         their schedules expanded together (:meth:`AES128.many`)."""
@@ -102,10 +98,6 @@ class PairwiseKeyStore:
                 f"node {self._node_id} holds no key for peer {peer_id}"
             )
         return cipher
-
-    def has_key(self, peer_id: int) -> bool:
-        """Whether a key for ``peer_id`` is installed."""
-        return peer_id in self._ciphers
 
     def peers(self) -> list[int]:
         """Sorted list of peers this node shares a key with."""

@@ -92,15 +92,3 @@ def pad_pkcs7(data: bytes) -> bytes:
     """PKCS#7-pad ``data`` up to the next block boundary."""
     pad_length = BLOCK_SIZE - (len(data) % BLOCK_SIZE)
     return data + bytes([pad_length]) * pad_length
-
-
-def unpad_pkcs7(data: bytes) -> bytes:
-    """Strip PKCS#7 padding, validating every pad byte."""
-    if not data or len(data) % BLOCK_SIZE != 0:
-        raise CryptoError("invalid PKCS#7 input length")
-    pad_length = data[-1]
-    if not 1 <= pad_length <= BLOCK_SIZE:
-        raise CryptoError("invalid PKCS#7 pad length")
-    if data[-pad_length:] != bytes([pad_length]) * pad_length:
-        raise CryptoError("corrupt PKCS#7 padding")
-    return data[:-pad_length]

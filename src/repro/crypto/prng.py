@@ -63,9 +63,7 @@ _LANE_REFILL_BLOCKS_MIN = 16
 
 
 def _lane_keystream_available() -> bool:
-    """Whether the vectorized CTR refill kernel may be used."""
-    if not fastpath.vector_enabled():
-        return False
+    """Whether the numpy CTR lane kernel may be used (numpy importable)."""
     from repro.crypto import aesbatch
 
     return aesbatch.HAVE_NUMPY
@@ -121,12 +119,8 @@ class AesCtrDrbg:
 
     @property
     def key_bytes(self) -> bytes:
-        """The 16-byte AES key this stream runs under.
-
-        A DRBG's entire output is a pure function of this key, so it
-        doubles as a replay-cache identity for values derived from the
-        stream (see the dealt-share pool in :mod:`repro.core.protocol`).
-        """
+        """The 16-byte AES key this stream runs under: its entire output
+        is a pure function of this key."""
         return self._key
 
     def _refill_cipher(self) -> AES128:
@@ -156,7 +150,7 @@ class AesCtrDrbg:
         On the fast path every refill runs in the native CTR kernel,
         which expands the raw key itself; where that did not load, large
         batches go through the :mod:`repro.crypto.aesbatch` lane kernel
-        when the vector backend is on.  The bytes are bit-identical to
+        where numpy is importable.  The bytes are bit-identical to
         the scalar ``ctr_blocks`` either way, so the routing decision
         never shows in the output stream.
         """
@@ -340,9 +334,8 @@ class AesCtrDrbg:
         object or key schedule.  Where that kernel did not load, one
         vectorized key schedule and one
         :func:`repro.crypto.aesbatch.keystream_runs` call do the same;
-        without the vector backend (or numpy) each stream prefills on
-        its own.  Either way every stream's future output is
-        bit-identical to the unprefilled one.
+        without numpy each stream prefills on its own.  Either way every
+        stream's future output is bit-identical to the unprefilled one.
         """
         if length <= 0:
             return

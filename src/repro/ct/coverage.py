@@ -79,14 +79,6 @@ class CoverageStats:
     mean_reachable: float
     slots_run_mean: float
 
-    def reachable_sources(self, node: int, threshold: float = 0.99) -> set[int]:
-        """Sources whose data reached ``node`` with ≥ ``threshold`` probability."""
-        return {
-            src
-            for (src, dst), probability in self.pair_delivery.items()
-            if dst == node and probability >= threshold
-        }
-
 
 @dataclass(frozen=True)
 class CoverageProfile:
@@ -109,12 +101,6 @@ class CoverageProfile:
             if self.stats[ntx].full_coverage_fraction >= target:
                 return ntx
         return None
-
-    def reach_curve(self) -> list[tuple[int, float]]:
-        """(NTX, mean reachable sources) pairs — the §III non-linearity."""
-        return [
-            (ntx, self.stats[ntx].mean_reachable) for ntx in sorted(self.stats)
-        ]
 
 
 def probe_round(

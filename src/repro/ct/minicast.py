@@ -85,11 +85,6 @@ class Requirement:
             )
         return cls(mask=mask, min_count=min_count)
 
-    @classmethod
-    def nothing(cls) -> "Requirement":
-        """No reception requirement (pure source/relay)."""
-        return cls(mask=0, min_count=0)
-
     def satisfied_by(self, knowledge: int) -> bool:
         """Whether ``knowledge`` meets this requirement."""
         if self.min_count == 0:
@@ -139,15 +134,6 @@ class MiniCastResult:
     def round_duration_us(self) -> int:
         """Scheduled duration of the round (what TDMA reserves)."""
         return self.schedule.round_duration_us
-
-    def delivery_ratio(self, mask: int) -> float:
-        """Fraction of nodes whose final view contains all of ``mask``."""
-        if not self.knowledge:
-            return 0.0
-        hits = sum(
-            1 for view in self.knowledge.values() if view & mask == mask
-        )
-        return hits / len(self.knowledge)
 
 
 class MiniCastRound:

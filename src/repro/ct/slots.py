@@ -103,14 +103,6 @@ class RoundSchedule:
         """Full on-air frame size (PHY overhead + PSDU) for PRR lookups."""
         return self.timings.phy_overhead_bytes + self.psdu_bytes
 
-    def slot_end_us(self, slot: int) -> int:
-        """Time at which chain slot ``slot`` (0-based) completes."""
-        if not 0 <= slot < self.num_slots:
-            raise ConfigurationError(
-                f"slot {slot} outside schedule of {self.num_slots}"
-            )
-        return (slot + 1) * self.chain_slot_us
-
     def __repr__(self) -> str:
         return (
             f"RoundSchedule(chain={self.chain_length}, ntx={self.ntx}, "

@@ -4,10 +4,15 @@ The process-wide pools (link tables, S4 bootstraps, codec key schedules)
 amortise commissioning *within* one process, which is why the first
 campaign in a process — and every freshly spawned campaign worker — still
 pays the full reference-fidelity bootstrap.  This module closes that gap:
-artifacts that are pure functions of the deployment description are
-persisted to a versioned on-disk cache, so a cold process (or a
-``ProcessPoolExecutor`` spawn worker) loads them instead of re-running
-the reference MiniCast probe loop.
+artifacts that are pure functions of the deployment description — link
+tables, S4 bootstraps, coverage rows — are persisted to a versioned
+on-disk cache, so a cold process (or a ``ProcessPoolExecutor`` spawn
+worker) loads them instead of re-running the reference MiniCast probe
+loop.  Codecs are not persisted: their key schedules expand in the
+native library in about the time loading their pickles took, so a
+cache entry would only cost the cold start its write.  ``codec-*.pkl``
+files an older version left in a directory are never read; the
+lifecycle sweep drops them like any other unused entry.
 
 Layout and contract:
 
@@ -365,16 +370,6 @@ def store(kind: str, key: str, payload: Any) -> bool:
         return True
     except Exception:
         return False
-
-
-def fetch(kind: str, key: str, build: Callable[[], Any]) -> Any:
-    """``load`` or ``build()``-and-``store`` an artifact."""
-    cached = load(kind, key)
-    if cached is not None:
-        return cached
-    built = build()
-    store(kind, key, built)
-    return built
 
 
 # -- append-only log (write-ahead journal substrate) ---------------------------

@@ -14,13 +14,15 @@ benchmarking against the reference, or for debugging a suspected fast-path
 divergence — via the ``REPRO_FASTPATH=0`` environment variable or, within
 a process, the :func:`forced` context manager.
 
-Three fast-path kernels are native, all in one library that
+The fast path's kernels are native, all in one library that
 :mod:`repro.native` builds with the system compiler on first use and
-caches per user: MiniCast's slot loop (drawing the same random numbers
-in the same order as its Python twin), share-packet AES over lanes, and
-GF(2**61 - 1) polynomial evaluation.  Each gives bit-identical results,
-and its Python twin stays as the oracle and the fallback.  With the
-fast path off a protocol round never asks for the library.
+caches per user: MiniCast's slot loop and the reference loop
+commissioning runs (drawing the same random numbers in the same order
+as their Python twins), share-packet AES over lanes, the DRBG's AES-CTR
+keystream, batched AES key schedules, and GF(2**61 - 1) polynomial
+evaluation.  Each gives bit-identical results, and its Python twin
+stays as the oracle and the fallback.  With the fast path off a
+protocol round never asks for the library.
 
 Components consult the flag at *construction* time (cipher objects, DRBG
 instances, MiniCast rounds) or at cheap call-time branch points, so
@@ -51,46 +53,10 @@ _FALSE_VALUES = {"0", "false", "off", "no"}
 
 _enabled: bool = os.environ.get("REPRO_FASTPATH", "1").strip().lower() not in _FALSE_VALUES
 
-#: The numpy-vectorized backend layered *on top of* the fast path: the
-#: :mod:`repro.crypto.aesbatch` lane kernels behind DRBG refills and the
-#: batched dealer-fork keystream.  ``REPRO_VECTOR=0`` pins the scalar
-#: keystream (bit-exact with the no-numpy fallback) while leaving the
-#: rest of the fast path on.  The flag is advisory when
-#: numpy is absent: every consumer also guards on its module's
-#: ``HAVE_NUMPY`` and degrades to the scalar path.
-_vector: bool = os.environ.get("REPRO_VECTOR", "1").strip().lower() not in _FALSE_VALUES
-
 
 def enabled() -> bool:
     """Whether the fast compute path is currently selected."""
     return _enabled
-
-
-def vector_enabled() -> bool:
-    """Whether the numpy-vectorized backend is currently selected.
-
-    Effective only where the fast path is on *and* numpy is importable;
-    callers must still guard on their kernel module's ``HAVE_NUMPY``.
-    """
-    return _vector
-
-
-def set_vector_enabled(flag: bool) -> bool:
-    """Set the vector-backend flag; returns the previous value."""
-    global _vector
-    previous = _vector
-    _vector = bool(flag)
-    return previous
-
-
-@contextlib.contextmanager
-def forced_vector(flag: bool) -> Iterator[None]:
-    """Run a block with the vector-backend flag pinned to ``flag``."""
-    previous = set_vector_enabled(flag)
-    try:
-        yield
-    finally:
-        set_vector_enabled(previous)
 
 
 def set_enabled(flag: bool) -> bool:
@@ -134,7 +100,6 @@ def clear_process_caches() -> None:
         link._TABLE_CACHE.clear()
     protocol._CODEC_POOL.clear()
     protocol._LAYOUT_POOL.clear()
-    protocol._DEAL_POOL.clear()
     prng._CIPHER_POOL.clear()
     kernels._POWER_ROWS.clear()
     lagrange.SHARED_WEIGHTS.clear()

@@ -7,21 +7,15 @@ reconstruction hot loops evaluate millions of field operations per
 campaign, so this module provides the same mathematics on plain Python
 ints:
 
-* :func:`mod_mersenne61` / :func:`mul_mod_mersenne61` — shift-and-add
-  reduction for the library-default modulus ``2**61 - 1`` (a Mersenne
-  prime: ``x mod p`` is a fold of the high bits onto the low bits).
-  Measured caveat: at 61 bits CPython's native ``%`` (C-level bigint
-  division) is ~2× faster than a Python-level fold, so the hot loops
-  below deliberately use ``% prime``; these two kernels are the
-  portable reference form (and the right shape for a future numpy/C
-  backend, where the fold wins);
 * :func:`inv_mod` — modular inversion via CPython's native
   ``pow(x, -1, p)`` (much faster than a Python-level extended Euclid);
-* :func:`horner_eval` / :func:`horner_eval_many` — dealer-polynomial
+* :func:`horner_eval_many` — dealer-polynomial
   evaluation without intermediate ``FieldElement`` objects (the bulk
   form as one dot product per point against cached power rows), and
   :func:`horner_eval_m61`, the same bulk form over ``2**61 - 1`` in the
-  native library's C kernel (``m61_horner.c``);
+  native library's C kernel (``m61_horner.c``), which reduces by folding
+  the high bits onto the low ones (``2**61 - 1`` is a Mersenne prime;
+  in Python the native ``%`` is faster, so the Python kernels use it);
 * :func:`lagrange_weight_values` — Lagrange basis weights with a single
   batched inversion (Montgomery's trick: ``k`` inverses for the price of
   one ``pow(x, -1, p)`` and ``3k`` multiplications).
@@ -43,25 +37,6 @@ from repro.errors import InterpolationError, NonInvertibleError
 M61 = (1 << 61) - 1
 
 
-def mod_mersenne61(x: int) -> int:
-    """``x mod (2**61 - 1)`` for non-negative ``x`` via bit folding.
-
-    Because ``2**61 ≡ 1 (mod p)``, the high bits of ``x`` can simply be
-    added onto the low 61 bits; two folds canonicalise any product of two
-    canonical residues (≤ 122 bits).
-    """
-    x = (x & M61) + (x >> 61)
-    x = (x & M61) + (x >> 61)
-    if x >= M61:
-        x -= M61
-    return x
-
-
-def mul_mod_mersenne61(a: int, b: int) -> int:
-    """Product of two canonical Mersenne-61 residues, reduced."""
-    return mod_mersenne61(a * b)
-
-
 def inv_mod(a: int, modulus: int) -> int:
     """Multiplicative inverse of ``a`` modulo ``modulus``.
 
@@ -74,18 +49,6 @@ def inv_mod(a: int, modulus: int) -> int:
         raise NonInvertibleError(
             f"{a % modulus} has no inverse modulo {modulus}"
         ) from None
-
-
-def horner_eval(coefficients: Sequence[int], x: int, prime: int) -> int:
-    """Evaluate ``sum c_i * x**i`` at ``x`` over GF(prime), Horner style.
-
-    ``coefficients`` are lowest-degree-first canonical residues; the
-    result is a canonical residue.
-    """
-    accumulator = 0
-    for coefficient in reversed(coefficients):
-        accumulator = (accumulator * x + coefficient) % prime
-    return accumulator
 
 
 #: Power rows ``(1, x, x**2, ..., x**(length-1)) mod prime`` per point,
@@ -123,8 +86,10 @@ def horner_eval_many(
 ) -> list[int]:
     """Evaluate one polynomial at many points (the sharing-phase bulk op).
 
-    Value-identical to :func:`horner_eval` at every point: ``sum c_i *
-    x**i`` reduced once, against the cached power rows of ``xs``.
+    Value-identical to Horner's rule (:meth:`Polynomial.__call__
+    <repro.field.polynomial.Polynomial.__call__>`) at every point:
+    ``sum c_i * x**i`` reduced once, against the cached power rows of
+    ``xs``.
     """
     rows = _power_rows(xs, len(coefficients), prime)
     return [sum(map(mul, coefficients, row)) % prime for row in rows]

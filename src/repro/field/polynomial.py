@@ -44,11 +44,6 @@ class Polynomial:
         return cls(field, [0])
 
     @classmethod
-    def constant(cls, field: PrimeField, value: IntoElement) -> "Polynomial":
-        """The degree-0 polynomial ``value``."""
-        return cls(field, [value])
-
-    @classmethod
     def random_with_secret(
         cls,
         field: PrimeField,
@@ -105,11 +100,6 @@ class Polynomial:
             return -1
         return len(self._coeffs) - 1
 
-    @property
-    def constant_term(self) -> FieldElement:
-        """``P(0)`` — where Shamir's scheme stores the secret."""
-        return FieldElement(self._field, self._coeffs[0])
-
     def __len__(self) -> int:
         return len(self._coeffs)
 
@@ -139,12 +129,6 @@ class Polynomial:
             if values is not None:
                 return values
         return horner_eval_many(self._coeffs, xs, prime)
-
-    def evaluate_many(self, xs: Sequence[IntoElement]) -> list[FieldElement]:
-        """Evaluate at many points (the sharing phase's bulk operation)."""
-        field = self._field
-        values = self.evaluate_values([field(x).value for x in xs])
-        return [FieldElement(field, value) for value in values]
 
     # -- ring arithmetic ----------------------------------------------------------
 

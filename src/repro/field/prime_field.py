@@ -99,10 +99,6 @@ class PrimeField:
         """The additive identity."""
         return FieldElement(self, 0)
 
-    def one(self) -> "FieldElement":
-        """The multiplicative identity."""
-        return FieldElement(self, 1)
-
     def element_from_bytes(self, data: bytes) -> "FieldElement":
         """Decode a big-endian byte string into a field element.
 
@@ -122,14 +118,6 @@ class PrimeField:
     def element_size_bytes(self) -> int:
         """Bytes needed to serialize any canonical element."""
         return (self._prime.bit_length() + 7) // 8
-
-    def random_element(self, rng) -> "FieldElement":
-        """Uniform random element, drawn from ``rng.randrange``.
-
-        ``rng`` is any object exposing ``randrange(n)`` — the stdlib
-        ``random.Random`` and :class:`repro.crypto.prng.AesCtrDrbg` both do.
-        """
-        return FieldElement(self, rng.randrange(self._prime))
 
     def elements(self) -> Iterator["FieldElement"]:
         """Iterate every element (only sensible for tiny test fields)."""

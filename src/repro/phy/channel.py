@@ -155,16 +155,6 @@ class ChannelModel:
             return 1.0
         return (1.0 - ber) ** (8 * frame_bytes)
 
-    def link_prr(
-        self,
-        distance_m: float,
-        node_a: int,
-        node_b: int,
-        frame_bytes: int,
-    ) -> float:
-        """PRR of the (a → b) link at the given distance and frame size."""
-        return self.prr(self.rssi_dbm(distance_m, node_a, node_b), frame_bytes)
-
     def __repr__(self) -> str:
         p = self._params
         return (

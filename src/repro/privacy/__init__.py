@@ -14,7 +14,7 @@ learns nothing about any individual secret.  This package provides:
   sanity check that the tooling has teeth).
 """
 
-from repro.privacy.adversary import Coalition, CoalitionView
+from repro.privacy.adversary import Coalition
 from repro.privacy.analysis import (
     exhaustive_secrecy_check,
     guess_secret_from_view,
@@ -23,7 +23,6 @@ from repro.privacy.analysis import (
 
 __all__ = [
     "Coalition",
-    "CoalitionView",
     "exhaustive_secrecy_check",
     "guess_secret_from_view",
     "statistical_view_distance",

@@ -17,33 +17,9 @@ honest node's secret, which :mod:`repro.privacy.analysis` quantifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.errors import SecretSharingError
-from repro.field.lagrange import interpolate_constant
-from repro.field.prime_field import FieldElement, PrimeField
-from repro.sss.shares import Share
-
-
-@dataclass(frozen=True)
-class CoalitionView:
-    """Everything a coalition observed in one round.
-
-    Attributes:
-        shares: dealer → list of shares coalition members received from
-            that dealer (at the members' public points).
-        sums: public per-point sums seen in the reconstruction phase.
-        aggregate: the public aggregation output (if the round completed).
-    """
-
-    shares: dict[int, list[Share]]
-    sums: dict[int, int] = field(default_factory=dict)
-    aggregate: int | None = None
-
-    def shares_of(self, dealer: int) -> list[Share]:
-        """Shares of one dealer's polynomial held by the coalition."""
-        return list(self.shares.get(dealer, []))
 
 
 class Coalition:
@@ -77,44 +53,6 @@ class Coalition:
     def breaches_threshold(self, degree: int) -> bool:
         """Whether this coalition exceeds the collusion threshold."""
         return self.size > degree
-
-    def observe_sharing(
-        self,
-        shares_by_destination: Mapping[int, Iterable[Share]],
-    ) -> dict[int, list[Share]]:
-        """Collect the shares that landed on coalition members.
-
-        ``shares_by_destination`` maps destination node → decrypted shares
-        it received; only coalition members' entries are readable.
-        """
-        pooled: dict[int, list[Share]] = {}
-        for destination, shares in shares_by_destination.items():
-            if destination not in self._members:
-                continue
-            for share in shares:
-                pooled.setdefault(share.dealer_id, []).append(share)
-        return pooled
-
-    def attempt_reconstruction(
-        self,
-        field_: PrimeField,
-        view: CoalitionView,
-        dealer: int,
-        degree: int,
-    ) -> FieldElement | None:
-        """Try to recover one dealer's secret from pooled shares.
-
-        Returns the interpolated constant term when the coalition holds
-        at least ``degree + 1`` of the dealer's shares, else ``None`` —
-        below the threshold interpolation is information-theoretically
-        worthless (any secret is equally consistent), which the analysis
-        module verifies.
-        """
-        shares = view.shares_of(dealer)
-        if len(shares) < degree + 1:
-            return None
-        points = [(s.x, s.y) for s in shares[: degree + 1]]
-        return interpolate_constant(field_, points)
 
     def __contains__(self, node: int) -> bool:
         return node in self._members

@@ -11,8 +11,8 @@ cross-cutting run state exactly once:
   :class:`~repro.core.metrics.RoundMetrics` or streaming ``"summary"``);
 * **cache_dir** — the persisted commissioning cache root
   (:mod:`repro.diskcache`), applied process-wide like the old CLI flag;
-* the **backend fingerprint** (fast path, vector backend, numpy
-  presence) recorded in every result envelope.
+* the **backend fingerprint** (fast path, numpy presence) recorded in
+  every result envelope.
 
 ``session.run(spec)`` resolves the spec's scenario through the registry,
 executes it, and wraps the payload in an :class:`ExperimentResult` — the
@@ -55,7 +55,6 @@ def backend_fingerprint(workers: int, metrics: str = "full") -> dict[str, Any]:
         have_numpy = False
     return {
         "fastpath": fastpath.enabled(),
-        "vector": fastpath.vector_enabled(),
         "numpy": have_numpy,
         "disk_cache": diskcache.enabled(),
         "workers": workers,

@@ -21,8 +21,8 @@ the window journal) holding four record kinds:
   windows' contributions into one :class:`~repro.service.wire
   .DeviceTotal` per device and rewrites the log; because integer sums
   merge associatively, any compaction schedule yields bit-for-bit the
-  same :meth:`device_total` — the retention contract the lifecycle tests
-  pin.
+  same :meth:`billing_extract` — the retention contract the lifecycle
+  tests pin.
 * ``STORE_CHECKPOINT`` — the compaction horizon.  Journal ingest skips
   windows at or below it, so re-ingesting a daemon directory after a
   compaction can never resurrect (and double-bill) a retired window.
@@ -302,18 +302,6 @@ class ResultStore:
         if entry is None:
             return []
         return sorted(entry.contributions, key=lambda s: (s.device, s.seq))
-
-    def device_total(self, device: int) -> int:
-        """One device's exact billed total across the store's whole span."""
-        total = 0
-        compacted = self._compacted.get(device)
-        if compacted is not None:
-            total += compacted.total
-        for entry in self._windows.values():
-            for submission in entry.contributions:
-                if submission.device == device:
-                    total += submission.value
-        return total
 
     def billing_extract(self) -> dict[int, DeviceBill]:
         """The full per-device extract: device -> exact bill + span."""

@@ -183,11 +183,6 @@ class JournalState:
     closes: dict[int, WindowSummary] = field(default_factory=dict)
     skipped: int = 0
 
-    @property
-    def open_submissions(self) -> list[ShareSubmission]:
-        """Accepted submissions whose window has no close record yet."""
-        return [s for s in self.accepted if s.window not in self.closes]
-
 
 class WindowJournal:
     """Typed append/replay facade over one :class:`AppendLog` file."""

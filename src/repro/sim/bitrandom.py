@@ -105,42 +105,3 @@ def exact_random_bitmask(rng, nbits: int, probability: float) -> int:
         if rng.random() < probability:
             mask |= 1 << bit
     return mask
-
-
-#: Per-byte set-bit positions, built once: table[b] lists the positions
-#: (0-7) of the ones in byte value ``b``.
-_BYTE_BITS: list[tuple[int, ...]] = [
-    tuple(bit for bit in range(8) if value >> bit & 1) for value in range(256)
-]
-
-
-def bit_indices(mask: int) -> list[int]:
-    """Positions of set bits, ascending (diagnostics helper).
-
-    Linear in the mask width: one ``to_bytes`` conversion plus a
-    per-byte table lookup.  The previous shift-one-bit-at-a-time loop
-    re-sliced the big int per bit — O(width²) — which made dense
-    2000-bit chain masks measurably slow to inspect.
-    """
-    if mask < 0:
-        raise SimulationError(f"mask must be >= 0, got {mask}")
-    if mask == 0:
-        return []
-    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    table = _BYTE_BITS
-    indices = []
-    for byte_index, byte in enumerate(raw):
-        if byte:
-            base = byte_index * 8
-            indices.extend(base + bit for bit in table[byte])
-    return indices
-
-
-def mask_from_indices(indices) -> int:
-    """Inverse of :func:`bit_indices`."""
-    mask = 0
-    for index in indices:
-        if index < 0:
-            raise SimulationError(f"bit index must be >= 0, got {index}")
-        mask |= 1 << index
-    return mask

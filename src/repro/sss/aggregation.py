@@ -20,7 +20,6 @@ agree, choosing the largest such group.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Mapping, Sequence
 
@@ -83,11 +82,6 @@ class AggregationResult:
     contributors: frozenset[int]
     points_used: int
     points_available: int
-
-    @property
-    def is_complete(self) -> bool:
-        """True when every available point agreed on the contributor set."""
-        return self.points_used == self.points_available
 
 
 def aggregate_shares(
@@ -227,17 +221,3 @@ def reconstruct_many_from_sums(
             total += weight * (y % prime)
         results.append(FieldElement(field, total % prime))
     return results
-
-
-def majority_contributor_set(
-    accumulators: Sequence[ShareAccumulator],
-) -> frozenset[int] | None:
-    """The most common contributor set among accumulators (or ``None``)."""
-    counter: Counter[frozenset[int]] = Counter(
-        accumulator.contributor_key
-        for accumulator in accumulators
-        if accumulator.contributors
-    )
-    if not counter:
-        return None
-    return counter.most_common(1)[0][0]

@@ -10,16 +10,16 @@ fields, but tiny test fields exercise the check).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import SecretSharingError
 from repro.field.prime_field import FieldElement, PrimeField
 
 
 class PublicPointRegistry:
-    """Bidirectional map between node ids and their public field points."""
+    """Map from node ids to their public field points."""
 
-    __slots__ = ("_field", "_node_ids", "_points", "_point_to_node")
+    __slots__ = ("_field", "_node_ids", "_points")
 
     def __init__(self, field: PrimeField, node_ids: Sequence[int]):
         if len(set(node_ids)) != len(node_ids):
@@ -35,10 +35,7 @@ class PublicPointRegistry:
         self._points: dict[int, FieldElement] = {
             node_id: field(node_id + 1) for node_id in node_ids
         }
-        self._point_to_node: dict[int, int] = {
-            point.value: node_id for node_id, point in self._points.items()
-        }
-        if len(self._point_to_node) != len(self._points):
+        if len({point.value for point in self._points.values()}) != len(self._points):
             raise SecretSharingError("public points collide in this field")
 
     @property
@@ -57,18 +54,6 @@ class PublicPointRegistry:
         if point is None:
             raise SecretSharingError(f"unknown node id {node_id}")
         return point
-
-    def node_of(self, point: FieldElement | int) -> int:
-        """Inverse lookup: which node owns ``point``."""
-        value = point.value if isinstance(point, FieldElement) else point
-        node_id = self._point_to_node.get(value)
-        if node_id is None:
-            raise SecretSharingError(f"no node owns point {value}")
-        return node_id
-
-    def points_of(self, node_ids: Iterable[int]) -> list[FieldElement]:
-        """Points for several nodes at once."""
-        return [self.point_of(node_id) for node_id in node_ids]
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._points

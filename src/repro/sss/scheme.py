@@ -13,7 +13,7 @@ from typing import Sequence
 
 from repro.errors import ReconstructionError, SecretSharingError
 from repro.field.kernels import horner_eval_many
-from repro.field.lagrange import interpolate_constant, interpolate_polynomial
+from repro.field.lagrange import interpolate_constant
 from repro.field.polynomial import Polynomial
 from repro.field.prime_field import FieldElement, IntoElement, PrimeField
 from repro.sss.shares import Share
@@ -138,18 +138,6 @@ class ShamirScheme:
         self._validate_share_set(shares)
         points = [(share.x, share.y) for share in shares[: self.threshold]]
         return interpolate_constant(self._field, points)
-
-    def reconstruct_polynomial(self, shares: Sequence[Share]) -> Polynomial:
-        """Recover the full dealer polynomial (testing / analysis tool)."""
-        self._validate_share_set(shares)
-        points = [(share.x, share.y) for share in shares]
-        polynomial = interpolate_polynomial(self._field, points)
-        if polynomial.degree > self._degree:
-            raise ReconstructionError(
-                f"shares are inconsistent: interpolated degree "
-                f"{polynomial.degree} exceeds scheme degree {self._degree}"
-            )
-        return polynomial
 
     def _validate_share_set(self, shares: Sequence[Share]) -> None:
         if len(shares) < self.threshold:

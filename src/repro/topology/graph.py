@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import TopologyError
 
@@ -171,18 +171,3 @@ def connected_subset(
             f"cannot carve a subset of {size}"
         )
     return sorted(order)
-
-
-def subset_adjacency(
-    adjacency: Mapping[int, Sequence[int]], keep: Iterable[int]
-) -> dict[int, list[int]]:
-    """Induced sub-adjacency on ``keep`` (models failed nodes dropping out)."""
-    keep_set = set(keep)
-    unknown = keep_set - set(adjacency)
-    if unknown:
-        raise TopologyError(f"unknown nodes in subset: {sorted(unknown)}")
-    return {
-        node: [n for n in neighbors if n in keep_set]
-        for node, neighbors in adjacency.items()
-        if node in keep_set
-    }

@@ -8,6 +8,8 @@ every parallel assertion so the suite pays spawn start-up once.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import fastpath
@@ -166,6 +168,12 @@ class TestWorkerState:
             diskcache.set_enabled(None)
             diskcache.set_cache_dir(None)
         assert fastpath.enabled() == original.fastpath_enabled
+
+    def test_worker_state_is_complete(self):
+        # Every runtime switch a spawn worker needs must live here; this
+        # breaks loudly if a field is added without replay coverage.
+        fields = {f.name for f in dataclasses.fields(WorkerState)}
+        assert fields == {"fastpath_enabled", "disk_cache_enabled", "cache_dir"}
 
 
 def run(spec, deployment, executor=None):

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import main
 from repro.service import ServiceClient, ServiceConfig
+
+
+#: ``repro run quickstart`` with the spec below, saved before the
+#: fingerprint lost its ``vector`` key.
+LEGACY_RECORD = pathlib.Path(__file__).parent / "fixtures" / "quickstart-vector-fingerprint.json"
 
 
 def run_record(tmp_path, name: str, **spec) -> str:
@@ -57,6 +63,16 @@ class TestCompareCommand:
         assert main(["compare", a, str(tampered_path)]) == 1
         err = capsys.readouterr().err
         assert "payload.num_nodes" in err
+
+    def test_record_with_vector_fingerprint_still_matches(self, tmp_path, capsys):
+        # Saved by a version whose backend fingerprint still had a
+        # ``vector`` key; the payload is what counts, not the fingerprint.
+        legacy = LEGACY_RECORD
+        assert "vector" in json.loads(legacy.read_text())["backend"]
+        current = run_record(tmp_path, "current")
+        assert "vector" not in json.loads(open(current).read())["backend"]
+        assert main(["compare", str(legacy), current]) == 0
+        assert "match" in capsys.readouterr().out
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         a = run_record(tmp_path, "a")

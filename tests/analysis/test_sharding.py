@@ -24,7 +24,8 @@ from repro.analysis.sharding import (
     flat_expected_sums,
     plan_cell_units,
 )
-from repro.core.metrics import RoundMetrics, RoundSummary, summarize_rounds
+from repro.analysis.experiments import _metrics_of_rounds
+from repro.core.metrics import RoundMetrics, RoundSummary
 from repro.errors import ConfigurationError
 from repro.phy.channel import ChannelParameters
 from repro.scenarios import Figure1Spec, Session, ShardedSpec
@@ -181,10 +182,11 @@ class TestStreamingMetrics:
         full = run(ShardedSpec(cells=2, iterations=3, seed=7), mini_spec, metrics="full")
         rounds = list(full.cells[0].rounds)
         summaries = [RoundSummary.from_metrics(r) for r in rounds]
-        assert summarize_rounds(rounds) == summarize_rounds(summaries)
+        fold = _metrics_of_rounds(rounds, "S4", 9)
+        assert _metrics_of_rounds(summaries, "S4", 9) == fold
         # Mixed streams are legal too: the shared API answers identically.
         mixed = [rounds[0], *summaries[1:]]
-        assert summarize_rounds(mixed) == summarize_rounds(rounds)
+        assert _metrics_of_rounds(mixed, "S4", 9) == fold
 
     def test_figure1_summary_mode_identical(self, mini_spec):
         spec = Figure1Spec(testbed="mini-shard", iterations=2, seed=1)
@@ -206,7 +208,8 @@ class TestStreamingMetrics:
             assert summary.all_correct == metrics.all_correct
             assert summary.has_latency == metrics.has_latency
             assert summary.mean_radio_on_us == metrics.mean_radio_on_us
-            assert summary.total_schedule_us == metrics.total_schedule_us
+            assert summary.sharing_duration_us == metrics.sharing_duration_us
+            assert summary.reconstruction_duration_us == metrics.reconstruction_duration_us
             if metrics.has_latency:
                 assert summary.max_latency_us == metrics.max_latency_us
                 assert summary.mean_latency_us == metrics.mean_latency_us

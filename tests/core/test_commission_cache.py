@@ -124,7 +124,7 @@ class TestStoreLoad:
         path.write_bytes(b"\x80garbage not a pickle")
         assert diskcache.load("c", key) is None
         assert not path.exists()  # corrupt file dropped
-        assert diskcache.fetch("c", key, lambda: 456) == 456
+        assert diskcache.store("c", key, 456)
         assert diskcache.load("c", key) == 456
 
     def test_stale_version_ignored_and_rebuilt(self, cache_dir, monkeypatch):
@@ -134,7 +134,7 @@ class TestStoreLoad:
         monkeypatch.undo()
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
         assert diskcache.load("v", key) is None
-        assert diskcache.fetch("v", key, lambda: "rebuilt") == "rebuilt"
+        assert diskcache.store("v", key, "rebuilt")
         assert diskcache.load("v", key) == "rebuilt"
 
     def test_wrong_kind_rejected(self, cache_dir):
@@ -215,32 +215,76 @@ class TestBootstrapPersistence:
             diskcache.set_enabled(previous)
         assert recomputed == fresh
 
-    def test_codec_persisted_and_equivalent(self, cache_dir, mini_spec):
+    def test_codec_rebuilt_equivalent_and_not_persisted(self, cache_dir, mini_spec):
         from repro.field.prime_field import FieldElement
 
         _, s4 = build_engines(mini_spec, crypto_mode=CryptoMode.REAL)
         node = mini_spec.topology.node_ids[0]
         peer = mini_spec.topology.node_ids[1]
         fresh = s4.codec(node)
-        assert list(cache_dir.glob("codec-*.pkl"))
+        assert not list(cache_dir.glob("codec-*.pkl"))
 
         fastpath.clear_process_caches()
         _, s4_again = build_engines(mini_spec, crypto_mode=CryptoMode.REAL)
-        reloaded = s4_again.codec(node)
-        assert reloaded is not fresh
+        rebuilt = s4_again.codec(node)
+        assert rebuilt is not fresh
         field = s4.config.field
         packet = fresh.encrypt_share(peer, FieldElement(field, 77), 5)
-        assert reloaded.encrypt_share(peer, FieldElement(field, 77), 5) == packet
+        assert rebuilt.encrypt_share(peer, FieldElement(field, 77), 5) == packet
 
-    def test_aes_cipher_pickle_round_trip(self):
-        from repro.crypto.aes import AES128
 
-        block = bytes(range(16))
-        for use_tables in (True, False):
-            cipher = AES128(b"0123456789abcdef", use_tables=use_tables)
-            clone = pickle.loads(pickle.dumps(cipher))
-            assert clone.encrypt_block(block) == cipher.encrypt_block(block)
-            assert clone.decrypt_block(clone.encrypt_block(block)) == block
+def dcube_real_rounds(rounds: int = 3) -> list:
+    """Commission D-Cube REAL from the active cache directory, with every
+    process pool emptied first, and run a few rounds."""
+    from repro.analysis.experiments import round_secrets
+    from repro.sim.seeds import iteration_seeds
+    from repro.topology.testbeds import dcube
+
+    fastpath.clear_process_caches()
+    spec = dcube()
+    _, engine = build_engines(spec, CryptoMode.REAL)
+    nodes = spec.topology.node_ids
+    return [
+        engine.run(round_secrets(nodes, index), seed=iteration_seeds(3, "S4", index, 1)[0])
+        for index in range(rounds)
+    ]
+
+
+#: How earlier versions named a persisted REAL codec: one entry per
+#: node, of a kind this version neither reads nor writes.
+LEGACY_CODEC_ENTRY = "codec-{key}.pkl"
+
+
+def test_cache_with_legacy_codec_entries_commissions_bit_identically(cache_dir, force_fastpath):
+    """A cache directory written before codecs stopped being persisted
+    (its link-table and bootstrap entries, plus 45 ``codec-*.pkl``
+    files) commissions D-Cube REAL with rounds bit-identical to a fresh
+    build, and its codec entries are left alone."""
+    previous = diskcache.set_enabled(False)
+    try:
+        fresh = dcube_real_rounds()
+    finally:
+        diskcache.set_enabled(previous)
+
+    dcube_real_rounds(rounds=1)  # writes the link-table and bootstrap entries
+    assert list(cache_dir.glob("s4-bootstrap-*.pkl"))
+    legacy = []
+    for node in range(45):
+        key = diskcache.content_key("legacy-codec", node)
+        path = cache_dir / LEGACY_CODEC_ENTRY.format(key=key)
+        header = {
+            "cache_version": diskcache.CACHE_VERSION,
+            "kind": path.name.split("-")[0],
+            "key": key,
+            "payload": bytes(1024),
+        }
+        path.write_bytes(pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL))
+        legacy.append((path, path.stat().st_mtime_ns))
+
+    assert dcube_real_rounds() == fresh
+    # Never read (a read would touch the mtime) and never rewritten.
+    assert [(path, path.stat().st_mtime_ns) for path, _ in legacy] == legacy
+    assert len(list(cache_dir.glob("codec-*.pkl"))) == 45
 
 
 class TestLifecycleSweep:

@@ -54,8 +54,9 @@ def test_s3_round_is_exact(values, seed):
         assert node_metrics.aggregate == expected
         # Latency within the schedule, radio-on exactly the schedule
         # (naive always-on policy).
-        assert 0 < node_metrics.latency_us <= metrics.total_schedule_us
-        assert node_metrics.radio_on_us == metrics.total_schedule_us
+        schedule_us = metrics.sharing_duration_us + metrics.reconstruction_duration_us
+        assert 0 < node_metrics.latency_us <= schedule_us
+        assert node_metrics.radio_on_us == schedule_us
         assert node_metrics.tx_us + node_metrics.rx_us == node_metrics.radio_on_us
 
 

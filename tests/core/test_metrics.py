@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.metrics import NodeMetrics, RoundMetrics, summarize_rounds
+from repro.analysis.experiments import _metrics_of_rounds
+from repro.core.metrics import NodeMetrics, RoundMetrics, RoundSummary
 from repro.errors import ProtocolError
 
 
@@ -46,7 +47,7 @@ class TestRoundMetrics:
             {0: node(0, 11_000, 9_000), 1: node(1, None, 8_000, aggregate=None, correct=False)}
         )
         assert metrics.max_latency_us == 11_000
-        assert metrics.completed_nodes == [0]
+        assert metrics.latencies_us() == [11_000]
 
     def test_no_completion_raises(self):
         metrics = round_metrics(
@@ -74,8 +75,8 @@ class TestRoundMetrics:
         assert not metrics.all_correct
 
     def test_total_schedule(self):
-        metrics = round_metrics({0: node(0, 1, 1)})
-        assert metrics.total_schedule_us == 12_000
+        summary = RoundSummary.from_metrics(round_metrics({0: node(0, 1, 1)}))
+        assert summary.sharing_duration_us + summary.reconstruction_duration_us == 12_000
 
     def test_empty_rejected(self):
         with pytest.raises(ProtocolError):
@@ -83,15 +84,18 @@ class TestRoundMetrics:
 
 
 class TestSummarizeRounds:
+    """The Fig. 1 fold's per-round figures: latencies and radio-on in
+    ms, and the mean success fraction."""
+
     def test_means_over_rounds(self):
         rounds = [
             round_metrics({0: node(0, 10_000, 6_000)}),
             round_metrics({0: node(0, 20_000, 10_000)}),
         ]
-        summary = summarize_rounds(rounds)
-        assert summary["latency_ms"] == pytest.approx(15.0)
-        assert summary["mean_radio_on_ms"] == pytest.approx(8.0)
-        assert summary["rounds"] == 2.0
+        latencies, radio, success = _metrics_of_rounds(rounds, "S4", 1)
+        assert latencies == pytest.approx([10.0, 20.0])
+        assert radio == pytest.approx([6.0, 10.0])
+        assert success == 1.0
 
     def test_failed_rounds_tracked(self):
         rounds = [
@@ -100,10 +104,10 @@ class TestSummarizeRounds:
                 {0: node(0, None, 6_000, aggregate=None, correct=False)}
             ),
         ]
-        summary = summarize_rounds(rounds)
-        assert summary["completed_rounds"] == 1.0
-        assert summary["success_fraction"] == 0.5
+        latencies, _, success = _metrics_of_rounds(rounds, "S4", 1)
+        assert latencies == pytest.approx([10.0])
+        assert success == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ProtocolError):
-            summarize_rounds([])
+            _metrics_of_rounds([], "S4", 1)

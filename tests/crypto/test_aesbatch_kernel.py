@@ -139,7 +139,7 @@ class TestCounterWraps:
         ciphers = table_ciphers(rnd, len(self.COUNTERS) + 1)
         counters = self.COUNTERS + [(1 << 130) + 5]  # reduced mod 2**128
         counts = [5, 0, 2, 7, 4, 3, 1]
-        streams = aesbatch.ctr_keystream_many(ciphers, counters, counts)
+        streams = aesbatch.keystream_runs(aesbatch.cipher_schedules(ciphers), counters, counts)
         assert streams == [
             cipher.ctr_blocks(counter, count)
             for cipher, counter, count in zip(ciphers, counters, counts)

@@ -7,8 +7,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto import AES128, ctr_keystream, ctr_transform, cbc_decrypt, cbc_encrypt
-from repro.crypto.modes import pad_pkcs7, unpad_pkcs7
+from repro.crypto.aes import BLOCK_SIZE
+from repro.crypto.modes import pad_pkcs7
 from repro.errors import CryptoError
+
+
+def unpad_pkcs7(data: bytes) -> bytes:
+    """Strip PKCS#7 padding, validating every pad byte: the inverse that
+    holds ``pad_pkcs7`` (the CBC-MAC's padding) to the standard."""
+    if not data or len(data) % BLOCK_SIZE != 0:
+        raise CryptoError("invalid PKCS#7 input length")
+    pad_length = data[-1]
+    if not 1 <= pad_length <= BLOCK_SIZE:
+        raise CryptoError("invalid PKCS#7 pad length")
+    if data[-pad_length:] != bytes([pad_length]) * pad_length:
+        raise CryptoError("corrupt PKCS#7 padding")
+    return data[:-pad_length]
 
 
 class TestCtrKnownAnswers:

@@ -1,19 +1,23 @@
 """The DRBG's bulk/lane refill paths must never change the stream.
 
-Where the native keystream kernel did not load, the ``REPRO_VECTOR``
-backend only changes *which kernel* produces keystream blocks — aesbatch
-lanes vs the scalar T-table loop — so every byte a consumer reads must
-be identical across: reference path, scalar fast path, lane fast path,
-and any prefill schedule.  These tests run with the loader made to find
+Where the native keystream kernel did not load, the DRBG routes large
+refills through the aesbatch lanes when numpy is importable and the
+rest through the scalar T-table loop: that changes only *which kernel*
+produces keystream blocks, so every byte a consumer reads must be
+identical across: reference path, scalar fast path, lane fast path, and
+any prefill schedule.  These tests run with the loader made to find
 nothing, so both fallbacks really run; ``test_prng_native.py`` holds the
 native kernel to them.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro import fastpath, native
+from repro.crypto import prng
 from repro.crypto.aes import AES128
 from repro.crypto.prng import AesCtrDrbg
 
@@ -21,6 +25,14 @@ from repro.crypto.prng import AesCtrDrbg
 @pytest.fixture(autouse=True)
 def no_native_library(monkeypatch):
     monkeypatch.setattr(native, "library", lambda: None)
+
+
+@contextlib.contextmanager
+def scalar_keystream():
+    """The fast path with the lane keystream ruled out."""
+    with pytest.MonkeyPatch.context() as patch, fastpath.forced(True):
+        patch.setattr(prng, "_lane_keystream_available", lambda: False)
+        yield
 
 
 def consume(drbg):
@@ -36,16 +48,16 @@ def consume(drbg):
 
 class TestStreamIdentity:
     def test_lane_refill_matches_scalar_and_reference(self):
-        with fastpath.forced(True), fastpath.forced_vector(True):
+        with fastpath.forced(True):
             lane = consume(AesCtrDrbg.from_seed(b"stream-x"))
-        with fastpath.forced(True), fastpath.forced_vector(False):
+        with scalar_keystream():
             scalar = consume(AesCtrDrbg.from_seed(b"stream-x"))
         with fastpath.forced(False):
             reference = consume(AesCtrDrbg.from_seed(b"stream-x"))
         assert lane == scalar == reference
 
     def test_prefill_is_stream_neutral(self):
-        with fastpath.forced(True), fastpath.forced_vector(True):
+        with fastpath.forced(True):
             plain = AesCtrDrbg.from_seed(b"prefill")
             prefilled = AesCtrDrbg.from_seed(b"prefill")
             prefilled.prefill(700)
@@ -53,11 +65,11 @@ class TestStreamIdentity:
 
     def test_fork_many_matches_sequential_forks(self):
         labels = [f"dealer-{i}" for i in range(40)]
-        with fastpath.forced(True), fastpath.forced_vector(True):
+        with fastpath.forced(True):
             parent_a = AesCtrDrbg.from_seed(b"forks")
             batched = parent_a.fork_many(labels)
             AesCtrDrbg.prefill_many(batched, 96)
-        with fastpath.forced(True), fastpath.forced_vector(False):
+        with scalar_keystream():
             parent_b = AesCtrDrbg.from_seed(b"forks")
             sequential = [parent_b.fork(label) for label in labels]
         assert [c.key_bytes for c in batched] == [
@@ -83,16 +95,13 @@ class TestStreamIdentity:
             [getattr(c, slot) for slot in slots] for c in sequential
         ]
 
-    def test_prefill_many_without_numpy_path(self, monkeypatch):
-        import repro.crypto.prng as prng
-
-        with monkeypatch.context() as patch, fastpath.forced(True):
-            patch.setattr(prng, "_lane_keystream_available", lambda: False)
+    def test_prefill_many_without_numpy_path(self):
+        with scalar_keystream():
             parent = AesCtrDrbg.from_seed(b"forks-nonp")
             children = parent.fork_many(["a", "b", "c"])
             AesCtrDrbg.prefill_many(children, 128)
             degraded = [c.random_bytes(256) for c in children]
-        with fastpath.forced(True), fastpath.forced_vector(True):
+        with fastpath.forced(True):
             parent = AesCtrDrbg.from_seed(b"forks-nonp")
             children = parent.fork_many(["a", "b", "c"])
             AesCtrDrbg.prefill_many(children, 128)
@@ -121,7 +130,7 @@ class TestCtrLaneKernel:
         ]
         counters = [0, 7, (1 << 128) - 1, 1 << 64]
         counts = [3, 0, 4, 2]
-        streams = aesbatch.ctr_keystream_many(ciphers, counters, counts)
+        streams = aesbatch.keystream_runs(aesbatch.cipher_schedules(ciphers), counters, counts)
         for cipher, counter, count, stream in zip(
             ciphers, counters, counts, streams
         ):

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import fastpath, native
-from repro.crypto import aesbatch
+from repro.crypto import aesbatch, prng
 from repro.crypto.aes import AES128
 from repro.crypto.prng import AesCtrDrbg
 from repro.field.kernels import M61
@@ -153,9 +153,10 @@ def test_dealing_is_identical_on_every_keystream_path(monkeypatch):
     with fastpath.forced(False):
         reference = dealing_digest()
     monkeypatch.setattr(native, "library", lambda: None)
-    with fastpath.forced(True), fastpath.forced_vector(True):
+    with fastpath.forced(True):
         numpy_lanes = dealing_digest()
-    with fastpath.forced(True), fastpath.forced_vector(False):
+    monkeypatch.setattr(prng, "_lane_keystream_available", lambda: False)
+    with fastpath.forced(True):
         scalar = dealing_digest()
     assert fast == reference == numpy_lanes == scalar
 
@@ -167,7 +168,7 @@ sys.modules["numpy"] = None
 spec = importlib.util.spec_from_file_location("dealing", {__file__!r})
 module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(module)
-from repro.crypto import aesbatch
+from repro.crypto import aesbatch, prng
 assert not aesbatch.HAVE_NUMPY
 print(aesbatch.native_keystream_runs(bytes(16), [0], [1]) is not None)
 print(module.dealing_digest())

@@ -61,7 +61,7 @@ class TestRequirement:
             Requirement.count_of(0b11, 3)
 
     def test_nothing_always_satisfied(self):
-        assert Requirement.nothing().satisfied_by(0)
+        assert Requirement(mask=0, min_count=0).satisfied_by(0)
 
 
 class TestDissemination:
@@ -76,10 +76,12 @@ class TestDissemination:
         # NTX=1 on a line cannot reach everyone with everything.
         round_ = make_round(line5_links, ntx=1)
         initial, layout = one_slot_each(line5_links)
+        full = layout.full_mask()
         deliveries = []
         for seed in range(10):
             result = round_.run(random.Random(seed), initial_knowledge=initial)
-            deliveries.append(result.delivery_ratio(layout.full_mask()))
+            hits = sum(1 for view in result.knowledge.values() if view & full == full)
+            deliveries.append(hits / len(result.knowledge))
         assert sum(deliveries) / len(deliveries) < 0.9
 
     def test_coverage_grows_with_ntx(self, line5_links):
@@ -202,7 +204,7 @@ class TestEnergyAccounting:
     def test_early_off_saves_energy(self, grid9_links):
         initial, layout = one_slot_each(grid9_links)
         requirements = {
-            n: Requirement.nothing() for n in grid9_links.node_ids
+            n: Requirement(mask=0, min_count=0) for n in grid9_links.node_ids
         }
         on = make_round(grid9_links, ntx=2, policy=RadioOffPolicy.ALWAYS_ON)
         off = make_round(grid9_links, ntx=2, policy=RadioOffPolicy.EARLY_OFF)

@@ -232,7 +232,7 @@ def flood_cases(draw, prrs=PRRS, widths=WIDTHS):
             return Requirement.count_of(
                 mask, draw(st.integers(min_value=0, max_value=mask.bit_count()))
             )
-        return Requirement.nothing()
+        return Requirement(mask=0, min_count=0)
 
     some_nodes = st.lists(st.sampled_from(nodes), unique=True)
     slots = st.integers(min_value=-1, max_value=num_slots + 1)

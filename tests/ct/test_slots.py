@@ -56,14 +56,6 @@ class TestRoundSchedule:
         schedule = RoundSchedule.plan(5, 23, 2, 1, NRF52840_154)
         assert schedule.frame_bytes == 29
 
-    def test_slot_end(self):
-        schedule = RoundSchedule.plan(5, 23, 2, 1, NRF52840_154)
-        assert schedule.slot_end_us(0) == schedule.chain_slot_us
-        with pytest.raises(ConfigurationError):
-            schedule.slot_end_us(schedule.num_slots)
-        with pytest.raises(ConfigurationError):
-            schedule.slot_end_us(-1)
-
     def test_chain_length_dominates_duration(self):
         small = RoundSchedule.plan(10, 23, 6, 4, NRF52840_154)
         large = RoundSchedule.plan(1000, 23, 6, 4, NRF52840_154)

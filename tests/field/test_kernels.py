@@ -22,20 +22,30 @@ from repro.field.prime_field import MERSENNE_61, PrimeField
 residues = st.integers(min_value=0, max_value=MERSENNE_61 - 1)
 
 
+def reduce_m61(x: int) -> int:
+    """``x mod 2**61 - 1`` as the library computes it, for ``0 <= x <=
+    (p - 1)**2``: ``x = c1 * (p - 1) + c0`` evaluated by the M61 kernel
+    (native where it loaded)."""
+    field = PrimeField(MERSENNE_61)
+    high, low = divmod(x, MERSENNE_61 - 1)
+    return Polynomial(field, [low, high]).evaluate_values([MERSENNE_61 - 1])[0]
+
+
 class TestMersenne61:
     @given(x=st.integers(min_value=0, max_value=(MERSENNE_61 - 1) ** 2))
     @settings(max_examples=200)
     def test_reduction_matches_modulo(self, x):
-        assert kernels.mod_mersenne61(x) == x % MERSENNE_61
+        assert reduce_m61(x) == x % MERSENNE_61
 
     @given(a=residues, b=residues)
     @settings(max_examples=200)
     def test_multiplication(self, a, b):
-        assert kernels.mul_mod_mersenne61(a, b) == a * b % MERSENNE_61
+        field = PrimeField(MERSENNE_61)
+        assert Polynomial(field, [0, a]).evaluate_values([b]) == [a * b % MERSENNE_61]
 
     def test_boundary_values(self):
         for x in (0, 1, MERSENNE_61 - 1, MERSENNE_61, MERSENNE_61 + 1, 2 * MERSENNE_61):
-            assert kernels.mod_mersenne61(x) == x % MERSENNE_61
+            assert reduce_m61(x) == x % MERSENNE_61
 
 
 class TestInverse:
@@ -71,8 +81,8 @@ class TestHorner:
         field = PrimeField(MERSENNE_61)
         polynomial = Polynomial(field, coeffs)
         assert (
-            kernels.horner_eval(polynomial.coefficients, x, MERSENNE_61)
-            == polynomial(x).value
+            kernels.horner_eval_many(polynomial.coefficients, [x], MERSENNE_61)
+            == [polynomial(x).value]
         )
 
     def test_many_matches_single(self):
@@ -87,9 +97,7 @@ class TestHorner:
         field = PrimeField(MERSENNE_61)
         polynomial = Polynomial(field, [7, 0, 13, 29])
         xs = [1, 2, 3, 1000, MERSENNE_61 - 1]
-        assert polynomial.evaluate_values(xs) == [
-            element.value for element in polynomial.evaluate_many(xs)
-        ]
+        assert polynomial.evaluate_values(xs) == [polynomial(x).value for x in xs]
 
 
 class TestLagrangeWeights:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import FieldError, MixedFieldError, NonInvertibleError
 from repro.field import MERSENNE_61, MERSENNE_127, FieldElement, PrimeField
+from repro.field.polynomial import Polynomial
 
 
 class TestFieldConstruction:
@@ -152,7 +153,7 @@ class TestSerialization:
 class TestHelpers:
     def test_zero_one(self, tiny_field):
         assert tiny_field.zero().value == 0
-        assert tiny_field.one().value == 1
+        assert tiny_field(1).value == 1
 
     def test_sum(self, tiny_field):
         elements = [tiny_field(40), tiny_field(40), 30]
@@ -162,9 +163,11 @@ class TestHelpers:
         assert tiny_field.sum([]) == tiny_field.zero()
 
     def test_random_element_in_range(self, tiny_field):
+        # The field's random elements are a dealer's coefficients.
         rng = random.Random(7)
         for _ in range(50):
-            assert 0 <= tiny_field.random_element(rng).value < 97
+            poly = Polynomial.random_with_secret(tiny_field, 0, degree=3, rng=rng)
+            assert all(0 <= c < 97 for c in poly.coefficients)
 
     def test_elements_iterator(self):
         small = PrimeField(5)

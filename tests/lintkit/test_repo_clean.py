@@ -67,6 +67,97 @@ def test_every_module_is_reachable_from_an_entry_point():
     assert orphans == [], f"modules no entry point imports: {orphans}"
 
 
+#: Definitions nothing under ``src/repro`` calls, kept on purpose; each
+#: entry says who relies on it.  Anything else unreferenced is code no
+#: part of the package runs: delete it, or move it into ``tests/`` when
+#: a test needs it as an oracle.  The functions ``layerbench/layers.py``
+#: wraps all sit on the data path, so none of them needs an entry.
+UNREFERENCED_ALLOWED = {
+    # Public API: the service client's graceful shutdown (DESIGN
+    # "Process boundary": the open windows drain() closes on the way
+    # out) and the single-dealer Shamir scheme's inverse of ``split``,
+    # the oracle the sss tests hold ``split`` to.
+    "repro.service.client.ServiceClient.drain",
+    "repro.sss.scheme.ShamirScheme.reconstruct",
+    # The in-process twin of ``REPRO_FASTPATH=0`` (DESIGN "Reference path
+    # vs. fast path").
+    "repro.fastpath.forced",
+    # Layerbench's restarts and the commissioning-cache tests drop the
+    # process pools through this.
+    "repro.fastpath.clear_process_caches",
+    # Called by the CI benchmark scripts: perf_microbench.py's AES batch
+    # and parallel-campaign tiers, scenario_smoke.py and chaos_smoke.py.
+    "repro.crypto.aesbatch.encrypt_blocks",
+    "repro.analysis.campaign.CampaignExecutor.warm_up",
+    "repro.scenarios.registry.Scenario.smoke_spec",
+    # examples/ntx_tuning.py reads the coverage profile through it.
+    "repro.ct.coverage.CoverageProfile.min_full_coverage_ntx",
+}
+
+
+def _definitions(module):
+    """``(qualified name, line)`` of a module's top-level functions and
+    methods, less those something calls by protocol: dunders, ``visit_*``
+    (``ast.NodeVisitor`` dispatch) and functions a decorator call
+    registers (``@scenario(...)``)."""
+    for node in module.tree.body:
+        bodies = [(node, "")]
+        if isinstance(node, ast.ClassDef):
+            bodies = [(sub, f"{node.name}.") for sub in node.body]
+        for sub, prefix in bodies:
+            if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = sub.name
+            if name.startswith("__") and name.endswith("__") or name.startswith("visit_"):
+                continue
+            if any(isinstance(d, ast.Call) for d in sub.decorator_list):
+                continue
+            yield f"{module.name}.{prefix}{name}", sub.lineno
+
+
+def _referenced_names(modules) -> set[str]:
+    """Every identifier the package uses: names, attributes, imports,
+    and strings spelled like identifiers (``__all__``, ``getattr``)."""
+    names: set[str] = set()
+    for module in modules:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    names.add(node.value)
+    return names
+
+
+def test_every_function_and_method_is_referenced_in_the_package():
+    # The function-level twin of the reachability test above: a
+    # definition only tests call is API nothing runs.  Matching is by
+    # name, so a definition whose name the package uses anywhere passes.
+    modules = load_modules(REPO_ROOT)
+    referenced = _referenced_names(modules)
+    found = {
+        f"{qualified} (line {line})"
+        for module in modules
+        for qualified, line in _definitions(module)
+        if qualified.rsplit(".", 1)[-1] not in referenced
+        and qualified not in UNREFERENCED_ALLOWED
+    }
+    assert sorted(found) == [], f"definitions nothing in src/repro references: {sorted(found)}"
+    # An entry earns its keep only while its definition exists and
+    # nothing in the package references it.
+    defined = {qualified for module in modules for qualified, _ in _definitions(module)}
+    stale = sorted(
+        qualified
+        for qualified in UNREFERENCED_ALLOWED
+        if qualified not in defined or qualified.rsplit(".", 1)[-1] in referenced
+    )
+    assert stale == [], f"allowlist entries no longer needed: {stale}"
+
+
 def test_seeded_fixture_trips_every_rule_family():
     report = run_lint(SEEDED)
     rules = {f.rule for f in report.findings}

@@ -123,8 +123,8 @@ class TestPrr:
 
     def test_link_prr_combines_distance(self):
         ch = flat_channel()
-        near = ch.link_prr(5.0, 0, 1, 29)
-        far = ch.link_prr(150.0, 0, 1, 29)
+        near = ch.prr(ch.rssi_dbm(5.0, 0, 1), 29)
+        far = ch.prr(ch.rssi_dbm(150.0, 0, 1), 29)
         assert near > 0.99
         assert far < 0.01
 

@@ -34,7 +34,7 @@ class TestLinkTable:
 
     def test_matches_channel_model(self, positions, channel):
         table = LinkTable(positions, channel, frame_bytes=29)
-        assert table.prr(0, 1) == pytest.approx(channel.link_prr(8.0, 0, 1, 29))
+        assert table.prr(0, 1) == pytest.approx(channel.prr(channel.rssi_dbm(8.0, 0, 1), 29))
         assert table.rssi(0, 1) == pytest.approx(channel.rssi_dbm(8.0, 0, 1))
 
     def test_unknown_link_rejected(self, positions, channel):

@@ -6,7 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SecretSharingError
-from repro.privacy.adversary import Coalition, CoalitionView
+from repro.privacy.adversary import Coalition
+from repro.privacy.analysis import guess_secret_from_view, run_protocol_coalition_experiment
 from repro.sss import ShamirScheme
 
 
@@ -35,45 +36,37 @@ class TestCoalition:
 
 
 class TestObservation:
-    def test_pools_only_member_shares(self, field, rng):
-        scheme = ShamirScheme(field, degree=2)
-        shares = scheme.split(42, points=range(1, 6), rng=rng, dealer_id=9)
-        by_destination = {i: [shares[i]] for i in range(5)}
-        coalition = Coalition([0, 2])
-        pooled = coalition.observe_sharing(by_destination)
-        assert set(pooled) == {9}
-        assert len(pooled[9]) == 2
+    def test_pools_only_member_shares(self):
+        # S3 deals every node a share, so a coalition pools exactly one
+        # share per dealer per member, and nothing it was not sent.
+        from repro.core.config import CryptoMode, ProtocolConfig, S3Config
+        from repro.core.s3 import S3Engine
+        from tests.core.conftest import small_spec_parts
 
-    def test_view_accessor(self, field, rng):
-        scheme = ShamirScheme(field, degree=1)
-        shares = scheme.split(5, points=[1, 2], rng=rng, dealer_id=0)
-        view = CoalitionView(shares={0: list(shares)})
-        assert len(view.shares_of(0)) == 2
-        assert view.shares_of(99) == []
+        topology, channel = small_spec_parts()
+        config = S3Config(base=ProtocolConfig(degree=2, crypto_mode=CryptoMode.STUB), ntx=6)
+        engine = S3Engine(topology, channel, config)
+        secrets = {node: 10 + node for node in topology.node_ids}
+        outcome = run_protocol_coalition_experiment(engine, secrets, [0, 2], seed=1)
+        assert outcome["shares_per_dealer"] == {dealer: 2 for dealer in secrets}
+        assert outcome["recovered_secrets"] == {}
 
 
 class TestReconstructionAttempts:
+    """What a coalition's pooled shares of one dealer give away."""
+
     def test_below_threshold_returns_none(self, field, rng):
         scheme = ShamirScheme(field, degree=3)
         shares = scheme.split(777, points=range(1, 10), rng=rng, dealer_id=0)
-        coalition = Coalition([0, 1, 2])
-        view = CoalitionView(shares={0: shares[:3]})  # 3 shares < 4 needed
-        assert coalition.attempt_reconstruction(field, view, 0, 3) is None
+        pooled = [(s.x, s.y) for s in shares[:3]]  # 3 shares < 4 needed
+        assert guess_secret_from_view(field, 3, pooled) is None
 
     def test_above_threshold_recovers(self, field, rng):
         scheme = ShamirScheme(field, degree=3)
         shares = scheme.split(777, points=range(1, 10), rng=rng, dealer_id=0)
-        coalition = Coalition(range(4))
-        view = CoalitionView(shares={0: shares[:4]})
-        recovered = coalition.attempt_reconstruction(field, view, 0, 3)
-        assert recovered is not None
-        assert recovered.value == 777
+        pooled = [(s.x, s.y) for s in shares[:4]]
+        assert guess_secret_from_view(field, 3, pooled) == 777
 
     def test_unknown_dealer(self, field):
-        coalition = Coalition([0])
-        assert (
-            coalition.attempt_reconstruction(
-                field, CoalitionView(shares={}), 5, 2
-            )
-            is None
-        )
+        # A dealer none of whose shares reached the coalition.
+        assert guess_secret_from_view(field, 2, []) is None

@@ -81,7 +81,6 @@ class TestPublishAndQuery:
     def test_missing_device_bills_zero(self, store_file):
         with ResultStore(store_file, fsync=False) as store:
             fill(store, windows=1, devices=2)
-            assert store.device_total(99) == 0
             assert 99 not in store.billing_extract()
 
 

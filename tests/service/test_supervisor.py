@@ -244,9 +244,12 @@ class TestFaultTaxonomy:
         with socket_client(tmp_path / "monitor") as client:
             pid = client.kill_shard(1)
             deadline = time.monotonic() + 30.0
-            while client.restarts < 1:
+            # ``restarts`` counts before the respawn and the log entry
+            # lands after it, so poll the log: that is what is read below.
+            while not client.supervisor.restart_log:
                 assert time.monotonic() < deadline, "monitor never respawned"
                 time.sleep(0.01)
+            assert client.restarts >= 1
             assert client.submit(1, 0, 0, 5, retry=RETRY).admission in (
                 Admission.ACCEPTED,
                 Admission.DUPLICATE,

@@ -9,12 +9,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.bitrandom import (
-    bit_indices,
-    exact_random_bitmask,
-    mask_from_indices,
-    random_bitmask,
-)
+from repro.sim.bitrandom import exact_random_bitmask, random_bitmask
+
+#: Per-byte set-bit positions: table[b] lists the positions (0-7) of the
+#: ones in byte value ``b``.
+_BYTE_BITS = [tuple(bit for bit in range(8) if value >> bit & 1) for value in range(256)]
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Positions of set bits, ascending, for reading masks in tests.
+
+    Linear in the mask width: one ``to_bytes`` conversion plus a
+    per-byte table lookup, so dense 2000-bit chain masks stay cheap.
+    """
+    if mask < 0:
+        raise SimulationError(f"mask must be >= 0, got {mask}")
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [
+        8 * index + bit for index, byte in enumerate(raw) if byte for bit in _BYTE_BITS[byte]
+    ]
+
+
+def mask_from_indices(indices) -> int:
+    """Inverse of :func:`bit_indices`."""
+    mask = 0
+    for index in indices:
+        if index < 0:
+            raise SimulationError(f"bit index must be >= 0, got {index}")
+        mask |= 1 << index
+    return mask
 
 
 class TestEdgeCases:

@@ -13,7 +13,6 @@ from repro.sss import (
     reconstruct_aggregate,
     reconstruct_from_sums,
 )
-from repro.sss.aggregation import majority_contributor_set
 
 
 def deal_all(field, rng, secrets, degree, points):
@@ -65,7 +64,7 @@ class TestFullAggregation:
         result = reconstruct_aggregate(field, accumulators, degree=2)
         assert result.value.value == 1000
         assert result.contributors == frozenset({0, 1, 2, 3})
-        assert result.is_complete
+        assert result.points_used == result.points_available
 
     def test_subset_of_points_sufficient(self, field, rng):
         secrets = [5, 7]
@@ -101,7 +100,7 @@ class TestConsistencyHandling:
         result = reconstruct_aggregate(field, accumulators, degree=1)
         assert result.value.value == 60
         assert result.points_used == 4
-        assert not result.is_complete
+        assert result.points_used < result.points_available
 
     def test_majority_group_wins(self, field, rng):
         # Two points carry {0}, three carry {0,1}: the larger (and more
@@ -160,10 +159,12 @@ class TestConsistencyHandling:
         by_point = deal_all(field, rng, secrets, degree=1, points=[1, 2, 3])
         by_point[3] = [s for s in by_point[3] if s.dealer_id == 0]
         accumulators = list(aggregate_shares(field, by_point).values())
-        assert majority_contributor_set(accumulators) == frozenset({0, 1})
+        result = reconstruct_aggregate(field, accumulators, degree=1)
+        assert result.contributors == frozenset({0, 1})
 
-    def test_majority_of_empty_is_none(self):
-        assert majority_contributor_set([]) is None
+    def test_majority_of_empty_is_none(self, field):
+        with pytest.raises(ReconstructionError):
+            reconstruct_aggregate(field, [], degree=1)
 
 
 class TestReconstructFromSums:

