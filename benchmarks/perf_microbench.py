@@ -8,7 +8,7 @@ It times three tiers and writes the results to ``BENCH_core.json`` at the
 repository root so future PRs have a perf trajectory to compare against:
 
 1. **Primitives** — AES-128 block throughput (reference vs. T-table vs.
-   numpy-batched), a round's packet protection (``batch_encrypt_shares``
+   the native share-lane kernel), a round's packet protection (``batch_encrypt_shares``
    over ~790 pairwise-keyed lanes vs. per-packet ``encrypt_share``), DRBG
    keystream, Shamir split/reconstruct ops/sec (scalar vs. batched).
 2. **Campaign, cold** — one `figure1` FlockLab sweep per crypto mode
@@ -34,8 +34,8 @@ repository root so future PRs have a perf trajectory to compare against:
    the persisted commissioning cache disabled, cold (empty dir) and warm
    (pre-populated dir).  The warm number is the cost of a freshly
    spawned campaign worker; the target is within 2× of steady state.
-   (Each child imports numpy before the clock starts, so the numbers
-   isolate commissioning cost from interpreter/import cost.)
+   (Each child imports the crypto modules before the clock starts, so
+   the numbers isolate commissioning cost from interpreter/import cost.)
 6. **Sharded campaign** — the same deployment aggregated as one flat
    MPC domain vs. sliced into cells with a cross-cell round
    (:mod:`repro.analysis.sharding`, MPC data path only).  Flat share
@@ -45,8 +45,9 @@ repository root so future PRs have a perf trajectory to compare against:
    tier asserts the two forms produce bit-identical aggregates.
 
 7. **DRBG bulk** — whole-buffer keystream and batched dealer-fork
-   prefill: scalar T-table refills vs the aesbatch lane kernel,
-   bit-identical output, kernel-only comparison.
+   prefill: scalar T-table refills (what runs without the native
+   library) vs the native keystream kernel, bit-identical output.
+   ``lane_mib_per_sec`` is the native kernel's throughput.
 8. **service_transport** — the socket transport against real shard
    processes: accepted shares/sec through journal-before-ack over TCP,
    the p99 per-share round trip, and the supervisor's shard-restart
@@ -64,13 +65,17 @@ repository root so future PRs have a perf trajectory to compare against:
    every ``*speedup`` key, so a host that silently falls back to the
    Python loop fails the regression check.
 11. **native_crypto** — the round's native kernels on the inputs one
-   REAL S4 round on D-Cube hands them: ms per ``aesbatch.ctr_cbc_mac``
-   seal (sender) and open (receiver) call over the round's lanes, in C
-   and in numpy; ms per round of the 45 dealers' ``evaluate_values``
-   calls, in C and in Python; ms per ``prefill_many`` over the round's
-   45 dealer forks and per 32-block DRBG refill (the fold's), in C and
-   in numpy; and ms per round of the 45 ``random_with_secret`` calls,
-   with ``randrange_many`` and with the per-draw loop.
+   REAL S4 round on D-Cube hands them: ms per ``batch_encrypt_shares``
+   seal (sender) and ``batch_decrypt_values`` open (receiver) call over
+   the round's lanes, in C and through the per-packet codec; ms per
+   round of the 45 dealers' ``evaluate_values`` calls, in C and in
+   Python; ms per ``prefill_many`` over the round's 45 dealer forks and
+   per 32-block DRBG refill (the fold's), in C and in scalar
+   ``ctr_blocks``; and ms per round of the 45 ``random_with_secret``
+   calls, with ``randrange_many`` and with the per-draw loop.  Each
+   kernel's two figures are medians of three alternating pairs.  The
+   fallback figures of seal, open, prefill and refill keep the
+   ``*_numpy_ms`` names they had when numpy was the fallback.
    ``seal_speedup``, ``open_speedup``, ``evaluate_speedup``,
    ``prefill_speedup``, ``refill_speedup`` and ``draws_speedup`` are
    gated like every ``*speedup`` key.
@@ -110,6 +115,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from array import array
 
 from repro import diskcache, fastpath, native
 from repro.analysis.campaign import CampaignExecutor
@@ -140,28 +146,13 @@ def _timed(fn) -> float:
 @contextlib.contextmanager
 def _without_native():
     """Within the block the native loader finds no library, so every
-    kernel's numpy or Python twin runs."""
+    kernel's Python twin runs."""
     loader = native.library
     native.library = lambda: None
     try:
         yield
     finally:
         native.library = loader
-
-
-@contextlib.contextmanager
-def _lane_keystream(flag: bool):
-    """Within the block the DRBG may take (``True``, where numpy is
-    importable) or must skip (``False``) the numpy lane keystream."""
-    from repro.crypto import prng
-
-    available = prng._lane_keystream_available
-    if not flag:
-        prng._lane_keystream_available = lambda: False
-    try:
-        yield
-    finally:
-        prng._lane_keystream_available = available
 
 
 # -- tier 1: primitives --------------------------------------------------------
@@ -183,30 +174,29 @@ def bench_aes() -> dict:
         "ttable_speedup": round(t_ref / t_fast, 2),
         "blocks_per_sec_ttable": int(1.0 / t_fast),
     }
-    try:
-        from repro.crypto import aesbatch
+    from repro.crypto import aesbatch
 
-        if aesbatch.HAVE_NUMPY:
-            # A 512-block batch runs ~1 ms, which makes the measured
-            # speedup flap by ±20% on a busy host — too noisy for the
-            # regression gate.  4096 blocks and more repeats keep the
-            # best-of wall time long enough to be stable.
-            n_batch = 4096
-            ciphers = [fast] * n_batch
-            blocks = list(range(n_batch))
-            t_batch = (
-                _best_of(lambda: aesbatch.encrypt_blocks(ciphers, blocks), repeats=7)
-                / n_batch
-            )
-            result["batched_us_per_block"] = round(t_batch * 1e6, 2)
-            result["batched_speedup"] = round(t_ref / t_batch, 2)
-            result.update(bench_packet_batch(aesbatch))
-    except ImportError:
-        pass
+    if aesbatch.lanes_available():
+        # The share-lane kernel over 4096 lanes under one key: each lane
+        # is four AES blocks (one CTR, three CBC-MAC).  A short batch
+        # makes the measured speedup flap by ±20% on a busy host — too
+        # noisy for the regression gate; 4096 lanes and more repeats
+        # keep the best-of wall time long enough to be stable.
+        n_batch = 4096
+        keys = array("I", fast._enc_words)
+        columns = array("q", [0] * n_batch)
+        ids = array("q", range(n_batch))
+        data = array("Q", range(n_batch))
+        t_batch = _best_of(
+            lambda: aesbatch.ctr_cbc_mac(keys, keys, columns, ids, ids, 7, data, 1), repeats=7
+        ) / (4 * n_batch)
+        result["batched_us_per_block"] = round(t_batch * 1e6, 4)
+        result["batched_speedup"] = round(t_ref / t_batch, 2)
+        result.update(bench_packet_batch())
     return result
 
 
-def bench_packet_batch(aesbatch) -> dict:
+def bench_packet_batch() -> dict:
     """A REAL round's share protection: CTR + CBC-MAC over ~790 lanes.
 
     One S4 round on D-Cube protects ~790 share packets (45 sources × 18
@@ -215,7 +205,7 @@ def bench_packet_batch(aesbatch) -> dict:
     engine's pair key table and lane plan exist from commissioning, and
     ``batch_encrypt_shares`` takes the round's plaintexts.  Compared
     against ``encrypt_share`` per packet, the path a round takes without
-    numpy.
+    the native library.
     """
     from repro.core.payload import (
         LanePlan,
@@ -239,9 +229,7 @@ def bench_packet_batch(aesbatch) -> dict:
     field = PrimeField()
     rnd = random.Random(790)
     values = [rnd.randrange(field.prime) for _ in range(len(plan))]
-    lanes = list(
-        zip(plan.source.tolist(), plan.destination.tolist(), values)
-    )
+    lanes = list(zip(plan.source, plan.destination, values))
     round_nonce = rnd.getrandbits(64)
 
     def per_packet():
@@ -285,7 +273,7 @@ def bench_drbg() -> dict:
     """The scalar T-table fast path against the reference stream; the
     native keystream is timed in the ``native_crypto`` tier."""
     n_bytes = 1 << 16
-    with fastpath.forced(True), _lane_keystream(False), _without_native():
+    with fastpath.forced(True), _without_native():
         fast = AesCtrDrbg.from_seed(b"bench")
         t_fast = _best_of(lambda: fast.random_bytes(n_bytes), repeats=5)
     with fastpath.forced(False):
@@ -302,22 +290,21 @@ def bench_drbg() -> dict:
 
 
 def bench_drbg_bulk() -> dict:
-    """Bulk keystream: scalar T-table refills vs the aesbatch lane kernel.
+    """Bulk keystream: scalar T-table refills vs the native keystream kernel.
 
     Both sides run the batched fast path (geometric refills, pooled
-    ciphers) without the native library, which would serve both; the
-    only difference is whether big refills go through
-    :func:`repro.crypto.aesbatch.ctr_keystream`.  The output
-    stream is bit-identical either way, so the tracked ratio is a pure
-    kernel comparison.  Also times the batched dealer-fork prefill
-    (``fork_many`` + ``prefill_many``) against sequential scalar forks —
-    the protocol's per-round dealing pattern.
+    ciphers); the scalar side runs with the loader made to find no
+    library, which is what runs on a host without a compiler.  The
+    output stream is bit-identical either way, so the tracked ratio is a
+    pure kernel comparison.  Also times the batched dealer-fork prefill
+    (``fork_many`` + ``prefill_many``, natively) against sequential
+    scalar forks — the protocol's per-round dealing pattern.
     """
     n_bytes = 1 << 20
-    with fastpath.forced(True), _lane_keystream(False), _without_native():
+    with fastpath.forced(True), _without_native():
         scalar = AesCtrDrbg.from_seed(b"bulk-bench")
         t_scalar = _best_of(lambda: scalar.random_bytes(n_bytes), repeats=3)
-    with fastpath.forced(True), _lane_keystream(True), _without_native():
+    with fastpath.forced(True):
         lane = AesCtrDrbg.from_seed(b"bulk-bench")
         t_lane = _best_of(lambda: lane.random_bytes(n_bytes), repeats=3)
 
@@ -325,23 +312,22 @@ def bench_drbg_bulk() -> dict:
     blocks_bytes = 96
 
     def forks_scalar():
-        with fastpath.forced(True), _lane_keystream(False):
+        with fastpath.forced(True), _without_native():
             parent = AesCtrDrbg.from_seed(b"fork-bench")
             children = [parent.fork(f"dealer-{i}") for i in range(forks)]
             for child in children:
                 child.random_bytes(blocks_bytes)
 
     def forks_lane():
-        with fastpath.forced(True), _lane_keystream(True):
+        with fastpath.forced(True):
             parent = AesCtrDrbg.from_seed(b"fork-bench")
             children = parent.fork_many([f"dealer-{i}" for i in range(forks)])
             AesCtrDrbg.prefill_many(children, blocks_bytes)
             for child in children:
                 child.random_bytes(blocks_bytes)
 
-    with _without_native():
-        t_forks_scalar = _best_of(forks_scalar, repeats=5)
-        t_forks_lane = _best_of(forks_lane, repeats=5)
+    t_forks_scalar = _best_of(forks_scalar, repeats=5)
+    t_forks_lane = _best_of(forks_lane, repeats=5)
     return {
         "scalar_mib_per_sec": round(n_bytes / t_scalar / 2**20, 2),
         "lane_mib_per_sec": round(n_bytes / t_lane / 2**20, 2),
@@ -439,36 +425,45 @@ def bench_minicast(seeds: int = 20) -> dict:
 
 def bench_native_crypto(repeats: int = 20) -> dict:
     """Packet crypto, dealing and dealer evaluation: native kernels and
-    batched draws vs their numpy/Python twins.
+    batched draws vs what runs without them.
 
-    One REAL S4 round on D-Cube is run with its ``ctr_cbc_mac``,
-    ``prefill_many``, ``random_with_secret`` and ``evaluate_values``
-    calls recorded; every figure then replays those same inputs, with
-    the native library and with the loader made to find none (numpy
-    gathers the key columns and runs the keystream lanes,
-    ``horner_eval_many`` evaluates).  The coefficient draws compare
-    ``randrange_many`` against the per-draw loop, both on DRBGs the
-    round's prefill left buffered.
+    One REAL S4 round on D-Cube is run with its ``batch_encrypt_shares``,
+    ``batch_decrypt_values``, ``prefill_many``, ``random_with_secret``
+    and ``evaluate_values`` calls recorded; every figure then replays
+    those same inputs, with the native library and with the loader made
+    to find none (the per-packet codec seals and opens the round's
+    lanes, ``ctr_blocks`` runs the keystream, ``horner_eval_many``
+    evaluates).  The coefficient draws compare ``randrange_many``
+    against the per-draw loop, both on DRBGs the round's prefill left
+    buffered.
     """
     from repro.analysis.experiments import build_engines, round_secrets
+    from repro.core import protocol
     from repro.crypto import aesbatch
+    from repro.errors import CryptoError
     from repro.field.polynomial import Polynomial
+    from repro.field.prime_field import FieldElement
     from repro.topology.testbeds import dcube
 
-    if not aesbatch.HAVE_NUMPY:
+    if not aesbatch.lanes_available():
         return {}
     fastpath.clear_process_caches()
     _, engine = build_engines(dcube(), CryptoMode.REAL)
     nodes = engine.topology.node_ids
     engine.run(round_secrets(nodes, 0), seed=0)  # commissioning
-    crypto, prefills, deals, dealers = [], [], [], []
-    ctr_cbc_mac, evaluate_values = aesbatch.ctr_cbc_mac, Polynomial.evaluate_values
+    seals, opens, prefills, deals, dealers = [], [], [], [], []
+    encrypt, decrypt = protocol.batch_encrypt_shares, protocol.batch_decrypt_values
+    evaluate_values = Polynomial.evaluate_values
     prefill_many = AesCtrDrbg.__dict__["prefill_many"]
     random_with_secret = Polynomial.__dict__["random_with_secret"]
 
-    def record_crypto(*args, **kwargs):
-        crypto.append((args, kwargs))
-        return ctr_cbc_mac(*args, **kwargs)
+    def record_seal(*args):
+        seals.append(args)
+        return encrypt(*args)
+
+    def record_open(*args):
+        opens.append(args)
+        return decrypt(*args)
 
     def record_prefill(drbgs, length):
         prefills.append(([drbg.key_bytes for drbg in drbgs], length))
@@ -482,25 +477,41 @@ def bench_native_crypto(repeats: int = 20) -> dict:
         dealers.append((polynomial, xs))
         return evaluate_values(polynomial, xs)
 
-    aesbatch.ctr_cbc_mac, Polynomial.evaluate_values = record_crypto, record_dealer
+    protocol.batch_encrypt_shares, protocol.batch_decrypt_values = record_seal, record_open
+    Polynomial.evaluate_values = record_dealer
     AesCtrDrbg.prefill_many = staticmethod(record_prefill)
     Polynomial.random_with_secret = classmethod(record_deal)
     try:
         engine.run(round_secrets(nodes, 1), seed=1)
     finally:
-        aesbatch.ctr_cbc_mac, Polynomial.evaluate_values = ctr_cbc_mac, evaluate_values
+        protocol.batch_encrypt_shares, protocol.batch_decrypt_values = encrypt, decrypt
+        Polynomial.evaluate_values = evaluate_values
         AesCtrDrbg.prefill_many = prefill_many
         Polynomial.random_with_secret = random_with_secret
-    (seal,) = [call for call in crypto if not call[1].get("mac_over_input")]
-    (open_,) = [call for call in crypto if call[1].get("mac_over_input")]
+    ((plaintexts, plan, round_nonce),) = seals
+    ((delivered, sealed, field, _),) = opens
     ((keys, length),) = prefills
+    packets = [sealed.packet(lane) for lane in delivered]
 
-    def per_call_ms(args, kwargs) -> float:
+    def seal_per_packet():
+        for source, destination, value in zip(plan.source, plan.destination, plaintexts):
+            engine.codec(source).encrypt_share(
+                destination, FieldElement(field, value), round_nonce
+            )
+
+    def open_per_packet():
+        for packet in packets:
+            try:
+                engine.codec(packet.destination).decrypt_share(packet, field, round_nonce)
+            except CryptoError:
+                pass
+
+    def per_call_ms(run, calls: int = repeats) -> float:
         def run_all():
-            for _ in range(repeats):
-                ctr_cbc_mac(*args, **kwargs)
+            for _ in range(calls):
+                run()
 
-        return _best_of(run_all, repeats=5) / repeats * 1e3
+        return _best_of(run_all, repeats=5) / calls * 1e3
 
     def best_ms(prepare, run) -> float:
         """Best of 5 of ``run`` over ``repeats`` fresh inputs each, per
@@ -545,33 +556,54 @@ def bench_native_crypto(repeats: int = 20) -> dict:
 
         return _best_of(run_all, repeats=5) / repeats * 1e3
 
-    def timings() -> tuple:
-        return (
-            per_call_ms(*seal),
-            per_call_ms(*open_),
-            per_round_ms(),
-            best_ms(fresh_dealers, lambda drbgs: AesCtrDrbg.prefill_many(drbgs, length)),
-            best_ms(refill_drbg, lambda drbg: drbg.random_bytes(512)),
-        )
+    def prefill_ms() -> float:
+        return best_ms(fresh_dealers, lambda drbgs: AesCtrDrbg.prefill_many(drbgs, length))
 
+    def refill_ms() -> float:
+        return best_ms(refill_drbg, lambda drbg: drbg.random_bytes(512))
+
+    # (name, the C figure, the fallback's; the loader decides which runs
+    # where both are one function): the per-packet codec costs ~50 ms a
+    # phase, so it runs 2 calls, best of 5.
+    kernels = (
+        (
+            "seal",
+            lambda: per_call_ms(lambda: encrypt(plaintexts, plan, round_nonce)),
+            lambda: per_call_ms(seal_per_packet, 2),
+        ),
+        (
+            "open",
+            lambda: per_call_ms(lambda: decrypt(delivered, sealed, field, round_nonce)),
+            lambda: per_call_ms(open_per_packet, 2),
+        ),
+        ("evaluate", per_round_ms, per_round_ms),
+        ("prefill", prefill_ms, prefill_ms),
+        ("refill", refill_ms, refill_ms),
+    )
     result = {
         "native": native.library() is not None,
-        "lanes": len(seal[1]["columns"]),
+        "lanes": len(plan),
         "dealers": len(dealers),
         "prefill_dealers": len(keys),
     }
     with fastpath.forced(True):
-        measured = {"native": timings()}
-        with _without_native():
-            measured["fallback"] = timings()
+        for name, in_c, fallback in kernels:
+            # Alternating pairs, so a slow or fast phase of the host lands
+            # on both sides; each figure is the median of its pairs.
+            pairs = []
+            for _ in range(3):
+                native_ms = in_c()
+                with _without_native():
+                    pairs.append((native_ms, fallback()))
+            native_ms = statistics.median(c for c, _ in pairs)
+            fallback_ms = statistics.median(f for _, f in pairs)
+            # "numpy": the keys' names from when numpy was the fallback.
+            label = "python" if name == "evaluate" else "numpy"
+            result[f"{name}_native_ms"] = round(native_ms, 3)
+            result[f"{name}_{label}_ms"] = round(fallback_ms, 3)
+            result[f"{name}_speedup"] = round(statistics.median(f / c for c, f in pairs), 2)
         batched_ms = best_ms(buffered_dealers, lambda drbgs: deal_all(drbgs, lambda d: d))
         loop_ms = best_ms(buffered_dealers, lambda drbgs: deal_all(drbgs, LoopOnly))
-    names = ("seal", "open", "evaluate", "prefill", "refill")
-    for name, native_ms, fallback_ms in zip(names, *measured.values()):
-        fallback = "python" if name == "evaluate" else "numpy"
-        result[f"{name}_native_ms"] = round(native_ms, 3)
-        result[f"{name}_{fallback}_ms"] = round(fallback_ms, 3)
-        result[f"{name}_speedup"] = round(fallback_ms / native_ms, 2)
     result["draws_batched_ms"] = round(batched_ms, 3)
     result["draws_loop_ms"] = round(loop_ms, 3)
     result["draws_speedup"] = round(loop_ms / batched_ms, 2)
@@ -1049,7 +1081,7 @@ def bench_service_wire(calls: int = 20_000) -> dict:
 
 _CHILD_SNIPPET = """
 import json, sys, time
-import repro.crypto.aesbatch  # numpy import paid before the clock starts
+import repro.crypto.aesbatch  # the crypto imports paid before the clock starts
 from repro.core.config import CryptoMode
 from repro.scenarios import Figure1Spec, Session
 from repro.topology.testbeds import flocklab

@@ -276,7 +276,7 @@ class DegreeUnit(CampaignUnit):
     crypto_mode: CryptoMode
 
     def run(self) -> dict[str, float]:
-        from repro.analysis.experiments import build_engines, run_rounds
+        from repro.analysis.experiments import build_engines, round_figures_ms, run_rounds
         from repro.analysis.stats import summarize
         from repro.sim.seeds import child_seed
 
@@ -289,10 +289,7 @@ class DegreeUnit(CampaignUnit):
             self.iterations,
             child_seed(self.seed, self.degree),
         )
-        latencies = [
-            r.max_latency_us / 1000.0 for r in rounds if r.latencies_us()
-        ]
-        radio = [r.mean_radio_on_us / 1000.0 for r in rounds]
+        latencies, radio = round_figures_ms(rounds)
         return {
             "degree": float(self.degree),
             "latency_ms": summarize(latencies).mean if latencies else float("nan"),

@@ -179,18 +179,26 @@ class Figure1Result:
         return max(self.points, key=lambda p: p.num_nodes)
 
 
+def round_figures_ms(rounds: Sequence) -> tuple[list[float], list[float]]:
+    """The per-round figures of a run, in ms: each completed round's
+    network latency (the last node's) and every round's mean radio-on
+    time.  Works on dense RoundMetrics and streaming RoundSummary rounds
+    alike: both expose has_latency / max_latency_us / mean_radio_on_us.
+    What an empty latency list means is the caller's to decide."""
+    latencies = [r.max_latency_us / 1000.0 for r in rounds if r.has_latency]
+    radio = [r.mean_radio_on_us / 1000.0 for r in rounds]
+    return latencies, radio
+
+
 def _metrics_of_rounds(
     rounds: Sequence, variant_label: str, size: int
 ) -> tuple[list[float], list[float], float]:
-    # Works on dense RoundMetrics and streaming RoundSummary rounds
-    # alike: both expose has_latency / max_latency_us / mean_radio_on_us.
-    latencies = [r.max_latency_us / 1000.0 for r in rounds if r.has_latency]
+    latencies, radio = round_figures_ms(rounds)
     if not latencies:
         raise ProtocolError(
             f"{variant_label} never completed at n={size}; "
             "configuration is broken"
         )
-    radio = [r.mean_radio_on_us / 1000.0 for r in rounds]
     success = sum(r.success_fraction for r in rounds) / len(rounds)
     return latencies, radio, success
 

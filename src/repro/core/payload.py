@@ -21,6 +21,7 @@ cannot change the measured metrics.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.crypto.keystore import PairwiseKeyStore
@@ -93,7 +94,7 @@ class RealShareCodec:
         return self._tag_bytes
 
     def supports_batch(self) -> bool:
-        """Whether this codec's ciphers can feed the vectorized pipeline.
+        """Whether this codec's ciphers can feed the share-lane pipeline.
 
         Requires table-mode ciphers (the batch kernel reads their word
         key schedules); a codec built while the fast path was disabled
@@ -193,7 +194,7 @@ class StubShareCodec:
         ) & ((1 << (8 * SHARE_BLOCK_BYTES)) - 1)
 
     def supports_batch(self) -> bool:
-        """The stub pipeline always batches (pure-int ops, no numpy)."""
+        """The stub pipeline always batches (pure-int ops)."""
         return True
 
     def encrypt_share(
@@ -230,18 +231,18 @@ class StubShareCodec:
         return field(value)
 
 
-# -- batched share protection (numpy-accelerated REAL mode) -------------------
+# -- batched share protection (REAL mode, in the native library) --------------
 #
 # A sharing round protects hundreds of packets under independent pairwise
-# keys; batching amortises the AES round function across all of them (see
-# :mod:`repro.crypto.aesbatch`).  A round's packets stay lanes of word
-# arrays from encryption to decryption: no per-packet object, no
-# per-packet key lookup.  Outputs are bit-identical to the per-packet
+# keys; one native kernel call protects all of them (see
+# :mod:`repro.crypto.aesbatch`).  A round's packets stay lanes of plain
+# ``array`` buffers from encryption to decryption: no per-packet object,
+# no per-packet key lookup.  Outputs are bit-identical to the per-packet
 # methods above, and every helper here requires the caller to have
-# checked ``aesbatch.HAVE_NUMPY`` (numpy is imported on first use, so
-# STUB-only and service processes never load it).
+# checked ``aesbatch.lanes_available()``: where the library did not load,
+# the per-packet codec is the path.
 
-#: Below this many packets the numpy setup costs more than it saves.
+#: Below this many packets a round keeps the per-packet codec.
 BATCH_THRESHOLD = 8
 
 
@@ -249,33 +250,28 @@ class PairKeyTable:
     """Every ordered (holder, peer) pairwise key of a deployment, as columns.
 
     Built once per engine, at commissioning, from its codecs.  Column
-    ``columns[h, p]`` of :attr:`enc` / :attr:`mac` (``(44, P)`` uint32
-    key layouts) holds the schedule node ``h`` uses with peer ``p``, by
-    node position in :attr:`positions`; the diagonal is ``-1``.  Senders
-    read ``columns[src, dst]`` and receivers ``columns[dst, src]``: each
-    side uses its own key, as on the device.
+    ``columns[holder, peer]`` of :attr:`enc` / :attr:`mac` (44 key
+    schedule words per column, back to back in an ``array("I")``) holds
+    the schedule ``holder`` uses with ``peer``.  Senders read
+    ``columns[src, dst]`` and receivers ``columns[dst, src]``: each side
+    uses its own key, as on the device.
     """
 
-    __slots__ = ("positions", "columns", "enc", "mac", "tag_bytes")
+    __slots__ = ("columns", "enc", "mac", "tag_bytes")
 
     def __init__(self, codecs: "dict[int, RealShareCodec]"):
-        import numpy as np
-
         nodes = sorted(codecs)
-        self.positions = {node: position for position, node in enumerate(nodes)}
-        self.columns = np.full((len(nodes), len(nodes)), -1, dtype=np.intp)
-        enc_words = []
-        mac_words = []
-        for h, holder in enumerate(nodes):
-            for p, peer in enumerate(nodes):
-                if p == h:
+        self.columns: dict[tuple[int, int], int] = {}
+        self.enc = array("I")
+        self.mac = array("I")
+        for holder in nodes:
+            for peer in nodes:
+                if peer == holder:
                     continue
-                self.columns[h, p] = len(enc_words)
+                self.columns[holder, peer] = len(self.columns)
                 enc, mac = codecs[holder].ciphers_for(peer)
-                enc_words.append(enc._enc_words)
-                mac_words.append(mac._enc_words)
-        self.enc = np.ascontiguousarray(np.array(enc_words, dtype=np.uint32).T)
-        self.mac = np.ascontiguousarray(np.array(mac_words, dtype=np.uint32).T)
+                self.enc.extend(enc._enc_words)
+                self.mac.extend(mac._enc_words)
         self.tag_bytes = codecs[nodes[0]].tag_bytes
 
 
@@ -284,9 +280,9 @@ class LanePlan:
 
     Lane order is source-major: every ``(src, dst)`` pair with ``dst !=
     src``, in the order of ``sources`` then ``destinations``.  Per lane
-    the plan holds the node ids, the sender's and receiver's key columns
-    in :attr:`keys`, the destination's row in ``destinations`` and the
-    lane's sub-slot in the chain ``layout``.
+    the plan holds (``array("q")`` each) the node ids, the sender's and
+    receiver's key columns in :attr:`keys`, the destination's row in
+    ``destinations`` and the lane's sub-slot in the chain ``layout``.
     """
 
     __slots__ = (
@@ -301,85 +297,61 @@ class LanePlan:
     )
 
     def __init__(self, keys: PairKeyTable, sources, destinations, layout):
-        import numpy as np
-
         pairs = [(src, dst) for src in sources for dst in destinations if dst != src]
         rows = {dst: row for row, dst in enumerate(destinations)}
-        positions = keys.positions
-        src_pos = [positions[src] for src, _ in pairs]
-        dst_pos = [positions[dst] for _, dst in pairs]
+        columns = keys.columns
         self.keys = keys
-        self.source = np.array([src for src, _ in pairs], dtype=np.int64)
-        self.destination = np.array([dst for _, dst in pairs], dtype=np.int64)
-        self.send = keys.columns[src_pos, dst_pos]
-        self.receive = keys.columns[dst_pos, src_pos]
-        self.row = np.array([rows[dst] for _, dst in pairs], dtype=np.intp)
-        self.chain = np.array(
-            [layout.index_of(src, dst) for src, dst in pairs], dtype=np.intp
-        )
+        self.source = array("q", [src for src, _ in pairs])
+        self.destination = array("q", [dst for _, dst in pairs])
+        self.send = array("q", [columns[pair] for pair in pairs])
+        self.receive = array("q", [columns[dst, src] for src, dst in pairs])
+        self.row = array("q", [rows[dst] for _, dst in pairs])
+        self.chain = array("q", [layout.index_of(src, dst) for src, dst in pairs])
         self.view_bytes = (len(layout) + 7) // 8
 
     def __len__(self) -> int:
         return len(self.source)
 
-    def delivered(self, views: "list[int]"):
+    def delivered(self, views: "list[int]") -> array:
         """Indices of the lanes whose sub-slot their destination received.
 
         ``views[row]`` is the chain bitmask destination ``row`` knows (0
-        for one that takes no part).  One bit matrix over every view and
-        one gather replace a per-bit walk of each view.
+        for one that takes no part).  One kernel pass over every view
+        replaces a per-bit walk of each.
         """
-        import numpy as np
+        from repro.crypto import aesbatch
 
-        raw = b"".join([view.to_bytes(self.view_bytes, "little") for view in views])
-        bits = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8).reshape(len(views), -1),
-            axis=1,
-            bitorder="little",
-        )
-        return np.flatnonzero(bits[self.row, self.chain])
+        view_bytes = self.view_bytes
+        raw = b"".join([view.to_bytes(view_bytes, "little") for view in views])
+        return aesbatch.delivered_lanes(self.row, self.chain, raw, view_bytes)
 
 
 class ShareLanes:
     """One round's protected shares: ciphertext and MAC words per lane.
 
-    Column ``i`` of :attr:`ciphertext` and :attr:`mac` (``(4, N)`` word
-    states) is lane ``i`` of :attr:`plan`.  Only the first ``tag_bytes``
-    bytes of each MAC travel on the wire; :meth:`packet` is that wire
-    form.
+    Words ``2 * i`` and ``2 * i + 1`` of :attr:`ciphertext` and
+    :attr:`mac` (``array("Q")``, high word first) are lane ``i`` of
+    :attr:`plan`.  Only the first ``tag_bytes`` bytes of each MAC travel
+    on the wire; :meth:`packet` is that wire form.
     """
 
     __slots__ = ("plan", "ciphertext", "mac")
 
-    def __init__(self, plan: LanePlan, ciphertext, mac):
+    def __init__(self, plan: LanePlan, ciphertext: array, mac: array):
         self.plan = plan
         self.ciphertext = ciphertext
         self.mac = mac
 
     def packet(self, lane: int) -> SharePacket:
         """Lane ``lane`` as the packet :meth:`RealShareCodec.encrypt_share` builds."""
-        words = [int(word) for word in self.ciphertext[:, lane]]
-        tag_words = [int(word) for word in self.mac[:, lane]]
+        ciphertext = self.ciphertext[2 * lane] << 64 | self.ciphertext[2 * lane + 1]
+        mac = self.mac[2 * lane] << 64 | self.mac[2 * lane + 1]
         return SharePacket(
-            source=int(self.plan.source[lane]),
-            destination=int(self.plan.destination[lane]),
-            ciphertext=b"".join(word.to_bytes(4, "big") for word in words),
-            tag=b"".join(word.to_bytes(4, "big") for word in tag_words)[
-                : self.plan.keys.tag_bytes
-            ],
+            source=self.plan.source[lane],
+            destination=self.plan.destination[lane],
+            ciphertext=ciphertext.to_bytes(SHARE_BLOCK_BYTES, "big"),
+            tag=mac.to_bytes(SHARE_BLOCK_BYTES, "big")[: self.plan.keys.tag_bytes],
         )
-
-
-def _nonce_words(round_nonce: int, sources, destinations):
-    """:meth:`RealShareCodec._nonce` per lane, as a ``(4, N)`` word state."""
-    import numpy as np
-
-    nonce = np.empty((4, len(sources)), dtype=np.int64)
-    nonce[0] = round_nonce >> 32
-    nonce[1] = round_nonce & 0xFFFFFFFF
-    nonce[2] = sources
-    nonce[3] = destinations
-    return nonce
 
 
 def batch_encrypt_shares(
@@ -392,19 +364,20 @@ def batch_encrypt_shares(
     """
     from repro.crypto import aesbatch
 
+    try:  # values below 2**64 (GF(2**61 - 1) shares): one word per lane
+        data, width = array("Q", plaintexts), 1
+    except OverflowError:
+        data = array("Q", [word for value in plaintexts for word in divmod(value, 1 << 64)])
+        width = 2
     keys = plan.keys
     ciphertext, mac = aesbatch.ctr_cbc_mac(
-        keys.enc,
-        keys.mac,
-        _nonce_words(round_nonce, plan.source, plan.destination),
-        aesbatch.words_from_ints(plaintexts),
-        columns=plan.send,
+        keys.enc, keys.mac, plan.send, plan.source, plan.destination, round_nonce, data, width
     )
     return ShareLanes(plan, ciphertext, mac)
 
 
 def batch_decrypt_values(
-    lanes, sealed: ShareLanes, field: PrimeField, round_nonce: int
+    lanes: array, sealed: ShareLanes, field: PrimeField, round_nonce: int
 ) -> list[int | None]:
     """Authenticate and decrypt the received ``lanes`` of ``sealed``.
 
@@ -418,30 +391,31 @@ def batch_decrypt_values(
 
     plan = sealed.plan
     keys = plan.keys
-    received_mac = sealed.mac[:, lanes]
-    plaintext, expected_mac = aesbatch.ctr_cbc_mac(
+    if not isinstance(lanes, array):
+        lanes = array("q", lanes)
+    plaintext, rejected = aesbatch.ctr_cbc_mac(
         keys.enc,
         keys.mac,
-        _nonce_words(round_nonce, plan.source[lanes], plan.destination[lanes]),
-        sealed.ciphertext[:, lanes],
-        mac_over_input=True,
-        columns=plan.receive[lanes],
+        plan.receive,
+        plan.source,
+        plan.destination,
+        round_nonce,
+        sealed.ciphertext,
+        lanes=lanes,
+        tags=sealed.mac,
+        tag_bytes=keys.tag_bytes,
+        limit=field.prime - 1,
     )
-    # Compare the first tag_bytes bytes of each MAC: whole words, then
-    # the leading bytes of a partial word.
-    difference = expected_mac ^ received_mac
-    whole, partial = divmod(keys.tag_bytes, 4)
-    forged = difference[:whole].any(axis=0)
-    if partial:
-        forged |= (difference[whole] >> (32 - 8 * partial)) != 0
-    prime = field.prime
-    return [
-        None if bad or value >= prime else value
-        for value, bad in zip(aesbatch.ints_from_words(plaintext), forged.tolist())
-    ]
+    if field.prime <= 1 << 64:  # accepted values fill the low word only
+        values = plaintext[1::2].tolist()
+    else:
+        values = [hi << 64 | lo for hi, lo in zip(plaintext[0::2], plaintext[1::2])]
+    if 1 in rejected:
+        return [None if bad else value for value, bad in zip(values, rejected)]
+    return values
 
 
-# -- batched stub share protection (pure-int, no numpy needed) -----------------
+# -- batched stub share protection (pure ints) --------------------------------
 
 
 def stub_batch_encrypt(

@@ -105,10 +105,10 @@ _ROUND_CONST_MAX = 128
 
 
 def _batch_crypto_available() -> bool:
-    """Whether the numpy-vectorized share pipeline can be used."""
+    """Whether the share-lane kernel loaded (else: the per-packet codec)."""
     from repro.crypto import aesbatch
 
-    return aesbatch.HAVE_NUMPY
+    return aesbatch.lanes_available()
 
 
 def _pooled_layout(key: tuple, build) -> ChainLayout:
@@ -408,8 +408,8 @@ class AggregationEngine:
                     and self.codec(sources[0]).supports_batch()
                 )
             else:
-                # The stub pipeline batches in pure ints — no numpy
-                # required, so no availability guard.
+                # The stub pipeline batches in pure ints, so no
+                # availability guard.
                 use_batch_crypto = self.codec(sources[0]).supports_batch()
         use_lanes = use_batch_crypto and config.crypto_mode is CryptoMode.REAL
         payloads: dict[int, SharePacket] = {}
@@ -662,14 +662,15 @@ class AggregationEngine:
         contributors: list[set[int]] = [set() for _ in destinations]
         delivered = plan.delivered(views)
         if len(delivered):
-            for row, source, value in zip(
-                plan.row[delivered].tolist(),
-                plan.source[delivered].tolist(),
-                batch_decrypt_values(delivered, sealed, field, round_nonce),
+            lane_rows = plan.row
+            lane_sources = plan.source
+            for lane, value in zip(
+                delivered, batch_decrypt_values(delivered, sealed, field, round_nonce)
             ):
                 if value is not None:  # None: corrupted/forged packet, dropped
+                    row = lane_rows[lane]
                     totals[row] += value
-                    contributors[row].add(source)
+                    contributors[row].add(lane_sources[lane])
         rows = {dst: row for row, dst in enumerate(destinations)}
         for index, packet in payloads.items():
             row = rows[packet.destination]

@@ -319,7 +319,7 @@ class AES128:
         encryption, the primitive behind every fast bulk path (CTR,
         CBC-MAC).  Only an unset slot reaches this method.  A deployment
         builds and loads its pairwise ciphers by the thousand, and most of
-        them only lend their schedule words to the lane kernels, so the
+        them only lend their schedule words to the share-lane kernel, so the
         closure is made for those that encrypt block by block; a
         concurrent double-build is benign (both build the same closure).
         """

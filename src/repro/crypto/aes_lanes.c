@@ -1,32 +1,35 @@
-/* AES-128 lanes in C: the twins of two numpy kernels of
- * repro.crypto.aesbatch, built into the package's native library by
- * repro.native and called by repro.crypto.aesbatch, which owns both
- * calling conventions.  The round function is repro.crypto.aes's T-table
- * form, over that module's own tables, which the caller passes in
- * (tables: Te0..Te3, 256 words each; sbox: 256 bytes; rcon: 10 bytes).
+/* AES-128 lanes in C, built into the package's native library by
+ * repro.native and called by repro.crypto.aesbatch, which owns every
+ * calling convention here.  The round function is repro.crypto.aes's
+ * T-table form, over that module's own tables, which the caller passes
+ * in (tables: Te0..Te3, 256 words each; sbox: 256 bytes; rcon: 10 bytes).
  *
- * aes_ctr_runs is the DRBG keystream (aesbatch.keystream_runs, and
- * AES128.ctr_blocks per key).  Run i expands the raw 16-byte key
- * keys[16 i .. 16 i + 15] (FIPS-197) and writes counts[i] encrypted
- * counter blocks, the first counter being the big-endian 128-bit value
- * counters[16 i .. 16 i + 15], each next one that value plus one modulo
- * 2^128.  The runs' blocks are written back to back into out.
+ * aes_ctr_runs is the DRBG keystream (AES128.ctr_blocks per key).  Run
+ * i expands the raw 16-byte key keys[16 i .. 16 i + 15] (FIPS-197) and
+ * writes counts[i] encrypted counter blocks, the first counter being the
+ * big-endian 128-bit value counters[16 i .. 16 i + 15], each next one
+ * that value plus one modulo 2^128.  The runs' blocks are written back
+ * to back into out.
  *
  * aes_expand_keys is the key schedule alone (AES128(key)._enc_words for
  * many keys at once): key i expands into out[44 i .. 44 i + 43].
  *
- * aes_ctr_cbc_mac is share-packet protection (aesbatch.ctr_cbc_mac keyed
- * by columns).  Lane i is keyed by column columns[i] of two (44, K)
- * round-key matrices (word k of column c at keys[k * K + c]: the layout
- * of repro.core.payload.PairKeyTable), so no per-lane key copy is
- * gathered in Python.  Its nonce and data blocks are big-endian words in
- * (4, N) int64 rows (word c of lane i at state[c * N + i]), and so are
- * the two outputs.  Per lane it computes what ctr_cbc_mac computes:
+ * aes_ctr_cbc_mac is share-packet protection, the lane form of
+ * RealShareCodec.encrypt_share / decrypt_share.  A plan of lanes holds
+ * per lane a key column (its 44 round-key words at keys[44 column ..]),
+ * a source and a destination id; lane j of a call is plan lane lanes[j]
+ * (lane j itself where lanes is NULL).  A 128-bit block is two uint64
+ * words, high then low.  Per lane it computes
  *
+ *   nonce  = round_nonce (8 bytes, big-endian) || source || destination
  *   output = data ^ E_enc(nonce)                        (CTR, one block)
  *   mac    = CBC-MAC_mac(len(32) || nonce || covered || 0x08 * 8)
  *
- * with covered the output on the sender and the input on the receiver.
+ * data being width words of the lane (1: the low word, the high one 0).
+ * On seal (tags NULL) covered is the output and the mac is written out.
+ * On open covered is the input, the received sealed tags[2 lane ..] are
+ * compared over their first tag_bytes bytes, and rejected[j] is set
+ * where they differ or the output exceeds limit (two words).
  */
 #include <stdint.h>
 
@@ -55,35 +58,47 @@ static void encrypt(const uint32_t *te, const uint8_t *sbox, const uint32_t *rk,
 #undef FINAL
 }
 
-/* Returns 0, or -1 (having written nothing) when a key column lies
- * outside [0, key_columns). */
+static uint32_t load_be(const uint8_t *p)
+{
+    return (uint32_t)p[0] << 24 | (uint32_t)p[1] << 16 | (uint32_t)p[2] << 8 | p[3];
+}
+
+/* Returns the number of rejected lanes (0 on seal), or -1, having
+ * written nothing, when a lane or its key column is out of range. */
 int64_t aes_ctr_cbc_mac(int64_t n, const uint32_t *tables, const uint8_t *sbox,
                         const uint32_t *enc_keys, const uint32_t *mac_keys,
-                        int64_t key_columns, const int64_t *columns,
-                        const int64_t *nonce, const int64_t *data,
-                        int64_t mac_over_input, int64_t *output, int64_t *mac)
+                        int64_t key_columns, int64_t plan_lanes, const int64_t *columns,
+                        const int64_t *sources, const int64_t *destinations,
+                        const int64_t *lanes, const uint8_t *round_nonce,
+                        const uint64_t *data, int64_t width, const uint64_t *tags,
+                        int64_t tag_bytes, const uint64_t *limit, uint64_t *output,
+                        uint64_t *mac, uint8_t *rejected)
 {
-    for (int64_t i = 0; i < n; i++)
-        if (columns[i] < 0 || columns[i] >= key_columns)
+    for (int64_t j = 0; j < n; j++) {
+        int64_t lane = lanes ? lanes[j] : j;
+        if (lane < 0 || lane >= plan_lanes || columns[lane] < 0 || columns[lane] >= key_columns)
             return -1;
-    for (int64_t i = 0; i < n; i++) {
-        uint32_t enc_rk[44], mac_rk[44], nb[4], in[4], out[4], block[4];
-        const uint32_t *enc_column = enc_keys + columns[i];
-        const uint32_t *mac_column = mac_keys + columns[i];
-        for (int k = 0; k < 44; k++) {
-            enc_rk[k] = enc_column[k * key_columns];
-            mac_rk[k] = mac_column[k * key_columns];
-        }
-        for (int c = 0; c < 4; c++) {
-            nb[c] = block[c] = (uint32_t)nonce[c * n + i];
-            in[c] = (uint32_t)data[c * n + i];
-        }
+    }
+    /* The carried tag bytes, as masks over the two MAC words. */
+    uint64_t keep_hi = tag_bytes >= 8 ? UINT64_MAX : UINT64_MAX << (64 - 8 * tag_bytes);
+    uint64_t keep_lo = tag_bytes >= 16 ? UINT64_MAX
+                       : tag_bytes <= 8 ? 0 : UINT64_MAX << (128 - 8 * tag_bytes);
+    uint32_t nonce_hi = load_be(round_nonce), nonce_lo = load_be(round_nonce + 4);
+    int64_t count = 0;
+    for (int64_t j = 0; j < n; j++) {
+        int64_t lane = lanes ? lanes[j] : j;
+        const uint32_t *enc_rk = enc_keys + 44 * columns[lane];
+        const uint32_t *mac_rk = mac_keys + 44 * columns[lane];
+        uint64_t hi = width == 2 ? data[2 * lane] : 0, lo = data[width * lane + width - 1];
+        uint32_t nb[4] = {nonce_hi, nonce_lo, (uint32_t)sources[lane],
+                          (uint32_t)destinations[lane]};
+        uint32_t in[4] = {(uint32_t)(hi >> 32), (uint32_t)hi, (uint32_t)(lo >> 32),
+                          (uint32_t)lo};
+        uint32_t out[4], block[4] = {nb[0], nb[1], nb[2], nb[3]};
         encrypt(tables, sbox, enc_rk, block);
-        for (int c = 0; c < 4; c++) {
+        for (int c = 0; c < 4; c++)
             out[c] = in[c] ^ block[c];
-            output[c * n + i] = out[c];
-        }
-        const uint32_t *covered = mac_over_input ? in : out;
+        const uint32_t *covered = tags ? in : out;
         block[0] = 0;
         block[1] = 32;
         block[2] = nb[0];
@@ -99,15 +114,41 @@ int64_t aes_ctr_cbc_mac(int64_t n, const uint32_t *tables, const uint8_t *sbox,
         block[2] ^= 0x08080808u;
         block[3] ^= 0x08080808u;
         encrypt(tables, sbox, mac_rk, block);
-        for (int c = 0; c < 4; c++)
-            mac[c * n + i] = block[c];
+        uint64_t out_hi = (uint64_t)out[0] << 32 | out[1], out_lo = (uint64_t)out[2] << 32 | out[3];
+        uint64_t mac_hi = (uint64_t)block[0] << 32 | block[1];
+        uint64_t mac_lo = (uint64_t)block[2] << 32 | block[3];
+        output[2 * j] = out_hi;
+        output[2 * j + 1] = out_lo;
+        if (!tags) {
+            mac[2 * j] = mac_hi;
+            mac[2 * j + 1] = mac_lo;
+            continue;
+        }
+        int bad = ((mac_hi ^ tags[2 * lane]) & keep_hi) || ((mac_lo ^ tags[2 * lane + 1]) & keep_lo) ||
+                  out_hi > limit[0] || (out_hi == limit[0] && out_lo > limit[1]);
+        rejected[j] = (uint8_t)bad;
+        count += bad;
     }
-    return 0;
+    return count;
 }
 
-static uint32_t load_be(const uint8_t *p)
+/* The plan lanes whose sub-slot their destination received: lane i is
+ * delivered where bit chains[i] of view rows[i] is set, the view_count
+ * views being view_bytes little-endian bytes each, back to back.  Writes
+ * the lane indices in order to out and returns their number, or -1,
+ * having written nothing, when a lane reads outside the views. */
+int64_t delivered_lanes(int64_t n, const int64_t *rows, const int64_t *chains,
+                        const uint8_t *views, int64_t view_count, int64_t view_bytes,
+                        int64_t *out)
 {
-    return (uint32_t)p[0] << 24 | (uint32_t)p[1] << 16 | (uint32_t)p[2] << 8 | p[3];
+    for (int64_t i = 0; i < n; i++)
+        if (rows[i] < 0 || rows[i] >= view_count || chains[i] < 0 || chains[i] >= 8 * view_bytes)
+            return -1;
+    int64_t count = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (views[rows[i] * view_bytes + chains[i] / 8] >> (chains[i] % 8) & 1)
+            out[count++] = i;
+    return count;
 }
 
 static void store_be(uint8_t *p, uint32_t word)

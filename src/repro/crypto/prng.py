@@ -18,8 +18,8 @@ per refill instead of one ``encrypt_block`` call per 16 bytes) and
 consumed through a moving offset instead of re-slicing the buffer.  A
 refill runs in the native library's CTR kernel
 (:func:`repro.crypto.aesbatch.native_keystream_runs`), straight from the
-raw key; where that did not load, large refills take the numpy lane
-kernel and the rest :meth:`repro.crypto.aes.AES128.ctr_blocks`.  Batching
+raw key; where that did not load, in
+:meth:`repro.crypto.aes.AES128.ctr_blocks`.  Batching
 and routing only change *when* and *where* keystream blocks are computed,
 never their values, so the output stream is bit-identical to the seed
 implementation; the reference path (:mod:`repro.fastpath` disabled)
@@ -52,21 +52,6 @@ _CIPHER_POOL_MAX = 8192
 #: coefficients) never wastes a big batch while long-lived streams
 #: amortise the per-call overhead fully.
 _FAST_REFILL_BLOCKS_MAX = 32
-
-#: Minimum refill size (blocks) worth routing through the numpy lane
-#: kernel, where the native one did not load.  Below this the per-call
-#: numpy dispatch overhead exceeds the scalar T-table loop; above it the
-#: lane kernel's ~an-order-of-magnitude per-block advantage dominates.
-#: Bulk consumers (``random_bytes`` of whole buffers) blow straight past
-#: it.
-_LANE_REFILL_BLOCKS_MIN = 16
-
-
-def _lane_keystream_available() -> bool:
-    """Whether the numpy CTR lane kernel may be used (numpy importable)."""
-    from repro.crypto import aesbatch
-
-    return aesbatch.HAVE_NUMPY
 
 
 class AesCtrDrbg:
@@ -148,36 +133,26 @@ class AesCtrDrbg:
         """``count`` keystream blocks from the current counter position.
 
         On the fast path every refill runs in the native CTR kernel,
-        which expands the raw key itself; where that did not load, large
-        batches go through the :mod:`repro.crypto.aesbatch` lane kernel
-        where numpy is importable.  The bytes are bit-identical to
-        the scalar ``ctr_blocks`` either way, so the routing decision
-        never shows in the output stream.
+        which expands the raw key itself; where that did not load, in
+        the scalar ``ctr_blocks``.  The bytes are bit-identical either
+        way, so the routing decision never shows in the output stream.
         """
+        streams = None
         if self._batching:
             from repro.crypto import aesbatch
 
             streams = aesbatch.native_keystream_runs(self._key, (self._counter,), (count,))
-            if streams is not None:
-                self._counter += count
-                return streams[0]
-            if count >= _LANE_REFILL_BLOCKS_MIN and _lane_keystream_available():
-                fresh = aesbatch.ctr_keystream(
-                    self._refill_cipher(), self._counter, count
-                )
-                self._counter += count
-                return fresh
-        fresh = self._refill_cipher().ctr_blocks(self._counter, count)
+        if streams is None:
+            streams = [self._refill_cipher().ctr_blocks(self._counter, count)]
         self._counter += count
-        return fresh
+        return streams[0]
 
     def prefill(self, length: int) -> None:
         """Ensure at least ``length`` bytes of keystream are buffered.
 
         Purely a scheduling hint: the stream a consumer sees is identical
-        with or without the call, but one big refill through the lane
-        kernel is far cheaper than the geometric ramp of small scalar
-        refills it replaces.
+        with or without the call, but one big refill is far cheaper than
+        the geometric ramp of small refills it replaces.
         """
         available = len(self._buffer) - self._offset
         if available >= length:
@@ -331,47 +306,29 @@ class AesCtrDrbg:
         One native CTR kernel call covers all the streams' blocks, each
         under its own raw key, so a fleet of short-lived forks pays the
         call overhead once instead of per fork and builds no cipher
-        object or key schedule.  Where that kernel did not load, one
-        vectorized key schedule and one
-        :func:`repro.crypto.aesbatch.keystream_runs` call do the same;
-        without numpy each stream prefills on its own.  Either way every
-        stream's future output is bit-identical to the unprefilled one.
+        object or key schedule.  Where that kernel did not load, each
+        stream prefills on its own.  Either way every stream's future
+        output is bit-identical to the unprefilled one.
         """
         if length <= 0:
             return
-        pending = []
-        counts = []
-        for drbg in drbgs:
-            available = len(drbg._buffer) - drbg._offset
-            if available >= length:
-                continue
-            blocks = (length - available + BLOCK_SIZE - 1) // BLOCK_SIZE
-            pending.append(drbg)
-            counts.append(blocks)
-        if not pending:
-            return
+        pending = [drbg for drbg in drbgs if len(drbg._buffer) - drbg._offset < length]
         streams = None
-        if all(drbg._batching for drbg in pending):
+        if pending and all(drbg._batching for drbg in pending):
             from repro.crypto import aesbatch
 
+            counts = [
+                (length - len(drbg._buffer) + drbg._offset + BLOCK_SIZE - 1) // BLOCK_SIZE
+                for drbg in pending
+            ]
             keys = b"".join([drbg._key for drbg in pending])
             counters = [drbg._counter for drbg in pending]
             streams = aesbatch.native_keystream_runs(keys, counters, counts)
-            if (
-                streams is None
-                and _lane_keystream_available()
-                and sum(counts) >= _LANE_REFILL_BLOCKS_MIN
-            ):
-                streams = aesbatch.keystream_runs(
-                    aesbatch.key_schedules(keys), counters, counts
-                )
-        if streams is not None:
-            for drbg, count, fresh in zip(pending, counts, streams):
-                drbg._counter += count
-                drbg._buffer = drbg._buffer[drbg._offset :] + fresh
-                drbg._offset = 0
+        if streams is None:
+            for drbg in pending:
+                drbg.prefill(length)
             return
-        for drbg, count in zip(pending, counts):
-            fresh = drbg._generate_blocks(count)
+        for drbg, count, fresh in zip(pending, counts, streams):
+            drbg._counter += count
             drbg._buffer = drbg._buffer[drbg._offset :] + fresh
             drbg._offset = 0

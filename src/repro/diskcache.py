@@ -57,7 +57,7 @@ import struct
 import tempfile
 import time
 import zlib
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Generator, Iterable, Iterator
 
 #: Bump when the serialized form of any cached artifact changes shape.
 CACHE_VERSION = 1
@@ -385,6 +385,36 @@ _LOG_HEADER = struct.Struct(">2sII")
 LOG_MAX_RECORD = 16 * 1024 * 1024
 
 
+#: Why :func:`scan_frames` stopped: the file ended on a frame boundary,
+#: it ended inside a frame (a torn tail), or a frame's magic, length or
+#: CRC is wrong.
+SCAN_END, SCAN_SHORT, SCAN_BAD = "end", "short", "bad"
+
+
+def scan_frames(handle: BinaryIO) -> Generator[tuple[bytes, int], None, str]:
+    """Yield ``(payload, end offset)`` of every valid frame from the
+    start of ``handle``, stopping at the first that is not; the
+    generator's return value says why (``SCAN_END``, ``SCAN_SHORT`` or
+    ``SCAN_BAD``).  The one frame parser of every log reader."""
+    end = 0
+    while True:
+        header = handle.read(_LOG_HEADER.size)
+        if not header:
+            return SCAN_END
+        if len(header) < _LOG_HEADER.size:
+            return SCAN_SHORT
+        magic, length, crc = _LOG_HEADER.unpack(header)
+        if magic != LOG_MAGIC or length > LOG_MAX_RECORD:
+            return SCAN_BAD
+        payload = handle.read(length)
+        if len(payload) < length:
+            return SCAN_SHORT
+        if zlib.crc32(payload) != crc:
+            return SCAN_BAD
+        end += _LOG_HEADER.size + length
+        yield payload, end
+
+
 class AppendLog:
     """Crash-safe append-only record log: the substrate of service WALs.
 
@@ -429,17 +459,7 @@ class AppendLog:
             return 0, 0
         valid = 0
         with open(self.path, "rb") as handle:
-            while True:
-                header = handle.read(_LOG_HEADER.size)
-                if len(header) < _LOG_HEADER.size:
-                    break
-                magic, length, crc = _LOG_HEADER.unpack(header)
-                if magic != LOG_MAGIC or length > LOG_MAX_RECORD:
-                    break
-                payload = handle.read(length)
-                if len(payload) < length or zlib.crc32(payload) != crc:
-                    break
-                valid += _LOG_HEADER.size + length
+            for _, valid in scan_frames(handle):
                 self._count += 1
         return valid, size - valid
 
@@ -482,16 +502,7 @@ class AppendLog:
     def replay(self) -> Iterator[bytes]:
         """Yield every complete record in append order (torn tail skipped)."""
         with open(self.path, "rb") as handle:
-            while True:
-                header = handle.read(_LOG_HEADER.size)
-                if len(header) < _LOG_HEADER.size:
-                    return
-                magic, length, crc = _LOG_HEADER.unpack(header)
-                if magic != LOG_MAGIC or length > LOG_MAX_RECORD:
-                    return
-                payload = handle.read(length)
-                if len(payload) < length or zlib.crc32(payload) != crc:
-                    return
+            for payload, _ in scan_frames(handle):
                 yield payload
 
     def close(self, sync: bool = True) -> None:
@@ -526,14 +537,5 @@ def read_log_records(path: str | os.PathLike) -> Iterator[bytes]:
     except FileNotFoundError:
         return
     with handle:
-        while True:
-            header = handle.read(_LOG_HEADER.size)
-            if len(header) < _LOG_HEADER.size:
-                return
-            magic, length, crc = _LOG_HEADER.unpack(header)
-            if magic != LOG_MAGIC or length > LOG_MAX_RECORD:
-                return
-            payload = handle.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                return
+        for payload, _ in scan_frames(handle):
             yield payload

@@ -29,6 +29,7 @@ from repro.analysis.experiments import (
     build_engines,
     degree_for,
     paper_configs,
+    round_figures_ms,
     round_secrets,
     run_rounds,
 )
@@ -346,8 +347,7 @@ def _run_ablation(spec: AblationSpec, ctx) -> list[dict[str, float]]:
             stable_seed(spec.seed, label),
             metrics="summary",
         )
-        latencies = [r.max_latency_us / 1000.0 for r in rounds if r.has_latency]
-        radio = [r.mean_radio_on_us / 1000.0 for r in rounds]
+        latencies, radio = round_figures_ms(rounds)
         rows.append(
             {
                 "variant": label,
@@ -424,9 +424,7 @@ def _run_interference(spec: InterferenceSpec, ctx) -> list[dict[str, float]]:
                 row[f"{label}_success"] = 0.0
                 row[f"{label}_latency_ms"] = float("nan")
                 continue
-            latencies = [
-                r.max_latency_us / 1000.0 for r in results if r.has_latency
-            ]
+            latencies, _ = round_figures_ms(results)
             row[f"{label}_success"] = sum(
                 r.success_fraction for r in results
             ) / len(results)

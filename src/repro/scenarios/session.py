@@ -11,7 +11,7 @@ cross-cutting run state exactly once:
   :class:`~repro.core.metrics.RoundMetrics` or streaming ``"summary"``);
 * **cache_dir** — the persisted commissioning cache root
   (:mod:`repro.diskcache`), applied process-wide like the old CLI flag;
-* the **backend fingerprint** (fast path, numpy presence) recorded in
+* the **backend fingerprint** (fast path, disk cache, workers) recorded in
   every result envelope.
 
 ``session.run(spec)`` resolves the spec's scenario through the registry,
@@ -47,15 +47,8 @@ RECORD_KIND = "scenario-result"
 
 def backend_fingerprint(workers: int, metrics: str = "full") -> dict[str, Any]:
     """Which compute backend produced a result (for record provenance)."""
-    try:
-        import numpy  # noqa: F401
-
-        have_numpy = True
-    except ImportError:
-        have_numpy = False
     return {
         "fastpath": fastpath.enabled(),
-        "numpy": have_numpy,
         "disk_cache": diskcache.enabled(),
         "workers": workers,
         "metrics": metrics,

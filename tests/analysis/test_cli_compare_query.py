@@ -65,12 +65,13 @@ class TestCompareCommand:
         assert "payload.num_nodes" in err
 
     def test_record_with_vector_fingerprint_still_matches(self, tmp_path, capsys):
-        # Saved by a version whose backend fingerprint still had a
-        # ``vector`` key; the payload is what counts, not the fingerprint.
+        # Saved by a version whose backend fingerprint still had
+        # ``vector`` and ``numpy`` keys; the payload is what counts, not
+        # the fingerprint.
         legacy = LEGACY_RECORD
-        assert "vector" in json.loads(legacy.read_text())["backend"]
+        assert {"vector", "numpy"} <= json.loads(legacy.read_text())["backend"].keys()
         current = run_record(tmp_path, "current")
-        assert "vector" not in json.loads(open(current).read())["backend"]
+        assert not {"vector", "numpy"} & json.loads(open(current).read())["backend"].keys()
         assert main(["compare", str(legacy), current]) == 0
         assert "match" in capsys.readouterr().out
 

@@ -56,6 +56,15 @@ class TestRoundMetrics:
         with pytest.raises(ProtocolError):
             _ = metrics.max_latency_us
 
+    @pytest.mark.parametrize("latencies", [[None], [None, None], [0], [None, 5], [7, 9]])
+    def test_has_latency_is_a_completed_node(self, latencies):
+        # The per-round figure fold filters on has_latency; the degree
+        # sweep used to filter on latencies_us(): the two agree.
+        metrics = round_metrics(
+            {i: node(i, latency, 1_000) for i, latency in enumerate(latencies)}
+        )
+        assert metrics.has_latency == bool(metrics.latencies_us())
+
     def test_radio_metrics(self):
         metrics = round_metrics({0: node(0, 1, 9_000), 1: node(1, 1, 7_000)})
         assert metrics.mean_radio_on_us == 8_000

@@ -1,13 +1,12 @@
 """The DRBG's bulk/lane refill paths must never change the stream.
 
-Where the native keystream kernel did not load, the DRBG routes large
-refills through the aesbatch lanes when numpy is importable and the
-rest through the scalar T-table loop: that changes only *which kernel*
-produces keystream blocks, so every byte a consumer reads must be
-identical across: reference path, scalar fast path, lane fast path, and
-any prefill schedule.  These tests run with the loader made to find
-nothing, so both fallbacks really run; ``test_prng_native.py`` holds the
-native kernel to them.
+On the fast path the DRBG refills in the native keystream kernel where
+it loaded and in the scalar T-table loop (``AES128.ctr_blocks``) where
+it did not: that changes only *which kernel* produces keystream blocks,
+so every byte a consumer reads must be identical across: reference path,
+scalar fast path, lane (native) fast path, and any prefill schedule.
+These tests run with the loader made to find nothing, so the scalar
+fallback really runs; the lane legs restore the library where it loads.
 """
 
 from __future__ import annotations
@@ -17,9 +16,11 @@ import contextlib
 import pytest
 
 from repro import fastpath, native
-from repro.crypto import prng
+from repro.crypto import aesbatch
 from repro.crypto.aes import AES128
 from repro.crypto.prng import AesCtrDrbg
+
+NATIVE_LIBRARY = native.library
 
 
 @pytest.fixture(autouse=True)
@@ -29,9 +30,16 @@ def no_native_library(monkeypatch):
 
 @contextlib.contextmanager
 def scalar_keystream():
-    """The fast path with the lane keystream ruled out."""
+    """The fast path with the keystream on the scalar fallback."""
+    with fastpath.forced(True):
+        yield
+
+
+@contextlib.contextmanager
+def lane_keystream():
+    """The fast path with the native keystream kernel, where it loads."""
     with pytest.MonkeyPatch.context() as patch, fastpath.forced(True):
-        patch.setattr(prng, "_lane_keystream_available", lambda: False)
+        patch.setattr(native, "library", NATIVE_LIBRARY)
         yield
 
 
@@ -48,7 +56,7 @@ def consume(drbg):
 
 class TestStreamIdentity:
     def test_lane_refill_matches_scalar_and_reference(self):
-        with fastpath.forced(True):
+        with lane_keystream():
             lane = consume(AesCtrDrbg.from_seed(b"stream-x"))
         with scalar_keystream():
             scalar = consume(AesCtrDrbg.from_seed(b"stream-x"))
@@ -65,7 +73,7 @@ class TestStreamIdentity:
 
     def test_fork_many_matches_sequential_forks(self):
         labels = [f"dealer-{i}" for i in range(40)]
-        with fastpath.forced(True):
+        with lane_keystream():
             parent_a = AesCtrDrbg.from_seed(b"forks")
             batched = parent_a.fork_many(labels)
             AesCtrDrbg.prefill_many(batched, 96)
@@ -101,7 +109,7 @@ class TestStreamIdentity:
             children = parent.fork_many(["a", "b", "c"])
             AesCtrDrbg.prefill_many(children, 128)
             degraded = [c.random_bytes(256) for c in children]
-        with fastpath.forced(True):
+        with lane_keystream():
             parent = AesCtrDrbg.from_seed(b"forks-nonp")
             children = parent.fork_many(["a", "b", "c"])
             AesCtrDrbg.prefill_many(children, 128)
@@ -110,28 +118,27 @@ class TestStreamIdentity:
 
 
 class TestCtrLaneKernel:
+    """The native keystream kernel against ``AES128.ctr_blocks``."""
+
+    @pytest.fixture(autouse=True)
+    def no_native_library(self):
+        """The library as it loads: these tests are about the kernel."""
+        if aesbatch.native_keystream_runs(bytes(16), [0], [1]) is None:
+            pytest.skip("no native library: ctr_blocks is the keystream")
+
     def test_ctr_keystream_bit_identical(self):
-        aesbatch = pytest.importorskip("repro.crypto.aesbatch")
-        if not aesbatch.HAVE_NUMPY:
-            pytest.skip("numpy unavailable")
-        cipher = AES128(bytes(range(16)), use_tables=True)
+        key = bytes(range(16))
+        cipher = AES128(key, use_tables=True)
         for counter in (0, 1, 12345, (1 << 64) - 2, (1 << 128) - 3):
             for count in (0, 1, 3, 33, 100):
-                assert aesbatch.ctr_keystream(
-                    cipher, counter, count
-                ) == cipher.ctr_blocks(counter, count)
+                assert aesbatch.native_keystream_runs(key, [counter], [count]) == [
+                    cipher.ctr_blocks(counter, count)
+                ]
 
     def test_ctr_keystream_many_bit_identical(self):
-        aesbatch = pytest.importorskip("repro.crypto.aesbatch")
-        if not aesbatch.HAVE_NUMPY:
-            pytest.skip("numpy unavailable")
-        ciphers = [
-            AES128(bytes(range(i, i + 16)), use_tables=True) for i in range(4)
-        ]
+        keys = [bytes(range(i, i + 16)) for i in range(4)]
         counters = [0, 7, (1 << 128) - 1, 1 << 64]
         counts = [3, 0, 4, 2]
-        streams = aesbatch.keystream_runs(aesbatch.cipher_schedules(ciphers), counters, counts)
-        for cipher, counter, count, stream in zip(
-            ciphers, counters, counts, streams
-        ):
-            assert stream == cipher.ctr_blocks(counter, count)
+        streams = aesbatch.native_keystream_runs(b"".join(keys), counters, counts)
+        for key, counter, count, stream in zip(keys, counters, counts, streams):
+            assert stream == AES128(key, use_tables=True).ctr_blocks(counter, count)

@@ -2,8 +2,8 @@
 batched coefficient draws, against their oracles.
 
 On the fast path every DRBG refill and every batched prefill runs in the
-native CTR kernel, straight from the raw keys; ``AES128.ctr_blocks`` and
-the numpy ``keystream_runs`` are its oracles and fallbacks.
+native CTR kernel, straight from the raw keys; ``AES128.ctr_blocks`` is
+its oracle and fallback.
 ``AesCtrDrbg.randrange_many`` must be stream-identical to the per-draw
 loop it replaces.  A round's dealing sequence must come out the same
 whichever keystream path runs.
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import fastpath, native
-from repro.crypto import aesbatch, prng
+from repro.crypto import aesbatch
 from repro.crypto.aes import AES128
 from repro.crypto.prng import AesCtrDrbg
 from repro.field.kernels import M61
@@ -32,7 +32,7 @@ from repro.field.prime_field import MERSENNE_127, PrimeField
 def native_runs(keys: bytes, counters, counts):
     streams = aesbatch.native_keystream_runs(keys, counters, counts)
     if streams is None:
-        pytest.skip("no native library: the keystream runs in numpy or Python")
+        pytest.skip("no native library: the keystream runs in Python")
     return streams
 
 
@@ -47,7 +47,7 @@ counts = st.sampled_from([0, 1, 31, 32, 33, 500])
 @given(
     runs=st.lists(st.tuples(st.binary(min_size=16, max_size=16), counters, counts), max_size=6)
 )
-def test_kernel_matches_ctr_blocks_and_numpy(runs):
+def test_kernel_matches_ctr_blocks(runs):
     keys = b"".join(key for key, _, _ in runs)
     starts = [counter for _, counter, _ in runs]
     lengths = [count for _, _, count in runs]
@@ -55,8 +55,6 @@ def test_kernel_matches_ctr_blocks_and_numpy(runs):
     assert streams == [
         AES128(key, use_tables=True).ctr_blocks(counter, count) for key, counter, count in runs
     ]
-    if aesbatch.HAVE_NUMPY and runs:
-        assert streams == aesbatch.keystream_runs(aesbatch.key_schedules(keys), starts, lengths)
 
 
 def test_fips197_c1_through_the_kernel():
@@ -154,11 +152,8 @@ def test_dealing_is_identical_on_every_keystream_path(monkeypatch):
         reference = dealing_digest()
     monkeypatch.setattr(native, "library", lambda: None)
     with fastpath.forced(True):
-        numpy_lanes = dealing_digest()
-    monkeypatch.setattr(prng, "_lane_keystream_available", lambda: False)
-    with fastpath.forced(True):
         scalar = dealing_digest()
-    assert fast == reference == numpy_lanes == scalar
+    assert fast == reference == scalar
 
 
 def test_dealing_is_identical_without_numpy():
@@ -168,8 +163,7 @@ sys.modules["numpy"] = None
 spec = importlib.util.spec_from_file_location("dealing", {__file__!r})
 module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(module)
-from repro.crypto import aesbatch, prng
-assert not aesbatch.HAVE_NUMPY
+from repro.crypto import aesbatch
 print(aesbatch.native_keystream_runs(bytes(16), [0], [1]) is not None)
 print(module.dealing_digest())
 """

@@ -2,7 +2,7 @@
 
 The in-place read must consume exactly the bytes, and reject exactly the
 candidates, of the plain ``getrandbits`` loop it replaces — on every
-path (reference, scalar fast, lane fast) and at every buffer position,
+path (reference, scalar fast, native fast) and at every buffer position,
 including reads that straddle a refill.
 """
 
@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import fastpath
-from repro.crypto import prng
+from repro import fastpath, native
 from repro.crypto.prng import AesCtrDrbg
 
 
@@ -34,8 +33,10 @@ BOUNDS = [(1 << 60) + 1, (1 << 20) + 1, (1 << 61) - 1, 97, 1, 256, (1 << 128) + 
 @pytest.mark.parametrize("fast,vector", [(False, False), (True, False), (True, True)])
 @pytest.mark.parametrize("bound", BOUNDS)
 def test_stream_identical_to_getrandbits_loop(fast, vector, bound, monkeypatch):
+    # vector: the keystream in the native kernel where it loaded; else
+    # the loader finds nothing and the scalar ``ctr_blocks`` runs.
     if not vector:
-        monkeypatch.setattr(prng, "_lane_keystream_available", lambda: False)
+        monkeypatch.setattr(native, "library", lambda: None)
     with fastpath.forced(fast):
         drbg = AesCtrDrbg.from_seed(b"randrange-%d" % bound)
         reference = AesCtrDrbg.from_seed(b"randrange-%d" % bound)

@@ -23,6 +23,22 @@ def test_repo_is_clean_with_no_stale_baseline():
     assert report.modules_checked > 50
 
 
+def test_no_module_imports_numpy():
+    # The package's data path is plain buffers for the native kernels,
+    # with the per-packet codec as the one fallback: nothing under
+    # src/repro imports numpy, lazily or at module level.
+    importers = sorted(
+        module.name
+        for module in load_modules(REPO_ROOT)
+        for node in ast.walk(module.tree)
+        if isinstance(node, ast.Import)
+        and any(alias.name.partition(".")[0] == "numpy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").partition(".")[0] == "numpy"
+    )
+    assert importers == [], f"modules importing numpy: {importers}"
+
+
 def _imported_modules(tree: ast.Module, known: set[str]) -> set[str]:
     """Every ``repro`` module an AST imports, lazy imports included.
 
@@ -85,9 +101,8 @@ UNREFERENCED_ALLOWED = {
     # Layerbench's restarts and the commissioning-cache tests drop the
     # process pools through this.
     "repro.fastpath.clear_process_caches",
-    # Called by the CI benchmark scripts: perf_microbench.py's AES batch
-    # and parallel-campaign tiers, scenario_smoke.py and chaos_smoke.py.
-    "repro.crypto.aesbatch.encrypt_blocks",
+    # Called by the CI benchmark scripts: perf_microbench.py's
+    # parallel-campaign tier, scenario_smoke.py and chaos_smoke.py.
     "repro.analysis.campaign.CampaignExecutor.warm_up",
     "repro.scenarios.registry.Scenario.smoke_spec",
     # examples/ntx_tuning.py reads the coverage profile through it.

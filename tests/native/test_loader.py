@@ -33,7 +33,9 @@ from repro.phy.radio import NRF52840_154
 KERNELS = {
     "minicast_slots": minicast_native.SIGNATURE,
     "aes_ctr_cbc_mac": aesbatch._LANES_SIGNATURE,
+    "delivered_lanes": aesbatch._DELIVERED_SIGNATURE,
     "aes_ctr_runs": aesbatch._CTR_RUNS_SIGNATURE,
+    "aes_expand_keys": aesbatch._EXPAND_KEYS_SIGNATURE,
     "m61_horner": kernels._M61_SIGNATURE,
 }
 

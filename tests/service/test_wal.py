@@ -87,6 +87,48 @@ class TestAppendLog:
         assert list(reopened.replay()) == [b"ok"]
         reopened.close()
 
+    @pytest.mark.parametrize(
+        "damage, stop, kept",
+        [
+            ("clean", diskcache.SCAN_END, 2),
+            ("torn_tail", diskcache.SCAN_SHORT, 2),
+            ("torn_header", diskcache.SCAN_SHORT, 2),
+            ("bad_crc", diskcache.SCAN_BAD, 1),
+            ("absurd_length", diskcache.SCAN_BAD, 2),
+            ("bad_magic", diskcache.SCAN_BAD, 2),
+        ],
+    )
+    def test_every_reader_agrees_on_a_damaged_log(self, tmp_path, damage, stop, kept):
+        path = tmp_path / f"{damage}.log"
+        with diskcache.AppendLog(path, fsync=False) as log:
+            log.append(b"first")
+            log.append(b"second")
+        whole = path.read_bytes()
+        path.write_bytes(
+            {
+                "clean": whole,
+                "torn_tail": whole + whole[:13],
+                "torn_header": whole + whole[:5],
+                "bad_crc": whole[:-1] + bytes([whole[-1] ^ 0x40]),
+                "absurd_length": whole + struct.pack(">2sII", b"RL", 2**31, 0),
+                "bad_magic": whole + struct.pack(">2sII", b"XX", 1, 0) + b"x",
+            }[damage]
+        )
+        with open(path, "rb") as handle:
+            frames = diskcache.scan_frames(handle)
+            scanned = []
+            with pytest.raises(StopIteration) as stopped:
+                while True:
+                    scanned.append(next(frames))
+        assert stopped.value.value == stop
+        records = [b"first", b"second"][:kept]
+        assert [payload for payload, _ in scanned] == records
+        assert list(diskcache.read_log_records(path)) == records  # never truncates
+        reopened = diskcache.AppendLog(path, fsync=False)
+        assert reopened.records == kept and list(reopened.replay()) == records
+        assert path.stat().st_size == scanned[-1][1]  # the torn tail is gone
+        reopened.close()
+
     def test_oversized_record_refused(self, tmp_path):
         with diskcache.AppendLog(tmp_path / "big.log", fsync=False) as log:
             with pytest.raises(ValueError, match="frame cap"):
