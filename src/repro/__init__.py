@@ -37,7 +37,7 @@ from repro.field import MERSENNE_61, MERSENNE_127, PrimeField
 from repro.sss import ShamirScheme
 from repro.topology.testbeds import TestbedSpec, dcube, flocklab, testbed_by_name
 
-__version__ = "1.0.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CryptoMode",

@@ -2,10 +2,12 @@
 
 The paper's sharing phase encrypts each MiniCast sub-slot packet with
 AES-128 under a pairwise key.  nRF52840 does this in hardware; we implement
-the same algorithm in software.  Two implementations live side by side:
+the same algorithm in software.  Only the forward cipher exists: CTR and
+CBC-MAC, the packet cipher and its MAC, never decrypt a block.  Two
+implementations live side by side:
 
 * the **reference path** — clarity over speed, table-driven only for the
-  S-boxes, with MixColumns done via ``xtime`` exactly as the standard
+  S-box, with MixColumns done via ``xtime`` exactly as the standard
   describes.  This is the auditable oracle the test suite validates
   against the FIPS-197 and SP 800-38A known-answer vectors.
 * the **fast path** (default, see :mod:`repro.fastpath`) — the classic
@@ -34,8 +36,8 @@ KEY_SIZE = 16
 _ROUNDS = 10
 
 
-def _build_sbox() -> tuple[bytes, bytes]:
-    """Construct the AES S-box and its inverse from first principles.
+def _build_sbox() -> bytes:
+    """Construct the AES S-box from first principles.
 
     Each entry is the multiplicative inverse in GF(2^8) followed by the
     affine transformation from FIPS-197 §5.1.1.  Building the table instead
@@ -71,14 +73,10 @@ def _build_sbox() -> tuple[bytes, bytes]:
             ) & 1
             result |= b << bit
         sbox[value] = result
-
-    inv_sbox = bytearray(256)
-    for value, substituted in enumerate(sbox):
-        inv_sbox[substituted] = value
-    return bytes(sbox), bytes(inv_sbox)
+    return bytes(sbox)
 
 
-_SBOX, _INV_SBOX = _build_sbox()
+_SBOX = _build_sbox()
 
 # Round constants for key expansion (rcon[i] = x^(i-1) in GF(2^8)).
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
@@ -93,7 +91,7 @@ def _xtime(value: int) -> int:
 
 
 def _mul(a: int, b: int) -> int:
-    """GF(2^8) multiplication (schoolbook, used by InvMixColumns)."""
+    """GF(2^8) multiplication (schoolbook, used to build the T-tables)."""
     product = 0
     while b:
         if b & 1:
@@ -110,10 +108,7 @@ def _mul(a: int, b: int) -> int:
 #   Te0[x] = [2s, s, s, 3s]   (big-endian column word)
 #
 # is the MixColumns contribution of a state byte sitting in row 0 of a
-# column; rows 1..3 are byte rotations of the same word.  The decryption
-# tables do the same for InvSubBytes + InvMixColumns:
-#
-#   Td0[x] = [14·is, 9·is, 13·is, 11·is]   with is = InvS[x]
+# column; rows 1..3 are byte rotations of the same word.
 #
 # Built once at import (the interpreter's import lock serialises this, so
 # no explicit lock is needed even under threaded importers).
@@ -135,21 +130,7 @@ def _build_encrypt_tables() -> tuple[list[int], ...]:
     return te0, te1, te2, te3
 
 
-def _build_decrypt_tables() -> tuple[list[int], ...]:
-    td0 = []
-    for x in range(256):
-        s = _INV_SBOX[x]
-        td0.append(
-            (_mul(s, 14) << 24) | (_mul(s, 9) << 16) | (_mul(s, 13) << 8) | _mul(s, 11)
-        )
-    td1 = [_ror8(w) for w in td0]
-    td2 = [_ror8(w) for w in td1]
-    td3 = [_ror8(w) for w in td2]
-    return td0, td1, td2, td3
-
-
 _TE0, _TE1, _TE2, _TE3 = _build_encrypt_tables()
-_TD0, _TD1, _TD2, _TD3 = _build_decrypt_tables()
 
 
 # -- generated per-key encryptor -----------------------------------------------
@@ -202,20 +183,6 @@ def _generate_encryptor_factory():
 _make_int_encryptor = _generate_encryptor_factory()
 
 
-def _inv_mix_word(word: int) -> int:
-    """InvMixColumns applied to one big-endian column word (key setup)."""
-    a0 = word >> 24
-    a1 = (word >> 16) & 0xFF
-    a2 = (word >> 8) & 0xFF
-    a3 = word & 0xFF
-    return (
-        ((_mul(a0, 14) ^ _mul(a1, 11) ^ _mul(a2, 13) ^ _mul(a3, 9)) << 24)
-        | ((_mul(a0, 9) ^ _mul(a1, 14) ^ _mul(a2, 11) ^ _mul(a3, 13)) << 16)
-        | ((_mul(a0, 13) ^ _mul(a1, 9) ^ _mul(a2, 14) ^ _mul(a3, 11)) << 8)
-        | (_mul(a0, 11) ^ _mul(a1, 13) ^ _mul(a2, 9) ^ _mul(a3, 14))
-    )
-
-
 def _expand_key_words(key: bytes) -> list[int]:
     """FIPS-197 key expansion as 44 big-endian 32-bit words (fast path).
 
@@ -249,15 +216,13 @@ class AES128:
     Both paths produce bit-identical output.
 
     >>> cipher = AES128(bytes(range(16)))
-    >>> block = cipher.encrypt_block(bytes(16))
-    >>> cipher.decrypt_block(block) == bytes(16)
-    True
+    >>> cipher.encrypt_block(bytes.fromhex("00112233445566778899aabbccddeeff")).hex()
+    '69c4e0d86a7b0430d8cdb78070b4c55a'
     """
 
     __slots__ = (
         "_round_keys",
         "_enc_words",
-        "_dec_words",
         "_use_tables",
         "encrypt_int",
     )
@@ -273,7 +238,6 @@ class AES128:
             self._use_tables = False
             self._round_keys = self._expand_key(key)
             self._enc_words = None
-            self._dec_words = None
             self.encrypt_int = self._encrypt_int_reference
 
     @classmethod
@@ -309,7 +273,6 @@ class AES128:
         """Become the table-mode cipher of the schedule ``enc_words``."""
         self._use_tables = True
         self._enc_words = enc_words
-        self._dec_words: list[int] | None = None
         self._round_keys: list[list[int]] | None = None
 
     def __getattr__(self, name: str):
@@ -358,24 +321,11 @@ class AES128:
             state[i] = _SBOX[state[i]]
 
     @staticmethod
-    def _inv_sub_bytes(state: list[int]) -> None:
-        for i in range(16):
-            state[i] = _INV_SBOX[state[i]]
-
-    @staticmethod
     def _shift_rows(state: list[int]) -> None:
         # Row r shifts left by r positions.
         for r in range(1, 4):
             row = [state[r + 4 * c] for c in range(4)]
             row = row[r:] + row[:r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _inv_shift_rows(state: list[int]) -> None:
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[-r:] + row[:-r]
             for c in range(4):
                 state[r + 4 * c] = row[c]
 
@@ -389,15 +339,6 @@ class AES128:
             state[4 * c + 1] = col[1] ^ total ^ _xtime(col[1] ^ col[2])
             state[4 * c + 2] = col[2] ^ total ^ _xtime(col[2] ^ col[3])
             state[4 * c + 3] = col[3] ^ total ^ _xtime(col[3] ^ first)
-
-    @staticmethod
-    def _inv_mix_columns(state: list[int]) -> None:
-        for c in range(4):
-            a0, a1, a2, a3 = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = _mul(a0, 14) ^ _mul(a1, 11) ^ _mul(a2, 13) ^ _mul(a3, 9)
-            state[4 * c + 1] = _mul(a0, 9) ^ _mul(a1, 14) ^ _mul(a2, 11) ^ _mul(a3, 13)
-            state[4 * c + 2] = _mul(a0, 13) ^ _mul(a1, 9) ^ _mul(a2, 14) ^ _mul(a3, 11)
-            state[4 * c + 3] = _mul(a0, 11) ^ _mul(a1, 13) ^ _mul(a2, 9) ^ _mul(a3, 14)
 
     def _add_round_key(self, state: list[int], round_index: int) -> None:
         round_key = self._round_keys[round_index]
@@ -419,19 +360,6 @@ class AES128:
         self._add_round_key(state, _ROUNDS)
         return bytes(state)
 
-    def _decrypt_block_reference(self, block: bytes) -> bytes:
-        state = list(block)
-        self._add_round_key(state, _ROUNDS)
-        for round_index in range(_ROUNDS - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, round_index)
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, 0)
-        return bytes(state)
-
     # -- T-table data path -----------------------------------------------------
 
     def _encrypt_int_reference(self, value: int) -> int:
@@ -439,47 +367,6 @@ class AES128:
         return int.from_bytes(
             self._encrypt_block_reference(value.to_bytes(16, "big")), "big"
         )
-
-    def _decrypt_key_words(self) -> list[int]:
-        """The equivalent-inverse-cipher key schedule (FIPS-197 §5.3.5).
-
-        Built lazily on first decryption; a concurrent double-build is a
-        benign race (both threads compute the same words and the attribute
-        store is atomic).
-        """
-        dec = self._dec_words
-        if dec is None:
-            rk = self._enc_words
-            dec = list(rk[40:44])
-            for r in range(1, _ROUNDS):
-                base = 4 * (_ROUNDS - r)
-                dec.extend(_inv_mix_word(rk[base + j]) for j in range(4))
-            dec.extend(rk[0:4])
-            self._dec_words = dec
-        return dec
-
-    def _decrypt_block_tables(self, block: bytes) -> bytes:
-        rk = self._decrypt_key_words()
-        t0_, t1_, t2_, t3_ = _TD0, _TD1, _TD2, _TD3
-        value = int.from_bytes(block, "big")
-        s0 = (value >> 96) ^ rk[0]
-        s1 = ((value >> 64) & 0xFFFFFFFF) ^ rk[1]
-        s2 = ((value >> 32) & 0xFFFFFFFF) ^ rk[2]
-        s3 = (value & 0xFFFFFFFF) ^ rk[3]
-        i = 4
-        for _ in range(_ROUNDS - 1):
-            u0 = t0_[s0 >> 24] ^ t1_[(s3 >> 16) & 255] ^ t2_[(s2 >> 8) & 255] ^ t3_[s1 & 255] ^ rk[i]
-            u1 = t0_[s1 >> 24] ^ t1_[(s0 >> 16) & 255] ^ t2_[(s3 >> 8) & 255] ^ t3_[s2 & 255] ^ rk[i + 1]
-            u2 = t0_[s2 >> 24] ^ t1_[(s1 >> 16) & 255] ^ t2_[(s0 >> 8) & 255] ^ t3_[s3 & 255] ^ rk[i + 2]
-            u3 = t0_[s3 >> 24] ^ t1_[(s2 >> 16) & 255] ^ t2_[(s1 >> 8) & 255] ^ t3_[s0 & 255] ^ rk[i + 3]
-            s0, s1, s2, s3 = u0, u1, u2, u3
-            i += 4
-        sbox = _INV_SBOX
-        u0 = ((sbox[s0 >> 24] << 24) | (sbox[(s3 >> 16) & 255] << 16) | (sbox[(s2 >> 8) & 255] << 8) | sbox[s1 & 255]) ^ rk[40]
-        u1 = ((sbox[s1 >> 24] << 24) | (sbox[(s0 >> 16) & 255] << 16) | (sbox[(s3 >> 8) & 255] << 8) | sbox[s2 & 255]) ^ rk[41]
-        u2 = ((sbox[s2 >> 24] << 24) | (sbox[(s1 >> 16) & 255] << 16) | (sbox[(s0 >> 8) & 255] << 8) | sbox[s3 & 255]) ^ rk[42]
-        u3 = ((sbox[s3 >> 24] << 24) | (sbox[(s2 >> 16) & 255] << 16) | (sbox[(s1 >> 8) & 255] << 8) | sbox[s0 & 255]) ^ rk[43]
-        return ((u0 << 96) | (u1 << 64) | (u2 << 32) | u3).to_bytes(16, "big")
 
     # -- public interface ------------------------------------------------------
 
@@ -495,14 +382,6 @@ class AES128:
         if self._use_tables:
             return self.encrypt_int(int.from_bytes(block, "big")).to_bytes(16, "big")
         return self._encrypt_block_reference(block)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 16-byte block."""
-        if len(block) != BLOCK_SIZE:
-            raise CryptoError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        if self._use_tables:
-            return self._decrypt_block_tables(block)
-        return self._decrypt_block_reference(block)
 
     def ctr_blocks(self, counter: int, count: int) -> bytes:
         """Keystream for ``count`` consecutive CTR counter blocks.
@@ -538,8 +417,6 @@ def _self_check() -> None:
     cipher = AES128(key, use_tables=True)
     if cipher.encrypt_block(plaintext) != expected:
         raise CryptoError("AES T-table encryption failed its FIPS-197 self-check")
-    if cipher.decrypt_block(expected) != plaintext:
-        raise CryptoError("AES T-table decryption failed its FIPS-197 self-check")
 
 
 _self_check()

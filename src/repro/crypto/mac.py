@@ -32,8 +32,8 @@ def cbc_mac(cipher: AES128, message: bytes, tag_length: int = DEFAULT_TAG_LENGTH
     Only the final CBC block survives into the tag, so the chain is
     computed on 128-bit ints via :attr:`AES128.encrypt_int` — no
     intermediate ciphertext bytes, no per-block XOR helper.  The chained
-    value is identical to ``cbc_encrypt(cipher, zero_iv, padded)[-16:]``
-    (the modes tests pin the two together).
+    value is the last block of the zero-IV CBC encryption of ``padded``
+    (the fast-path tests pin it to a block-by-block CBC loop).
     """
     check_tag_length(tag_length)
     prefixed = len(message).to_bytes(8, "big") + message

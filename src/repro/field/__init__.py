@@ -9,9 +9,8 @@ provides:
   :class:`FieldElement`, a safe wrapper that prevents cross-field mixing.
 * :mod:`repro.field.polynomial` — dense polynomials over a prime field
   with Horner evaluation and ring arithmetic.
-* :mod:`repro.field.lagrange` — Lagrange interpolation, both full
-  polynomial recovery and the cheaper evaluate-at-a-point form used by
-  secret-sharing reconstruction.
+* :mod:`repro.field.lagrange` — Lagrange interpolation in the
+  evaluate-at-a-point form secret-sharing reconstruction uses.
 
 The default modulus used throughout the library is the Mersenne prime
 ``2**61 - 1``: large enough that realistic sensor aggregates never wrap,
@@ -31,7 +30,6 @@ from repro.field.polynomial import Polynomial
 from repro.field.lagrange import (
     interpolate_at,
     interpolate_constant,
-    interpolate_polynomial,
     lagrange_weights_at,
 )
 
@@ -47,6 +45,5 @@ __all__ = [
     "MERSENNE_127",
     "interpolate_at",
     "interpolate_constant",
-    "interpolate_polynomial",
     "lagrange_weights_at",
 ]

@@ -4,12 +4,9 @@ The reconstruction phase of Shamir's scheme interpolates the *sum*
 polynomial from ``k + 1`` (point, value) pairs.  Reconstruction almost
 always only needs the value at ``x = 0`` (the aggregate secret), for which
 computing the full coefficient vector is wasted work — so this module
-offers both:
-
-* :func:`interpolate_at` / :func:`interpolate_constant` — O(k²) evaluation
-  of the interpolating polynomial at a single point, the hot path.
-* :func:`interpolate_polynomial` — full coefficient recovery, used by tests
-  and by the privacy analysis tooling.
+offers only :func:`interpolate_at` / :func:`interpolate_constant`, O(k²)
+evaluation of the interpolating polynomial at a single point.  Full
+coefficient recovery is a test oracle and lives with the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from repro import fastpath
 from repro.errors import InterpolationError
 from repro.field.kernels import lagrange_weight_values
 from repro.field.modular import mod_inverse
-from repro.field.polynomial import Polynomial
 from repro.field.prime_field import FieldElement, IntoElement, PrimeField
 
 
@@ -158,33 +154,3 @@ def interpolate_constant(
 ) -> FieldElement:
     """``P(0)`` of the interpolating polynomial — the Shamir hot path."""
     return interpolate_at(field, points, 0)
-
-
-def interpolate_polynomial(
-    field: PrimeField,
-    points: Sequence[tuple[IntoElement, IntoElement]],
-) -> Polynomial:
-    """Full interpolating polynomial through ``points``.
-
-    Builds ``sum_i y_i * prod_{j != i} (x - x_j) / (x_i - x_j)`` with dense
-    coefficient arithmetic.  O(k²) space/time in the coefficient vector;
-    fine for the k ≤ a few dozen this library uses.
-    """
-    xs, ys = _canonical_points(field, points)
-    prime = field.prime
-
-    result = Polynomial.zero(field)
-    for i, (x_i, y_i) in enumerate(zip(xs, ys)):
-        if y_i == 0:
-            continue
-        # Numerator polynomial prod_{j != i} (x - x_j), built incrementally.
-        basis = Polynomial(field, [1])
-        denominator = 1
-        for j, x_j in enumerate(xs):
-            if i == j:
-                continue
-            basis = basis * Polynomial(field, [(-x_j) % prime, 1])
-            denominator = denominator * ((x_i - x_j) % prime) % prime
-        scale = y_i * mod_inverse(denominator, prime) % prime
-        result = result + basis * scale
-    return result

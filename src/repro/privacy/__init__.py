@@ -7,23 +7,15 @@ learns nothing about any individual secret.  This package provides:
 * :mod:`repro.privacy.adversary` — a coalition that records every value
   its members legitimately see during a protocol round (shares, sums,
   reconstruction output) and attempts inference from them.
-* :mod:`repro.privacy.analysis` — verification tooling: exhaustive
-  perfect-secrecy checks over tiny fields, statistical
-  indistinguishability over the production field, and leakage detection
-  for above-threshold coalitions (which *should* break privacy — a
-  sanity check that the tooling has teeth).
+* :mod:`repro.privacy.analysis` — leakage detection: a round's
+  coalition pools the shares its members decrypted and guesses every
+  dealer's secret, which succeeds exactly for above-threshold coalitions.
 """
 
 from repro.privacy.adversary import Coalition
-from repro.privacy.analysis import (
-    exhaustive_secrecy_check,
-    guess_secret_from_view,
-    statistical_view_distance,
-)
+from repro.privacy.analysis import guess_secret_from_view
 
 __all__ = [
     "Coalition",
-    "exhaustive_secrecy_check",
     "guess_secret_from_view",
-    "statistical_view_distance",
 ]

@@ -1,123 +1,24 @@
-"""Privacy verification tooling.
+"""What a coalition learns from a protocol round.
 
-Three levels of rigour:
+* :func:`guess_secret_from_view` — the adversary's best effort: with
+  ``degree + 1`` shares it recovers a secret exactly, below that it
+  refuses to guess.
+* :func:`run_protocol_coalition_experiment` — run a round and pool the
+  shares a coalition's members decrypted, then guess every dealer's
+  secret from them (the ``privacy`` scenario).
 
-* :func:`exhaustive_secrecy_check` — over a tiny field, enumerate *every*
-  dealer polynomial for two candidate secrets and compare the exact
-  distributions of the coalition's view.  Perfect secrecy means the
-  distributions are identical; this is Shamir's theorem made executable.
-* :func:`statistical_view_distance` — over the production field, compare
-  empirical view distributions for two secrets (sanity check at scale;
-  statistical distance should be sampling noise).
-* :func:`guess_secret_from_view` — the adversary's best effort; used to
-  show that an above-threshold coalition *does* recover secrets exactly
-  (the tooling can tell privacy from no-privacy).
+The perfect-secrecy checks that pin Shamir's theorem itself, exhaustive
+over a tiny field and statistical over the production field, live with
+the tests.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from typing import Sequence
 
 from repro.crypto.prng import AesCtrDrbg
-from repro.errors import SecretSharingError
 from repro.field.polynomial import Polynomial
 from repro.field.prime_field import PrimeField
-
-
-def _coalition_view_distribution(
-    field: PrimeField,
-    secret: int,
-    degree: int,
-    coalition_points: Sequence[int],
-) -> Counter:
-    """Exact distribution of the coalition's share tuple for ``secret``.
-
-    Enumerates all ``p^degree`` dealer polynomials with the given constant
-    term (uniform randomness), recording the tuple of values at the
-    coalition's points.  Only feasible for tiny fields — that is the
-    point: exhaustiveness buys certainty.
-    """
-    prime = field.prime
-    if prime ** degree > 500_000:
-        raise SecretSharingError(
-            f"exhaustive enumeration of {prime}^{degree} polynomials is "
-            "infeasible; use a smaller field or degree"
-        )
-    distribution: Counter = Counter()
-    for coefficients in itertools.product(range(prime), repeat=degree):
-        poly = Polynomial(field, [secret % prime, *coefficients])
-        view = tuple(poly(x).value for x in coalition_points)
-        distribution[view] += 1
-    return distribution
-
-
-def exhaustive_secrecy_check(
-    field: PrimeField,
-    degree: int,
-    coalition_points: Sequence[int],
-    secret_a: int,
-    secret_b: int,
-) -> bool:
-    """Whether two secrets induce *identical* coalition-view distributions.
-
-    Returns True iff the coalition of ``len(coalition_points)`` holders
-    learns exactly nothing distinguishing ``secret_a`` from ``secret_b``.
-    Shamir guarantees True whenever ``len(coalition_points) <= degree``
-    and False (for almost all pairs) above the threshold.
-    """
-    if len(set(coalition_points)) != len(coalition_points):
-        raise SecretSharingError("coalition points must be distinct")
-    if any(x % field.prime == 0 for x in coalition_points):
-        raise SecretSharingError("x=0 cannot be a coalition point")
-    dist_a = _coalition_view_distribution(field, secret_a, degree, coalition_points)
-    dist_b = _coalition_view_distribution(field, secret_b, degree, coalition_points)
-    return dist_a == dist_b
-
-
-def statistical_view_distance(
-    field: PrimeField,
-    degree: int,
-    coalition_points: Sequence[int],
-    secret_a: int,
-    secret_b: int,
-    samples: int = 2000,
-    seed: bytes = b"privacy-sampler",
-    buckets: int = 16,
-) -> float:
-    """Empirical total-variation distance of the adversary's best statistic.
-
-    Raw coalition views are essentially unique in a large field, so a
-    naive joint histogram saturates on sampling noise.  Instead we apply
-    the adversary's *sufficient statistic*: Lagrange-interpolate the
-    constant term through the coalition's points.  Below the threshold
-    that statistic is a uniformly random field element regardless of the
-    secret (Shamir's theorem), so the bucketized distributions for two
-    secrets match up to sampling noise ``O(sqrt(buckets/samples))``.  At
-    or above the threshold the statistic *is* the secret, making the
-    distance ≈ 1.
-    """
-    if samples < 1:
-        raise SecretSharingError(f"samples must be >= 1, got {samples}")
-    from repro.field.lagrange import interpolate_constant
-
-    counters = []
-    for tag, secret in (("a", secret_a), ("b", secret_b)):
-        drbg = AesCtrDrbg.from_seed(seed + tag.encode())
-        counter: Counter = Counter()
-        for _ in range(samples):
-            poly = Polynomial.random_with_secret(field, secret, degree, drbg)
-            points = [(x, poly(x).value) for x in coalition_points]
-            statistic = interpolate_constant(field, points).value
-            counter[statistic * buckets // field.prime] += 1
-        counters.append(counter)
-    dist_a, dist_b = counters
-    keys = set(dist_a) | set(dist_b)
-    total_variation = sum(
-        abs(dist_a.get(k, 0) - dist_b.get(k, 0)) for k in keys
-    ) / (2 * samples)
-    return total_variation
 
 
 def guess_secret_from_view(
@@ -162,14 +63,11 @@ def run_protocol_coalition_experiment(
     # accumulators are not exposed, but shares addressed to a member are
     # exactly the (dealer → share) pairs it could decrypt, which we can
     # reconstruct from the round's deterministic dealing.
-    from repro.crypto.prng import AesCtrDrbg
-    from repro.field.polynomial import Polynomial as Poly
-
     dealer_root = AesCtrDrbg.from_seed(f"round-{seed}")
     pooled: dict[int, list[tuple[int, int]]] = {}
     destinations = engine.destinations(sorted(secrets))
     for dealer in sorted(secrets):
-        poly = Poly.random_with_secret(
+        poly = Polynomial.random_with_secret(
             field, secrets[dealer], degree, dealer_root.fork(f"dealer-{dealer}")
         )
         for member in coalition.members:

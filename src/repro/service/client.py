@@ -140,10 +140,6 @@ class ServiceClient:
         return self._core.pending
 
     @property
-    def accepted_total(self) -> int:
-        return self._core.accepted_total
-
-    @property
     def accepted_per_shard(self) -> tuple[int, ...]:
         return self._core.accepted_per_shard
 

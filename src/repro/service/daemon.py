@@ -170,11 +170,6 @@ class ShardedServiceDaemon(FoldHost):
         return tuple(sorted(windows))
 
     @property
-    def accepted_total(self) -> int:
-        """Submissions ever journaled, across every shard."""
-        return sum(len(core.seen) for core in self._cores)
-
-    @property
     def accepted_per_shard(self) -> tuple[int, ...]:
         """Per-shard journaled identity counts (shard-aware fault anchors)."""
         return tuple(len(core.seen) for core in self._cores)

@@ -520,10 +520,6 @@ class ShardSupervisor(FoldHost):
         return self._stat(OP_STAT_ACCEPTED) - closed
 
     @property
-    def accepted_total(self) -> int:
-        return self._stat(OP_STAT_ACCEPTED)
-
-    @property
     def accepted_per_shard(self) -> tuple[int, ...]:
         return tuple(self._shard_accepted)
 

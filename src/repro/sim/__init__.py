@@ -7,9 +7,8 @@
 * :mod:`repro.sim.battery` — battery lifetime from radio-on time.
 """
 
-from repro.sim.bitrandom import random_bitmask, exact_random_bitmask
+from repro.sim.bitrandom import random_bitmask
 
 __all__ = [
     "random_bitmask",
-    "exact_random_bitmask",
 ]

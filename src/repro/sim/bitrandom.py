@@ -20,8 +20,8 @@ step each bit of ``acc`` is independently one with probability ``p``
 truncated to ``k`` binary digits.  ``k = 10`` gives ≈ 0.001 resolution at
 10 ``getrandbits`` calls per mask, independent of mask width.
 
-``exact_random_bitmask`` is the obvious per-bit reference implementation;
-the test suite checks the fast sampler against it statistically.
+The test suite checks the fast sampler statistically against the obvious
+per-bit reference sampler, which lives with the tests.
 """
 
 from __future__ import annotations
@@ -92,16 +92,3 @@ def random_bitmask_quantized(
         else:
             acc &= r
     return acc
-
-
-def exact_random_bitmask(rng, nbits: int, probability: float) -> int:
-    """Reference per-bit sampler (slow; for tests and tiny masks)."""
-    if nbits < 0:
-        raise SimulationError(f"nbits must be >= 0, got {nbits}")
-    if not 0.0 <= probability <= 1.0:
-        raise SimulationError(f"probability must be in [0, 1], got {probability}")
-    mask = 0
-    for bit in range(nbits):
-        if rng.random() < probability:
-            mask |= 1 << bit
-    return mask

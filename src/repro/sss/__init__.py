@@ -19,7 +19,6 @@ from repro.sss.scheme import ShamirScheme
 from repro.sss.aggregation import (
     AggregationResult,
     ShareAccumulator,
-    aggregate_shares,
     reconstruct_aggregate,
     reconstruct_from_sums,
     reconstruct_many_from_sums,
@@ -31,7 +30,6 @@ __all__ = [
     "ShamirScheme",
     "ShareAccumulator",
     "AggregationResult",
-    "aggregate_shares",
     "reconstruct_aggregate",
     "reconstruct_from_sums",
     "reconstruct_many_from_sums",

@@ -21,7 +21,7 @@ agree, choosing the largest such group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import ReconstructionError, SecretSharingError
 from repro.field.lagrange import interpolate_constant
@@ -82,27 +82,6 @@ class AggregationResult:
     contributors: frozenset[int]
     points_used: int
     points_available: int
-
-
-def aggregate_shares(
-    field: PrimeField,
-    shares_by_point: Mapping[int, Iterable[Share]],
-) -> dict[int, ShareAccumulator]:
-    """Sum shares point-by-point (offline helper mirroring holder logic).
-
-    ``shares_by_point`` maps a point's integer value to the shares received
-    for it.  Returns accumulators keyed the same way.
-    """
-    accumulators: dict[int, ShareAccumulator] = {}
-    for x_value, shares in shares_by_point.items():
-        shares = list(shares)
-        if not shares:
-            continue
-        accumulator = ShareAccumulator.empty(field(x_value))
-        for share in shares:
-            accumulator.add(share)
-        accumulators[x_value] = accumulator
-    return accumulators
 
 
 def reconstruct_aggregate(

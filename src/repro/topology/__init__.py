@@ -3,8 +3,8 @@
 * :mod:`repro.topology.graph` — the :class:`Topology` container (node
   positions) and hop-distance/diameter/eccentricity computations over a
   good-link adjacency.
-* :mod:`repro.topology.generators` — deterministic grid / random-geometric
-  / line generators for tests and ablations.
+* :mod:`repro.topology.generators` — deterministic grid and line
+  generators for tests and ablations.
 * :mod:`repro.topology.testbeds` — synthetic stand-ins for the two public
   testbeds the paper uses (FlockLab, 26 nodes; DCube, 45 nodes), calibrated
   by tests to the hop structure the paper's numbers imply.
@@ -17,7 +17,7 @@ from repro.topology.graph import (
     eccentricities,
     is_connected,
 )
-from repro.topology.generators import grid, line, random_geometric
+from repro.topology.generators import grid, line
 from repro.topology.testbeds import dcube, flocklab
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "is_connected",
     "grid",
     "line",
-    "random_geometric",
     "flocklab",
     "dcube",
 ]

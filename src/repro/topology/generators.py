@@ -2,12 +2,12 @@
 
 Used by unit tests (small controlled layouts) and by the scaling
 ablations.  All randomness comes from an explicit seed so any topology a
-test complains about can be reproduced exactly.
+test complains about can be reproduced exactly.  The random-geometric
+layouts the property tests draw are generated with the tests.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 from repro.errors import TopologyError
@@ -58,43 +58,3 @@ def grid(
             y = row * spacing_m + rng.uniform(-jitter_m, jitter_m)
             positions[node_id] = (x, y)
     return Topology(positions, name=f"grid-{columns}x{rows}")
-
-
-def random_geometric(
-    num_nodes: int,
-    width_m: float,
-    height_m: float,
-    seed: int = 0,
-    min_separation_m: float = 1.0,
-    max_attempts: int = 10_000,
-) -> Topology:
-    """Uniform random placement with a minimum pairwise separation.
-
-    The separation constraint models the physical reality that two motes
-    are never stacked on top of each other, and keeps the channel model
-    inside its validity region (>= 1 m).
-    """
-    if num_nodes < 1:
-        raise TopologyError(f"num_nodes must be >= 1, got {num_nodes}")
-    if width_m <= 0 or height_m <= 0:
-        raise TopologyError("area dimensions must be > 0")
-    if min_separation_m < 0:
-        raise TopologyError("min_separation must be >= 0")
-    rng = random.Random(seed)
-    positions: dict[int, tuple[float, float]] = {}
-    attempts = 0
-    while len(positions) < num_nodes:
-        attempts += 1
-        if attempts > max_attempts:
-            raise TopologyError(
-                f"could not place {num_nodes} nodes with separation "
-                f"{min_separation_m} m in {width_m}x{height_m} m "
-                f"after {max_attempts} attempts"
-            )
-        candidate = (rng.uniform(0, width_m), rng.uniform(0, height_m))
-        if all(
-            math.hypot(candidate[0] - x, candidate[1] - y) >= min_separation_m
-            for x, y in positions.values()
-        ):
-            positions[len(positions)] = candidate
-    return Topology(positions, name=f"rgg-{num_nodes}-seed{seed}")

@@ -28,12 +28,6 @@ class TestFips197Vectors:
         expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
         assert AES128(key).encrypt_block(plaintext) == expected
 
-    def test_appendix_c1_decrypt(self):
-        key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-        ciphertext = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-        expected = bytes.fromhex("00112233445566778899aabbccddeeff")
-        assert AES128(key).decrypt_block(ciphertext) == expected
-
     def test_sp80038a_ecb_vectors(self):
         # SP 800-38A F.1.1 (ECB-AES128) — four blocks.
         key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -48,9 +42,6 @@ class TestFips197Vectors:
             assert cipher.encrypt_block(bytes.fromhex(plaintext_hex)) == bytes.fromhex(
                 ciphertext_hex
             )
-            assert cipher.decrypt_block(bytes.fromhex(ciphertext_hex)) == bytes.fromhex(
-                plaintext_hex
-            )
 
 
 class TestValidation:
@@ -62,17 +53,8 @@ class TestValidation:
         with pytest.raises(CryptoError):
             AES128(bytes(16)).encrypt_block(b"short")
 
-    def test_bad_block_length_decrypt(self):
-        with pytest.raises(CryptoError):
-            AES128(bytes(16)).decrypt_block(bytes(17))
-
 
 class TestProperties:
-    @given(key=keys, block=blocks)
-    def test_decrypt_inverts_encrypt(self, key, block):
-        cipher = AES128(key)
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
     @given(key=keys, block=blocks)
     def test_encrypt_changes_block(self, key, block):
         # AES has no fixed points we could stumble on by chance.

@@ -16,13 +16,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import random_geometric
 from repro.ct.minicast import MiniCastRound, RadioOffPolicy, Requirement
 from repro.ct.packet import ChainLayout
 from repro.ct.slots import RoundSchedule
 from repro.phy.channel import ChannelModel, ChannelParameters
 from repro.phy.link import LinkTable
 from repro.phy.radio import NRF52840_154
-from repro.topology.generators import random_geometric
 
 
 @st.composite

@@ -10,12 +10,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import interpolate_polynomial
 from repro.field import (
     MERSENNE_61,
     Polynomial,
     PrimeField,
     interpolate_at,
-    interpolate_polynomial,
 )
 
 FIELD = PrimeField(MERSENNE_61)

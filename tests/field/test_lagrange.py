@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import interpolate_polynomial
 from repro.errors import InterpolationError
 from repro.field import (
     Polynomial,
     interpolate_at,
     interpolate_constant,
-    interpolate_polynomial,
     lagrange_weights_at,
 )
 

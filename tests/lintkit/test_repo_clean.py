@@ -10,7 +10,9 @@ from repro.lintkit.modules import load_modules
 from repro.lintkit.runner import run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-SEEDED = Path(__file__).resolve().parent / "fixtures" / "seeded"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+SEEDED = FIXTURES / "seeded"
+REACHABILITY = FIXTURES / "reachability"
 ENTRY_POINTS = ("repro", "repro.cli", "repro.lintkit.__main__")
 
 
@@ -83,94 +85,177 @@ def test_every_module_is_reachable_from_an_entry_point():
     assert orphans == [], f"modules no entry point imports: {orphans}"
 
 
-#: Definitions nothing under ``src/repro`` calls, kept on purpose; each
-#: entry says who relies on it.  Anything else unreferenced is code no
-#: part of the package runs: delete it, or move it into ``tests/`` when
-#: a test needs it as an oracle.  The functions ``layerbench/layers.py``
-#: wraps all sit on the data path, so none of them needs an entry.
+#: The functions the package is run through: the ``repro`` console script
+#: and ``python -m repro.lintkit``.
+ENTRY_FUNCTIONS = ("repro.cli.main", "repro.lintkit.runner.main")
+#: Directories of scripts that drive the package from outside it: the CI
+#: benchmark scripts, the examples and layerbench.  They are parsed, never
+#: imported; every identifier their non-test files use is a root.
+SCRIPT_DIRS = ("benchmarks", "examples", "layerbench")
+
+#: Definitions no entry point reaches, kept on purpose; each entry says
+#: who relies on it.  Anything else unreached is code nothing runs:
+#: delete it, or move it into ``tests/`` when a test needs it as an
+#: oracle.  Entries are roots of the walk, so what they call stays live.
 UNREFERENCED_ALLOWED = {
     # Public API: the service client's graceful shutdown (DESIGN
     # "Process boundary": the open windows drain() closes on the way
-    # out) and the single-dealer Shamir scheme's inverse of ``split``,
-    # the oracle the sss tests hold ``split`` to.
+    # out).
     "repro.service.client.ServiceClient.drain",
-    "repro.sss.scheme.ShamirScheme.reconstruct",
-    # The in-process twin of ``REPRO_FASTPATH=0`` (DESIGN "Reference path
-    # vs. fast path").
-    "repro.fastpath.forced",
-    # Layerbench's restarts and the commissioning-cache tests drop the
-    # process pools through this.
-    "repro.fastpath.clear_process_caches",
-    # Called by the CI benchmark scripts: perf_microbench.py's
-    # parallel-campaign tier, scenario_smoke.py and chaos_smoke.py.
-    "repro.analysis.campaign.CampaignExecutor.warm_up",
-    "repro.scenarios.registry.Scenario.smoke_spec",
-    # examples/ntx_tuning.py reads the coverage profile through it.
-    "repro.ct.coverage.CoverageProfile.min_full_coverage_ntx",
+    # Lockdep (``REPRO_LOCKDEP=1``) records lock order process-wide; a
+    # harness that runs many differently-shaped daemons in one process,
+    # like the service suite's autouse fixture, starts each from an empty
+    # acquisition graph through this.
+    "repro.lintkit.lockdep.reset",
+    # Keeps the instrumented lock a drop-in ``threading.Lock``.
+    "repro.lintkit.lockdep._LockdepLock.locked",
 }
 
 
-def _definitions(module):
-    """``(qualified name, line)`` of a module's top-level functions and
-    methods, less those something calls by protocol: dunders, ``visit_*``
-    (``ast.NodeVisitor`` dispatch) and functions a decorator call
-    registers (``@scenario(...)``)."""
-    for node in module.tree.body:
-        bodies = [(node, "")]
-        if isinstance(node, ast.ClassDef):
-            bodies = [(sub, f"{node.name}.") for sub in node.body]
-        for sub, prefix in bodies:
-            if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            name = sub.name
-            if name.startswith("__") and name.endswith("__") or name.startswith("visit_"):
-                continue
-            if any(isinstance(d, ast.Call) for d in sub.decorator_list):
-                continue
-            yield f"{module.name}.{prefix}{name}", sub.lineno
+class _Definition:
+    """A module-level function or class, or a method of such a class."""
+
+    def __init__(self, qualified: str, node: ast.AST, names: set[str], owner: str | None):
+        self.qualified = qualified
+        self.line = node.lineno
+        self.names = names  # every identifier its code uses
+        self.owner = owner  # a method's class
+        self.simple = qualified.rsplit(".", 1)[-1]
+        # Called by protocol once its class is live: dunders, ``visit_*``
+        # (``ast.NodeVisitor`` dispatch) and functions a decorator call
+        # registers (``@scenario(...)``).
+        self.protocol = not isinstance(node, ast.ClassDef) and (
+            self.simple.startswith("__") and self.simple.endswith("__")
+            or self.simple.startswith("visit_")
+            or any(isinstance(d, ast.Call) for d in node.decorator_list)
+        )
 
 
-def _referenced_names(modules) -> set[str]:
-    """Every identifier the package uses: names, attributes, imports,
-    and strings spelled like identifiers (``__all__``, ``getattr``)."""
+def _used_names(nodes, aliases: dict[str, set[str]]) -> set[str]:
+    """Every identifier ``nodes`` use: names, attributes, and strings
+    spelled like dotted identifiers (``getattr``, layerbench's wrap
+    names).  An import names a definition without running it: it counts
+    only through the alias it binds, recorded in ``aliases``."""
     names: set[str] = set()
-    for module in modules:
-        for node in ast.walk(module.tree):
+    for root in nodes:
+        for node in ast.walk(root):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.alias) and node.asname:
+                aliases.setdefault(node.asname, set()).add(node.name.rsplit(".", 1)[-1])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if node.value.isidentifier():
-                    names.add(node.value)
+                names.update(part for part in node.value.split(".") if part.isidentifier())
     return names
 
 
-def test_every_function_and_method_is_referenced_in_the_package():
-    # The function-level twin of the reachability test above: a
-    # definition only tests call is API nothing runs.  Matching is by
-    # name, so a definition whose name the package uses anywhere passes.
-    modules = load_modules(REPO_ROOT)
-    referenced = _referenced_names(modules)
-    found = {
-        f"{qualified} (line {line})"
-        for module in modules
-        for qualified, line in _definitions(module)
-        if qualified.rsplit(".", 1)[-1] not in referenced
-        and qualified not in UNREFERENCED_ALLOWED
+def _functions(body):
+    return [s for s in body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _walk_inputs(root: Path):
+    """``(definitions, root names, aliases)`` of the tree at ``root``."""
+    aliases: dict[str, set[str]] = {}
+    definitions: list[_Definition] = []
+    roots: set[str] = set()
+    for module in load_modules(root):
+        for statement in module.tree.body:
+            qualified = f"{module.name}.{getattr(statement, 'name', '')}"
+            if isinstance(statement, ast.ClassDef):
+                methods = _functions(statement.body)
+                header = [*statement.bases, *statement.keywords, *statement.decorator_list]
+                body = [s for s in statement.body if s not in methods]
+                definitions.append(
+                    _Definition(qualified, statement, _used_names(header + body, aliases), None)
+                )
+                definitions.extend(
+                    _Definition(f"{qualified}.{m.name}", m, _used_names([m], aliases), qualified)
+                    for m in methods
+                )
+            elif _functions([statement]):
+                definitions.append(
+                    _Definition(qualified, statement, _used_names([statement], aliases), None)
+                )
+            elif not (
+                isinstance(statement, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in statement.targets)
+            ):
+                # Runs at import: ``_self_check()``, table builds, ``__main__`` blocks.
+                roots |= _used_names([statement], aliases)
+    for directory in SCRIPT_DIRS:
+        for path in sorted((root / directory).glob("*.py")):
+            if path.name != "conftest.py" and not path.name.startswith("test_"):
+                roots |= _used_names([ast.parse(path.read_text(encoding="utf-8"))], aliases)
+    return definitions, roots, aliases
+
+
+def _live(definitions, names, aliases, root_definitions) -> set[str]:
+    """The fixpoint of "a definition is live once its simple name appears
+    in live code" (a method: once its class is live, too), from the
+    identifiers ``names`` and the definitions ``root_definitions``."""
+    names = set(names)
+    for name in list(names):
+        names |= aliases.get(name, set())
+    live: set[str] = set()
+    pending = definitions
+    while True:
+        reached = [
+            d
+            for d in pending
+            if d.qualified in root_definitions
+            or (d.owner is None or d.owner in live) and (d.simple in names or d.protocol)
+        ]
+        if not reached:
+            return live
+        for d in reached:
+            live.add(d.qualified)
+            for name in d.names:
+                names.add(name)
+                names |= aliases.get(name, set())
+        pending = [d for d in pending if d.qualified not in live]
+
+
+def _unreached(root: Path, allowed=frozenset()) -> dict[str, int]:
+    """``{qualified name: line}`` of the definitions under ``root``'s
+    ``src/repro`` that no entry point, import-time statement, script or
+    ``allowed`` entry reaches.  A dead class's methods go with it."""
+    definitions, names, aliases = _walk_inputs(root)
+    defined = {d.qualified for d in definitions}
+    assert set(ENTRY_FUNCTIONS) <= defined
+    live = _live(definitions, names, aliases, set(ENTRY_FUNCTIONS) | set(allowed))
+    return {
+        d.qualified: d.line
+        for d in definitions
+        if d.qualified not in live and (d.owner is None or d.owner in live)
     }
-    assert sorted(found) == [], f"definitions nothing in src/repro references: {sorted(found)}"
-    # An entry earns its keep only while its definition exists and
-    # nothing in the package references it.
-    defined = {qualified for module in modules for qualified, _ in _definitions(module)}
-    stale = sorted(
-        qualified
-        for qualified in UNREFERENCED_ALLOWED
-        if qualified not in defined or qualified.rsplit(".", 1)[-1] in referenced
-    )
+
+
+def test_every_definition_is_reachable_from_an_entry_point():
+    # The function-level twin of the module walk above.  Matching is by
+    # simple name, so the walk over-approximates: a dead ``run`` stays
+    # live while live code calls any ``.run``.  It can miss dead code but
+    # never flags what dynamic dispatch reaches.
+    found = _unreached(REPO_ROOT, UNREFERENCED_ALLOWED)
+    assert sorted(found) == [], f"definitions no entry point reaches: {found}"
+    # An entry earns its keep only while its definition exists and the
+    # walk does not reach it without the allowlist.
+    unallowed = _unreached(REPO_ROOT)
+    stale = sorted(q for q in UNREFERENCED_ALLOWED if q not in unallowed)
     assert stale == [], f"allowlist entries no longer needed: {stale}"
+
+
+def test_walk_flags_reexports_and_mutual_callers_only():
+    # The fixture plants (a) a function only its package ``__init__``
+    # re-exports, (b) two methods that only call each other, (c) a
+    # function only an ``examples/`` script names and (d) a function a
+    # ``@scenario(...)`` call registers.  A name-anywhere check passes
+    # all four; the walk flags exactly (a) and (b).
+    assert sorted(_unreached(REACHABILITY)) == [
+        "repro.meters.core.Counter.ping",
+        "repro.meters.core.Counter.pong",
+        "repro.meters.core.reexported",
+    ]
 
 
 def test_seeded_fixture_trips_every_rule_family():

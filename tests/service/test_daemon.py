@@ -60,7 +60,7 @@ class TestAdmission:
             assert first.admission is Admission.ACCEPTED
             assert again.admission is Admission.DUPLICATE
             assert not again.retryable
-            assert daemon.accepted_total == 1
+            assert sum(daemon.accepted_per_shard) == 1
 
     def test_duplicate_identity_spans_windows(self, tmp_path):
         for daemon in each_daemon(tmp_path):

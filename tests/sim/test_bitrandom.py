@@ -9,11 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.bitrandom import exact_random_bitmask, random_bitmask
+from repro.sim.bitrandom import random_bitmask
 
 #: Per-byte set-bit positions: table[b] lists the positions (0-7) of the
 #: ones in byte value ``b``.
 _BYTE_BITS = [tuple(bit for bit in range(8) if value >> bit & 1) for value in range(256)]
+
+
+def exact_random_bitmask(rng, nbits: int, probability: float) -> int:
+    """Reference per-bit sampler (slow; for tiny masks)."""
+    if nbits < 0:
+        raise SimulationError(f"nbits must be >= 0, got {nbits}")
+    if not 0.0 <= probability <= 1.0:
+        raise SimulationError(f"probability must be in [0, 1], got {probability}")
+    mask = 0
+    for bit in range(nbits):
+        if rng.random() < probability:
+            mask |= 1 << bit
+    return mask
 
 
 def bit_indices(mask: int) -> list[int]:

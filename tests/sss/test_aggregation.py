@@ -9,10 +9,27 @@ from repro.sss import (
     ShamirScheme,
     Share,
     ShareAccumulator,
-    aggregate_shares,
     reconstruct_aggregate,
     reconstruct_from_sums,
 )
+
+
+def aggregate_shares(field, shares_by_point):
+    """Sum shares point-by-point, as each holder does during the round.
+
+    ``shares_by_point`` maps a point's integer value to the shares received
+    for it.  Returns accumulators keyed the same way.
+    """
+    accumulators = {}
+    for x_value, shares in shares_by_point.items():
+        shares = list(shares)
+        if not shares:
+            continue
+        accumulator = ShareAccumulator.empty(field(x_value))
+        for share in shares:
+            accumulator.add(share)
+        accumulators[x_value] = accumulator
+    return accumulators
 
 
 def deal_all(field, rng, secrets, degree, points):

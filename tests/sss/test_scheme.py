@@ -6,8 +6,9 @@ import random
 
 import pytest
 
+from oracles import interpolate_polynomial
 from repro.errors import ReconstructionError, SecretSharingError
-from repro.field import PrimeField, interpolate_polynomial
+from repro.field import PrimeField
 from repro.sss import ShamirScheme, Share
 
 

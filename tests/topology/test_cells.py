@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import random_geometric
 from repro.errors import TopologyError
 from repro.topology.cells import cell_subspec, cell_topology, partition_nodes
-from repro.topology.generators import grid, random_geometric
+from repro.topology.generators import grid
 from repro.topology.graph import Topology
 from repro.topology.testbeds import dcube, flocklab
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import random_geometric
 from repro.errors import TopologyError
-from repro.topology.generators import grid, line, random_geometric
+from repro.topology.generators import grid, line
 
 
 class TestLine:
