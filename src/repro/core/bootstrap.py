@@ -23,8 +23,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro import fastpath
-
 from repro.ct.coverage import (
     CoverageStats,
     arm_offsets,
@@ -66,18 +64,15 @@ def network_depth(links: LinkTable) -> int:
     Memoised on the (immutable) link table: the diameter runs one BFS per
     node, and every engine over a shared table asks the same question.
     """
-    if fastpath.enabled():
-        cached = links.derived_cache.get("network_depth")
-        if cached is not None:
-            return cached
-    adjacency = links.adjacency()
-    if not is_connected(adjacency):
-        raise BootstrapError(
-            "good-link graph is disconnected; this deployment cannot "
-            "support network-wide aggregation"
-        )
-    depth = diameter(adjacency)
-    if fastpath.enabled():
+    depth = links.derived_cache.get("network_depth")
+    if depth is None:
+        adjacency = links.adjacency()
+        if not is_connected(adjacency):
+            raise BootstrapError(
+                "good-link graph is disconnected; this deployment cannot "
+                "support network-wide aggregation"
+            )
+        depth = diameter(adjacency)
         links.derived_cache["network_depth"] = depth
     return depth
 

@@ -486,18 +486,15 @@ def stub_batch_decrypt(
 
 def encode_sum_packet(
     total: FieldElement,
-    contributors,
+    contributors: int,
     num_nodes: int,
     element_size: int,
 ) -> bytes:
     """Serialize a holder's (sum, contributor bitmap) payload."""
-    if any(c < 0 or c >= num_nodes for c in contributors):
+    if contributors < 0 or contributors >> num_nodes:
         raise PacketError("contributor id outside the network")
-    bitmap = 0
-    for contributor in contributors:
-        bitmap |= 1 << contributor
     bitmap_bytes = (num_nodes + 7) // 8
-    return total.value.to_bytes(element_size, "big") + bitmap.to_bytes(
+    return total.value.to_bytes(element_size, "big") + contributors.to_bytes(
         bitmap_bytes, "big"
     )
 
@@ -507,8 +504,11 @@ def decode_sum_packet(
     field: PrimeField,
     num_nodes: int,
     element_size: int,
-) -> tuple[FieldElement, frozenset[int]]:
-    """Parse a sum packet back into (sum, contributor set)."""
+) -> tuple[FieldElement, int]:
+    """Parse a sum packet back into (sum, contributor bitmap).
+
+    Padding bits past ``num_nodes`` are ignored.
+    """
     bitmap_bytes = (num_nodes + 7) // 8
     if len(payload) != element_size + bitmap_bytes:
         raise PacketError(
@@ -519,7 +519,4 @@ def decode_sum_packet(
     if value >= field.prime:
         raise PacketError("sum value is not a canonical field element")
     bitmap = int.from_bytes(payload[element_size:], "big")
-    contributors = frozenset(
-        node for node in range(num_nodes) if (bitmap >> node) & 1
-    )
-    return field(value), contributors
+    return field(value), bitmap & ((1 << num_nodes) - 1)

@@ -10,11 +10,11 @@ radio policy).  The pipeline per round:
    (AES-128-CTR + CBC-MAC under the pairwise key, or the stub codec).
 3. **Sharing phase** — one MiniCast round carries the chain of share
    packets; destinations decrypt what reached them and fold it into
-   per-point share sums with contributor tracking.
+   per-point share sums, each with a bitmap of its contributors.
 4. **Reconstruction phase** — a second MiniCast round floods each
    holder's (sum, contributor bitmap) packet network-wide; every node
-   groups received sums by contributor set and Lagrange-interpolates the
-   aggregate from a consistent group.
+   groups received sums by contributor bitmap and Lagrange-interpolates
+   the aggregate from a consistent group.
 5. **Metrics** — per-node latency (sharing schedule + local
    reconstruction completion) and radio-on time (TX + RX over both
    phases), plus correctness against ground truth.
@@ -73,7 +73,6 @@ from repro.core.payload import (
 from repro.sss.aggregation import ShareAccumulator, reconstruct_aggregate
 from repro.sss.public_points import PublicPointRegistry
 from repro.sim.seeds import stable_seed
-from repro.sss.shares import Share
 from repro.topology.graph import Topology
 
 
@@ -94,7 +93,7 @@ class PhasePlan:
 _CODEC_POOL: dict[tuple, "RealShareCodec | StubShareCodec"] = {}
 _CODEC_POOL_MAX = 4096
 
-#: Process-wide chain-layout pool (fast path): layouts are pure functions
+#: Process-wide chain-layout pool: layouts are pure functions
 #: of their source/destination tuples and are immutable, so every engine
 #: instantiation across a campaign shares them.
 _LAYOUT_POOL: dict[tuple, ChainLayout] = {}
@@ -149,9 +148,9 @@ class AggregationEngine:
         self._registry = PublicPointRegistry(config.field, topology.node_ids)
         self._links_cache: dict[int, LinkTable] = {}
         self._codec_cache: dict[int, RealShareCodec | StubShareCodec] = {}
-        #: Fast-path pool of per-(chain sources, destinations, sources)
-        #: round constants — initial-knowledge and requirement maps,
-        #: destination points — which are pure functions of commissioning
+        #: Pool of per-(chain sources, destinations, sources) round
+        #: constants — initial-knowledge and requirement maps, destination
+        #: points, lane plans — which are pure functions of commissioning
         #: state and identical for every iteration of a sweep point.
         self._round_consts: dict[tuple, tuple | LanePlan] = {}
         #: Every ordered pair's key columns, built with the first lane plan.
@@ -296,20 +295,34 @@ class AggregationEngine:
         """Short name used in reports ("S3"/"S4")."""
         raise NotImplementedError
 
+    def _round_const(self, key: tuple, build):
+        """One pooled round constant: built on first use, then reused."""
+        value = self._round_consts.get(key)
+        if value is None:
+            value = build()
+            if len(self._round_consts) >= _ROUND_CONST_MAX:
+                self._round_consts.clear()
+            self._round_consts[key] = value
+        return value
+
     def _sharing_constants(
         self, layout: ChainLayout, sources: list[int], destinations: list[int]
-    ) -> tuple[list[int], dict[int, int], dict[int, Requirement]]:
-        """Per-round sharing-phase constants, shared by both compute paths.
+    ) -> tuple[
+        Sequence[int], dict[int, int], dict[int, Requirement], dict[int, list[int]]
+    ]:
+        """Per-round sharing-phase constants of one chain.
 
         Only rows of actual sources carry data; reserved-but-unfilled
         rows (naive static chains) are silence nobody can receive, so
-        requirements mask down to the filled sub-slots.  One definition
-        serves the fast and reference branches — the requirement
-        semantics must never fork between them.
+        requirements mask down to the filled sub-slots.  The destination
+        points come as machine words where they fit, so each dealer's
+        native evaluation copies them instead of converting them.
         """
         destination_points = [
             self._registry.point_of(dst).value for dst in destinations
         ]
+        with contextlib.suppress(OverflowError):
+            destination_points = array("Q", destination_points)
         filled = 0
         for src in sources:
             filled |= layout.source_mask(src)
@@ -322,7 +335,11 @@ class AggregationEngine:
             dst: Requirement.all_of(layout.destination_mask(dst) & filled)
             for dst in destinations
         }
-        return destination_points, initial, requirements
+        index_rows = {
+            src: [layout.index_of(src, dst) for dst in destinations]
+            for src in sources
+        }
+        return destination_points, initial, requirements, index_rows
 
     # -- the round ----------------------------------------------------------------
 
@@ -365,43 +382,18 @@ class AggregationEngine:
         dealer_root = AesCtrDrbg.from_seed(f"round-{seed}")
 
         # 1+2. Deal polynomials and build the encrypted sub-slot payloads.
-        fast = fastpath.enabled()
         chain_sources = self.chain_sources(sources)
-        if fast:
-            layout = _pooled_layout(
-                ("sharing", tuple(chain_sources), tuple(destinations)),
-                lambda: ChainLayout.sharing(chain_sources, destinations),
-            )
-            consts_key = (
-                tuple(chain_sources),
-                tuple(destinations),
-                tuple(sources),
-            )
-            consts = self._round_consts.get(consts_key)
-            if consts is None:
-                destination_points, initial, requirements = (
-                    self._sharing_constants(layout, sources, destinations)
-                )
-                index_rows = {
-                    src: [layout.index_of(src, dst) for dst in destinations]
-                    for src in sources
-                }
-                # The points as machine words, so each dealer's native
-                # evaluation copies them instead of converting them.
-                with contextlib.suppress(OverflowError):
-                    destination_points = array("Q", destination_points)
-                if len(self._round_consts) >= _ROUND_CONST_MAX:
-                    self._round_consts.clear()
-                consts = (destination_points, initial, requirements, index_rows)
-                self._round_consts[consts_key] = consts
-            destination_points, initial, requirements, index_rows = consts
-        else:
-            layout = ChainLayout.sharing(chain_sources, destinations)
-            destination_points, initial, requirements = self._sharing_constants(
-                layout, sources, destinations
-            )
+        layout = _pooled_layout(
+            ("sharing", tuple(chain_sources), tuple(destinations)),
+            lambda: ChainLayout.sharing(chain_sources, destinations),
+        )
+        consts_key = (tuple(chain_sources), tuple(destinations), tuple(sources))
+        destination_points, initial, requirements, index_rows = self._round_const(
+            consts_key,
+            lambda: self._sharing_constants(layout, sources, destinations),
+        )
         use_batch_crypto = False
-        if fast and len(sources) * len(destinations) >= BATCH_THRESHOLD:
+        if fastpath.enabled() and len(sources) * len(destinations) >= BATCH_THRESHOLD:
             if config.crypto_mode is CryptoMode.REAL:
                 use_batch_crypto = (
                     _batch_crypto_available()
@@ -416,70 +408,41 @@ class AggregationEngine:
         plaintexts: list[int] = []
         batch_entries: list[tuple] = []
         batch_indices: list[int] = []
-        if fast:
-            # Batched dealing: the per-dealer fork derivations collapse
-            # into one buffered parent read and the forks' keystream is
-            # prefetched in one call — bit-identical to the scalar
-            # sequence below.
-            dealers = dealer_root.fork_many(
-                [f"dealer-{src}" for src in sources]
+        # The per-dealer forks collapse into one buffered parent read and
+        # their keystream is prefetched in one call — stream-identical to
+        # forking and drawing dealer by dealer.
+        dealers = dealer_root.fork_many([f"dealer-{src}" for src in sources])
+        bytes_per_draw = (field.prime.bit_length() + 7) // 8
+        AesCtrDrbg.prefill_many(dealers, degree * bytes_per_draw + 8)
+        for src, dealer in zip(sources, dealers):
+            polynomial = Polynomial.random_with_secret(
+                field, secrets[src], degree, dealer
             )
-            bytes_per_draw = (field.prime.bit_length() + 7) // 8
-            AesCtrDrbg.prefill_many(dealers, degree * bytes_per_draw + 8)
-            for src, dealer in zip(sources, dealers):
-                polynomial = Polynomial.random_with_secret(
-                    field, secrets[src], degree, dealer
-                )
-                # Bulk raw-int evaluation: one Horner pass per
-                # destination without a FieldElement per product.
-                values = polynomial.evaluate_values(destination_points)
-                src_codec = self.codec(src)
-                for dst, value_int, index in zip(destinations, values, index_rows[src]):
-                    if dst == src:
-                        # A node's share to itself never leaves the node;
-                        # the sub-slot still exists (and costs airtime) in
-                        # the naive static chain, but carries no cipher
-                        # work.
-                        payloads[index] = SharePacket(
-                            source=src,
-                            destination=dst,
-                            ciphertext=value_int.to_bytes(16, "big"),
-                            tag=b"",
-                        )
-                    elif use_lanes:
-                        # Lane order is this loop's order (see LanePlan).
-                        plaintexts.append(value_int)
-                    elif use_batch_crypto:
-                        batch_entries.append((src_codec, dst, value_int))
-                        batch_indices.append(index)
-                    else:
-                        payloads[index] = src_codec.encrypt_share(
-                            dst, FieldElement(field, value_int), round_nonce
-                        )
-        else:
-            for src in sources:
-                polynomial = Polynomial.random_with_secret(
-                    field,
-                    secrets[src],
-                    degree,
-                    dealer_root.fork(f"dealer-{src}"),
-                )
-                src_codec = self.codec(src)
-                values = polynomial.evaluate_values(destination_points)
-                for dst, value_int in zip(destinations, values):
-                    if dst == src:
-                        payloads[layout.index_of(src, dst)] = SharePacket(
-                            source=src,
-                            destination=dst,
-                            ciphertext=value_int.to_bytes(16, "big"),
-                            tag=b"",
-                        )
-                    else:
-                        payloads[layout.index_of(src, dst)] = (
-                            src_codec.encrypt_share(
-                                dst, FieldElement(field, value_int), round_nonce
-                            )
-                        )
+            # Bulk raw-int evaluation: one Horner pass per destination
+            # without a FieldElement per product.
+            values = polynomial.evaluate_values(destination_points)
+            src_codec = self.codec(src)
+            for dst, value_int, index in zip(destinations, values, index_rows[src]):
+                if dst == src:
+                    # A node's share to itself never leaves the node; the
+                    # sub-slot still exists (and costs airtime) in the
+                    # naive static chain, but carries no cipher work.
+                    payloads[index] = SharePacket(
+                        source=src,
+                        destination=dst,
+                        ciphertext=value_int.to_bytes(16, "big"),
+                        tag=b"",
+                    )
+                elif use_lanes:
+                    # Lane order is this loop's order (see LanePlan).
+                    plaintexts.append(value_int)
+                elif use_batch_crypto:
+                    batch_entries.append((src_codec, dst, value_int))
+                    batch_indices.append(index)
+                else:
+                    payloads[index] = src_codec.encrypt_share(
+                        dst, FieldElement(field, value_int), round_nonce
+                    )
         sealed = None
         if plaintexts:
             sealed = batch_encrypt_shares(
@@ -529,7 +492,6 @@ class AggregationEngine:
                 sharing_result.knowledge,
                 alive_after_sharing,
                 round_nonce,
-                fast,
                 use_batch_crypto and not use_lanes,
             )
 
@@ -541,34 +503,20 @@ class AggregationEngine:
 
         # 4. Reconstruction phase.
         holders = sorted(accumulators)
-        num_nodes_total = max(self._topology.node_ids) + 1
-        if fast:
-            recon_layout = _pooled_layout(
-                (
-                    "reconstruction",
-                    tuple(holders),
-                    num_nodes_total,
-                    field.element_size_bytes,
-                ),
-                lambda: ChainLayout.reconstruction(
-                    holders,
-                    num_nodes=num_nodes_total,
-                    element_size=field.element_size_bytes,
-                ),
-            )
-        else:
-            recon_layout = ChainLayout.reconstruction(
-                holders,
-                num_nodes=num_nodes_total,
-                element_size=field.element_size_bytes,
-            )
+        num_nodes = max(self._topology.node_ids) + 1
+        recon_layout = _pooled_layout(
+            ("reconstruction", tuple(holders), num_nodes, field.element_size_bytes),
+            lambda: ChainLayout.reconstruction(
+                holders, num_nodes=num_nodes, element_size=field.element_size_bytes
+            ),
+        )
         sum_payloads: dict[int, bytes] = {}
         for holder in holders:
             accumulator = accumulators[holder]
             sum_payloads[recon_layout.index_of(holder, None)] = encode_sum_packet(
                 accumulator.total,
                 accumulator.contributors,
-                num_nodes=max(self._topology.node_ids) + 1,
+                num_nodes=num_nodes,
                 element_size=field.element_size_bytes,
             )
 
@@ -624,18 +572,14 @@ class AggregationEngine:
         The first call also builds the engine's :class:`PairKeyTable`
         from its codecs — the commissioning step of the batched path.
         """
-        key = ("lanes",) + consts_key
-        plan = self._round_consts.get(key)
-        if plan is None:
-            if self._pair_keys is None:
-                self._pair_keys = PairKeyTable(
-                    {node: self.codec(node) for node in self._topology.node_ids}
-                )
-            plan = LanePlan(self._pair_keys, sources, destinations, layout)
-            if len(self._round_consts) >= _ROUND_CONST_MAX:
-                self._round_consts.clear()
-            self._round_consts[key] = plan
-        return plan
+        if self._pair_keys is None:
+            self._pair_keys = PairKeyTable(
+                {node: self.codec(node) for node in self._topology.node_ids}
+            )
+        return self._round_const(
+            ("lanes",) + consts_key,
+            lambda: LanePlan(self._pair_keys, sources, destinations, layout),
+        )
 
     def _fold_lanes(
         self,
@@ -659,7 +603,7 @@ class AggregationEngine:
             for dst in destinations
         ]
         totals = [0] * len(destinations)
-        contributors: list[set[int]] = [set() for _ in destinations]
+        contributors = [0] * len(destinations)
         delivered = plan.delivered(views)
         if len(delivered):
             lane_rows = plan.row
@@ -670,13 +614,13 @@ class AggregationEngine:
                 if value is not None:  # None: corrupted/forged packet, dropped
                     row = lane_rows[lane]
                     totals[row] += value
-                    contributors[row].add(lane_sources[lane])
+                    contributors[row] |= 1 << lane_sources[lane]
         rows = {dst: row for row, dst in enumerate(destinations)}
         for index, packet in payloads.items():
             row = rows[packet.destination]
             if (views[row] >> index) & 1:
                 totals[row] += int.from_bytes(packet.ciphertext, "big")
-                contributors[row].add(packet.source)
+                contributors[row] |= 1 << packet.source
         return {
             dst: ShareAccumulator(
                 x=self._registry.point_of(dst),
@@ -695,13 +639,11 @@ class AggregationEngine:
         knowledge: Mapping[int, int],
         alive: set[int],
         round_nonce: int,
-        fast: bool,
         stub_batch: bool,
     ) -> dict[int, ShareAccumulator]:
         """Per-destination share sums from per-packet payloads.
 
-        Serves the STUB batch, the per-packet codec path and the
-        reference path.
+        Serves the STUB batch and the per-packet codec.
         """
         field = self._config.field
         accumulators: dict[int, ShareAccumulator] = {}
@@ -736,44 +678,11 @@ class AggregationEngine:
             if dst not in alive:
                 continue
             dst_codec = self.codec(dst)
-            point = self._registry.point_of(dst)
             view = knowledge[dst] & layout.destination_mask(dst)
-            if fast:
-                # Allocation-light fold: raw-int running sum plus a plain
-                # contributor set; Share/FieldElement objects are built
-                # once per accumulator instead of once per received share.
-                total = 0
-                contributors: set[int] = set()
-                while view:
-                    low_bit = view & -view
-                    index = low_bit.bit_length() - 1
-                    view ^= low_bit
-                    packet = payloads[index]
-                    try:
-                        if packet.source == dst:
-                            value = field.element_from_bytes(
-                                packet.ciphertext[-element_size:]
-                            ).value
-                        elif stub_batch:
-                            value = decrypted_batch.get(index)
-                            if value is None:
-                                continue  # corrupted/forged packet: drop
-                        else:
-                            value = dst_codec.decrypt_share(
-                                packet, field, round_nonce
-                            ).value
-                    except (CryptoError, FieldError):
-                        continue  # corrupted/forged packet: drop
-                    total += value
-                    contributors.add(packet.source)
-                if contributors:
-                    accumulators[dst] = ShareAccumulator(
-                        x=point,
-                        total=FieldElement(field, total % prime),
-                        contributors=contributors,
-                    )
-                continue
-            accumulator = ShareAccumulator.empty(point)
+            # Raw-int running sum plus a contributor bitmap; the
+            # FieldElement is built once per accumulator, not per share.
+            total = 0
+            contributors = 0
             while view:
                 low_bit = view & -view
                 index = low_bit.bit_length() - 1
@@ -782,20 +691,26 @@ class AggregationEngine:
                 try:
                     if packet.source == dst:
                         value = field.element_from_bytes(
-                            packet.ciphertext[-field.element_size_bytes :]
-                        )
+                            packet.ciphertext[-element_size:]
+                        ).value
+                    elif stub_batch:
+                        value = decrypted_batch.get(index)
+                        if value is None:
+                            continue  # corrupted/forged packet: drop
                     else:
                         value = dst_codec.decrypt_share(
                             packet, field, round_nonce
-                        )
+                        ).value
                 except (CryptoError, FieldError):
                     continue  # corrupted/forged packet: drop
-                accumulator.add(
-                    Share(dealer_id=packet.source, x=point, y=value)
+                total += value
+                contributors |= 1 << packet.source
+            if contributors:
+                accumulators[dst] = ShareAccumulator(
+                    x=self._registry.point_of(dst),
+                    total=FieldElement(field, total % prime),
+                    contributors=contributors,
                 )
-            if accumulator.contributors:
-                accumulators[dst] = accumulator
-
         return accumulators
 
     # -- metric assembly -------------------------------------------------------
@@ -819,13 +734,12 @@ class AggregationEngine:
         all_failures = dict(sharing_result.failures)
         all_failures.update(recon_result.failures)
 
-        fast = fastpath.enabled()
         # The reconstruction a node performs depends only on its final
         # view of the sum chain; after a healthy flood most nodes share
         # the full view, so memoising per distinct view collapses n
         # interpolations into one or two.  Decoded packets are likewise
         # shared across every node that received the same sub-slot.
-        decoded_cache: dict[int, tuple] = {}
+        decoded_cache: dict[int, ShareAccumulator] = {}
         outcome_cache: dict[int, tuple] = {}
 
         def decode_view(view: int) -> tuple:
@@ -835,26 +749,22 @@ class AggregationEngine:
                 low_bit = bits & -bits
                 index = low_bit.bit_length() - 1
                 bits ^= low_bit
-                decoded = decoded_cache.get(index) if fast else None
+                decoded = decoded_cache.get(index)
                 if decoded is None:
                     holder = recon_layout.spec(index).source
-                    value, contributor_set = decode_sum_packet(
+                    value, contributors = decode_sum_packet(
                         sum_payloads[index],
                         field,
                         num_nodes=num_nodes,
                         element_size=field.element_size_bytes,
                     )
-                    decoded = (self._registry.point_of(holder), value, contributor_set)
-                    if fast:
-                        decoded_cache[index] = decoded
-                point, value, contributor_set = decoded
-                sums.append(
-                    ShareAccumulator(
-                        x=point,
+                    decoded = ShareAccumulator(
+                        x=self._registry.point_of(holder),
                         total=value,
-                        contributors=set(contributor_set),
+                        contributors=contributors,
                     )
-                )
+                    decoded_cache[index] = decoded
+                sums.append(decoded)
             try:
                 result = reconstruct_aggregate(field, sums, degree)
             except (ReconstructionError, ProtocolError):
@@ -887,11 +797,10 @@ class AggregationEngine:
             dead = node in all_failures
             if not dead:
                 view = recon_result.knowledge.get(node, 0)
-                outcome = outcome_cache.get(view) if fast else None
+                outcome = outcome_cache.get(view)
                 if outcome is None:
                     outcome = decode_view(view)
-                    if fast:
-                        outcome_cache[view] = outcome
+                    outcome_cache[view] = outcome
                 aggregate, contributors, correct = outcome
                 if aggregate is not None:
                     completion = recon_result.completion_us(node)

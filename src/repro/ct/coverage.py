@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro import fastpath
 from repro.errors import ConfigurationError
 from repro.phy.capture import CaptureModel
 from repro.phy.link import LinkTable
@@ -42,18 +41,17 @@ def arm_offsets(links: LinkTable, root: int) -> dict[int, int]:
     transmit ... which in turn trigger the second hop").  Nodes outside
     the root's good-link component (possible under aggressive shadowing)
     join one slot after the farthest connected node.
+
+    Memoised on the (immutable) link table; each caller gets its own
+    copy.
     """
-    if fastpath.enabled():
-        cached = links.derived_cache.get(("wave", root))
-        if cached is not None:
-            return dict(cached)
-    adjacency = links.adjacency()
-    hops = bfs_hops(adjacency, root)
-    fallback = (max(hops.values()) if hops else 0) + 1
-    offsets = {node: hops.get(node, fallback) for node in links.node_ids}
-    if fastpath.enabled():
-        links.derived_cache[("wave", root)] = dict(offsets)
-    return offsets
+    cached = links.derived_cache.get(("wave", root))
+    if cached is None:
+        hops = bfs_hops(links.adjacency(), root)
+        fallback = (max(hops.values()) if hops else 0) + 1
+        cached = {node: hops.get(node, fallback) for node in links.node_ids}
+        links.derived_cache[("wave", root)] = cached
+    return dict(cached)
 
 
 @dataclass(frozen=True)
@@ -160,20 +158,15 @@ def profile_coverage(
         full_rounds = 0
         reachable_total = 0
         slots_total = 0
-        fast_counting = fastpath.enabled()
-        if fast_counting:
-            # Hot-loop hoists: bit position per source (computed once, not
-            # per pair per iteration), the mask of everyone-but-me, and a
-            # dense per-destination hit counter indexed by bit position.
-            bit_of_source = {src: layout.index_of(src, None) for src in nodes}
-            source_of_bit = {bit: src for src, bit in bit_of_source.items()}
-            hit_rows: dict[int, list[int]] = {
-                dst: [0] * len(layout) for dst in nodes
-            }
-            others_mask = {
-                dst: layout.full_mask() & ~(1 << bit_of_source[dst])
-                for dst in nodes
-            }
+        # Hot-loop hoists: bit position per source (computed once, not per
+        # pair per iteration), the mask of everyone-but-me, and a dense
+        # per-destination hit counter indexed by bit position.
+        bit_of_source = {src: layout.index_of(src, None) for src in nodes}
+        source_of_bit = {bit: src for src, bit in bit_of_source.items()}
+        hit_rows: dict[int, list[int]] = {dst: [0] * len(layout) for dst in nodes}
+        others_mask = {
+            dst: layout.full_mask() & ~(1 << bit_of_source[dst]) for dst in nodes
+        }
         for iteration in range(iterations):
             rng = random.Random(stable_seed(seed, ntx, iteration))
             result = round_.run(
@@ -184,42 +177,24 @@ def profile_coverage(
                 arm_schedule=wave,
             )
             slots_total += result.slots_run
-            if fast_counting:
-                everything = True
-                for dst in nodes:
-                    relevant = result.knowledge[dst] & others_mask[dst]
-                    count = relevant.bit_count()
-                    reachable_total += count
-                    if count != len(nodes) - 1:
-                        everything = False
-                    row = hit_rows[dst]
-                    while relevant:
-                        low_bit = relevant & -relevant
-                        row[low_bit.bit_length() - 1] += 1
-                        relevant ^= low_bit
-                if everything:
-                    full_rounds += 1
-                continue
             everything = True
             for dst in nodes:
-                view = result.knowledge[dst]
-                for src in nodes:
-                    if src == dst:
-                        continue
-                    bit = layout.index_of(src, None)
-                    if (view >> bit) & 1:
-                        pair_hits[(src, dst)] += 1
-                        reachable_total += 1
-                    else:
-                        everything = False
+                relevant = result.knowledge[dst] & others_mask[dst]
+                count = relevant.bit_count()
+                reachable_total += count
+                if count != len(nodes) - 1:
+                    everything = False
+                row = hit_rows[dst]
+                while relevant:
+                    low_bit = relevant & -relevant
+                    row[low_bit.bit_length() - 1] += 1
+                    relevant ^= low_bit
             if everything:
                 full_rounds += 1
-        if fast_counting:
-            for dst in nodes:
-                row = hit_rows[dst]
-                for bit, hits in enumerate(row):
-                    if hits:
-                        pair_hits[(source_of_bit[bit], dst)] = hits
+        for dst in nodes:
+            for bit, hits in enumerate(hit_rows[dst]):
+                if hits:
+                    pair_hits[(source_of_bit[bit], dst)] = hits
         pair_delivery = {
             pair: hits / iterations for pair, hits in pair_hits.items()
         }

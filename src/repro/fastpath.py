@@ -22,15 +22,19 @@ as their Python twins), share-packet AES over lanes, the DRBG's AES-CTR
 keystream, batched AES key schedules, and GF(2**61 - 1) polynomial
 evaluation.  Each gives bit-identical results, and its Python twin
 stays as the oracle and the fallback.  With the fast path off a
-protocol round never asks for the library.
+protocol round never asks for the library
+(``tests/core/test_round_pins.py`` holds this).
 
-Components consult the flag at *construction* time (cipher objects, DRBG
-instances, MiniCast rounds) or at cheap call-time branch points, so
-toggling the flag affects objects built afterwards, not objects already
-in flight.  The flag itself is a plain module global guarded by the GIL;
-the context managers are not thread-safe against concurrent toggling (the
-microbenchmark is single-threaded) but *reading* the flag from worker
-threads is always safe.
+The flag chooses a kernel, or guards an object that captured it when
+it was built (cipher objects, DRBG instances, MiniCast rounds, the pools
+holding them); it never forks a caller's own loop, pooling or
+memoisation, so a protocol round runs one pipeline under both values.
+Components consult it at *construction* time or at cheap call-time
+branch points, so toggling the flag affects objects built afterwards,
+not objects already in flight.  The flag itself is a plain module
+global guarded by the GIL; the context managers are not thread-safe
+against concurrent toggling (the microbenchmark is single-threaded) but
+*reading* the flag from worker threads is always safe.
 
 **Spawn-worker contract.**  Campaign workers are started with the
 ``spawn`` method, so nothing in this module (or in the process-wide

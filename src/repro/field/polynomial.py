@@ -39,11 +39,6 @@ class Polynomial:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, field: PrimeField) -> "Polynomial":
-        """The zero polynomial."""
-        return cls(field, [0])
-
-    @classmethod
     def random_with_secret(
         cls,
         field: PrimeField,

@@ -95,10 +95,6 @@ class PrimeField:
             )
         return FieldElement(self, value % self._prime)
 
-    def zero(self) -> "FieldElement":
-        """The additive identity."""
-        return FieldElement(self, 0)
-
     def element_from_bytes(self, data: bytes) -> "FieldElement":
         """Decode a big-endian byte string into a field element.
 

@@ -71,7 +71,7 @@ class LinkTable:
         self._rssi: dict[tuple[int, int], float] = {}
         self._prr: dict[tuple[int, int], float] = {}
         #: Scratch cache for values derived from this (immutable) table —
-        #: adjacency, BFS waves — maintained by the fast paths of the
+        #: adjacency, BFS waves, MiniCast rounds — maintained by the
         #: consumers, keyed by them.  Lives on the instance so cache
         #: lifetime equals table lifetime.
         self.derived_cache: dict = {}
@@ -218,19 +218,15 @@ class LinkTable:
     def adjacency(self) -> dict[int, list[int]]:
         """Good-link adjacency of the whole network (for hop metrics).
 
-        On the fast path the underlying neighbour lists are memoised on
-        this (immutable) table; a fresh outer dict with fresh lists is
-        returned either way, so callers may mutate their copy freely.
+        The neighbour lists are memoised on this (immutable) table; each
+        call returns a fresh outer dict with fresh lists, so callers may
+        mutate their copy freely.
         """
-        if fastpath.enabled():
-            cached = self.derived_cache.get("adjacency")
-            if cached is None:
-                cached = {
-                    node: self.neighbors(node) for node in self._node_ids
-                }
-                self.derived_cache["adjacency"] = cached
-            return {node: list(neighbors) for node, neighbors in cached.items()}
-        return {node: self.neighbors(node) for node in self._node_ids}
+        cached = self.derived_cache.get("adjacency")
+        if cached is None:
+            cached = {node: self.neighbors(node) for node in self._node_ids}
+            self.derived_cache["adjacency"] = cached
+        return {node: list(neighbors) for node, neighbors in cached.items()}
 
     def prr_row(self, src: int) -> dict[int, float]:
         """All outgoing PRRs of ``src`` (hot-loop precomputation helper)."""

@@ -13,58 +13,33 @@ and any ``p + 1`` of them interpolate the aggregate ``P_s(0) = sum_i S_i``
 The subtlety a real system must handle (and the reason S4's fault
 tolerance needs care) is *consistency*: the sums ``Y_j`` only lie on a
 common polynomial if they were built from the **same contributor set**.
-:class:`ShareAccumulator` therefore tracks contributors per point, and
-:func:`reconstruct_aggregate` only combines points whose contributor sets
-agree, choosing the largest such group.
+:class:`ShareAccumulator` therefore carries a contributor bitmap per
+point, and :func:`reconstruct_aggregate` only combines points whose
+bitmaps agree, choosing the largest such group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.errors import ReconstructionError, SecretSharingError
+from repro.errors import ReconstructionError
 from repro.field.lagrange import interpolate_constant
 from repro.field.prime_field import FieldElement, PrimeField
-from repro.sss.shares import Share
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ShareAccumulator:
-    """Running share-sum at one public point, with contributor tracking.
+    """Share sum at one public point, with its contributor bitmap.
 
     This is exactly the state a holder node keeps during the sharing
-    phase: the field sum of received shares and the set of dealers that
-    contributed.
+    phase: the field sum of received shares and a bitmap with bit ``i``
+    set when dealer ``i`` contributed.
     """
 
     x: FieldElement
     total: FieldElement
-    contributors: set[int] = dataclass_field(default_factory=set)
-
-    @classmethod
-    def empty(cls, x: FieldElement) -> "ShareAccumulator":
-        """Fresh accumulator for point ``x``."""
-        return cls(x=x, total=x.field.zero(), contributors=set())
-
-    def add(self, share: Share) -> None:
-        """Fold one received share into the sum."""
-        if share.x != self.x:
-            raise SecretSharingError(
-                f"share for x={share.x.value} added to accumulator of "
-                f"x={self.x.value}"
-            )
-        if share.dealer_id in self.contributors:
-            raise SecretSharingError(
-                f"dealer {share.dealer_id} contributed twice at x={self.x.value}"
-            )
-        self.total = self.total + share.y
-        self.contributors.add(share.dealer_id)
-
-    @property
-    def contributor_key(self) -> frozenset[int]:
-        """Hashable contributor-set identity used for consistency grouping."""
-        return frozenset(self.contributors)
+    contributors: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,14 +63,13 @@ def reconstruct_aggregate(
     field: PrimeField,
     accumulators: Sequence[ShareAccumulator],
     degree: int,
-    expected_contributors: frozenset[int] | None = None,
 ) -> AggregationResult:
     """Reconstruct the aggregate from per-point sums, fault-tolerantly.
 
-    Groups accumulators by contributor set, picks the group that (a)
-    matches ``expected_contributors`` when given, otherwise (b) has the
+    Groups accumulators by contributor bitmap, picks the group with the
     most points (ties broken toward the larger contributor set — more
-    secrets aggregated), and interpolates from ``degree + 1`` of them.
+    secrets aggregated, then toward the group seen first), and
+    interpolates from ``degree + 1`` of them.
 
     Raises :class:`ReconstructionError` when no contributor-consistent
     group reaches the threshold — the fail-safe the module docstring
@@ -105,33 +79,20 @@ def reconstruct_aggregate(
     if not accumulators:
         raise ReconstructionError("no per-point sums available")
 
-    groups: dict[frozenset[int], list[ShareAccumulator]] = {}
+    groups: dict[int, list[ShareAccumulator]] = {}
     for accumulator in accumulators:
-        if not accumulator.contributors:
-            continue
-        groups.setdefault(accumulator.contributor_key, []).append(accumulator)
+        if accumulator.contributors:
+            groups.setdefault(accumulator.contributors, []).append(accumulator)
 
-    if expected_contributors is not None:
-        candidates = groups.get(frozenset(expected_contributors), [])
-        if len(candidates) < threshold:
-            raise ReconstructionError(
-                f"only {len(candidates)} points carry the expected "
-                f"contributor set (need {threshold})"
-            )
-        chosen = candidates
-        chosen_key = frozenset(expected_contributors)
-    else:
-        viable = {
-            key: group for key, group in groups.items() if len(group) >= threshold
-        }
-        if not viable:
-            best = max((len(g) for g in groups.values()), default=0)
-            raise ReconstructionError(
-                f"no contributor-consistent group reaches threshold "
-                f"{threshold} (best has {best} points)"
-            )
-        chosen_key = max(viable, key=lambda key: (len(viable[key]), len(key)))
-        chosen = viable[chosen_key]
+    viable = {mask: group for mask, group in groups.items() if len(group) >= threshold}
+    if not viable:
+        best = max((len(g) for g in groups.values()), default=0)
+        raise ReconstructionError(
+            f"no contributor-consistent group reaches threshold "
+            f"{threshold} (best has {best} points)"
+        )
+    chosen_mask = max(viable, key=lambda mask: (len(viable[mask]), mask.bit_count()))
+    chosen = viable[chosen_mask]
 
     xs_seen = {accumulator.x.value for accumulator in chosen}
     if len(xs_seen) != len(chosen):
@@ -141,7 +102,9 @@ def reconstruct_aggregate(
     value = interpolate_constant(field, points)
     return AggregationResult(
         value=value,
-        contributors=chosen_key,
+        contributors=frozenset(
+            node for node in range(chosen_mask.bit_length()) if (chosen_mask >> node) & 1
+        ),
         points_used=len(chosen),
         points_available=len(accumulators),
     )

@@ -142,25 +142,28 @@ class TestStubCodec:
 
 class TestSumPackets:
     def test_roundtrip(self):
+        mask = 1 << 0 | 1 << 3 | 1 << 7
         payload = encode_sum_packet(
-            FIELD(987654321), contributors=[0, 3, 7], num_nodes=10, element_size=8
+            FIELD(987654321), contributors=mask, num_nodes=10, element_size=8
         )
-        value, contributors = decode_sum_packet(payload, FIELD, 10, 8)
-        assert value == FIELD(987654321)
-        assert contributors == frozenset({0, 3, 7})
+        assert decode_sum_packet(payload, FIELD, 10, 8) == (FIELD(987654321), mask)
+        # Padding bits past num_nodes name no contributor.
+        padded = payload[:8] + (int.from_bytes(payload[8:], "big") | 0xFC00).to_bytes(2, "big")
+        assert decode_sum_packet(padded, FIELD, 10, 8) == (FIELD(987654321), mask)
 
     def test_size(self):
-        payload = encode_sum_packet(FIELD(1), [0], num_nodes=26, element_size=8)
+        payload = encode_sum_packet(FIELD(1), 1, num_nodes=26, element_size=8)
         assert len(payload) == 8 + 4  # 8 B sum + ceil(26/8) B bitmap
 
     def test_empty_contributors(self):
-        payload = encode_sum_packet(FIELD(0), [], num_nodes=5, element_size=8)
+        payload = encode_sum_packet(FIELD(0), 0, num_nodes=5, element_size=8)
         _, contributors = decode_sum_packet(payload, FIELD, 5, 8)
-        assert contributors == frozenset()
+        assert contributors == 0
 
     def test_out_of_range_contributor_rejected(self):
-        with pytest.raises(PacketError):
-            encode_sum_packet(FIELD(1), [10], num_nodes=10, element_size=8)
+        for mask in (1 << 10, 1 << 10 | 1, -1):
+            with pytest.raises(PacketError):
+                encode_sum_packet(FIELD(1), mask, num_nodes=10, element_size=8)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(PacketError):

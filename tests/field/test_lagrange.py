@@ -66,7 +66,7 @@ class TestWeights:
         poly = Polynomial(tiny_field, [11, 7, 5])
         xs = [2, 30, 70]
         weights = lagrange_weights_at(tiny_field, xs, 0)
-        total = tiny_field.zero()
+        total = tiny_field(0)
         for weight, x in zip(weights, xs):
             total = total + weight * poly(x)
         assert total == poly(0)

@@ -152,7 +152,7 @@ class TestSerialization:
 
 class TestHelpers:
     def test_zero_one(self, tiny_field):
-        assert tiny_field.zero().value == 0
+        assert tiny_field(0).value == 0
         assert tiny_field(1).value == 1
 
     def test_sum(self, tiny_field):
@@ -160,7 +160,7 @@ class TestHelpers:
         assert tiny_field.sum(elements).value == 13
 
     def test_sum_empty(self, tiny_field):
-        assert tiny_field.sum([]) == tiny_field.zero()
+        assert tiny_field.sum([]) == tiny_field(0)
 
     def test_random_element_in_range(self, tiny_field):
         # The field's random elements are a dealer's coefficients.

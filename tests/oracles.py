@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.crypto.aes import AES128
-from repro.errors import TopologyError
+from repro.errors import SecretSharingError, TopologyError
 from repro.field import Polynomial, PrimeField, mod_inverse
 from repro.field.prime_field import IntoElement
+from repro.sss import Share, ShareAccumulator
 from repro.topology.graph import Topology
 
 
@@ -32,6 +33,29 @@ def cbc_encrypt(cipher: AES128, iv: bytes, plaintext: bytes) -> bytes:
     return ciphertext
 
 
+def accumulate(field: PrimeField, x: IntoElement, shares: Iterable[Share]) -> ShareAccumulator:
+    """The share sum a holder of point ``x`` folds from ``shares``.
+
+    Refuses a share dealt at another point and a dealer that
+    contributes twice.
+    """
+    point = field(x)
+    total = field(0)
+    contributors = 0
+    for share in shares:
+        if share.x != point:
+            raise SecretSharingError(
+                f"share for x={share.x.value} added to accumulator of x={point.value}"
+            )
+        if (contributors >> share.dealer_id) & 1:
+            raise SecretSharingError(
+                f"dealer {share.dealer_id} contributed twice at x={point.value}"
+            )
+        total = total + share.y
+        contributors |= 1 << share.dealer_id
+    return ShareAccumulator(x=point, total=total, contributors=contributors)
+
+
 def interpolate_polynomial(
     field: PrimeField,
     points: Sequence[tuple[IntoElement, IntoElement]],
@@ -44,7 +68,7 @@ def interpolate_polynomial(
     xs = [field(x).value for x, _ in points]
     ys = [field(y).value for _, y in points]
     prime = field.prime
-    result = Polynomial.zero(field)
+    result = Polynomial(field, [0])
     for i, (x_i, y_i) in enumerate(zip(xs, ys)):
         if y_i == 0:
             continue

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import accumulate
 from repro.errors import ReconstructionError, SecretSharingError
 from repro.sss import (
     ShamirScheme,
     Share,
-    ShareAccumulator,
     reconstruct_aggregate,
     reconstruct_from_sums,
 )
@@ -20,16 +20,11 @@ def aggregate_shares(field, shares_by_point):
     ``shares_by_point`` maps a point's integer value to the shares received
     for it.  Returns accumulators keyed the same way.
     """
-    accumulators = {}
-    for x_value, shares in shares_by_point.items():
-        shares = list(shares)
-        if not shares:
-            continue
-        accumulator = ShareAccumulator.empty(field(x_value))
-        for share in shares:
-            accumulator.add(share)
-        accumulators[x_value] = accumulator
-    return accumulators
+    return {
+        x_value: accumulate(field, x_value, shares)
+        for x_value, shares in shares_by_point.items()
+        if shares
+    }
 
 
 def deal_all(field, rng, secrets, degree, points):
@@ -47,29 +42,19 @@ class TestShareAccumulator:
     def test_accumulates_sum(self, field, rng):
         secrets = [10, 20, 30]
         by_point = deal_all(field, rng, secrets, degree=1, points=[1, 2, 3])
-        accumulator = ShareAccumulator.empty(field(1))
-        for share in by_point[1]:
-            accumulator.add(share)
-        assert accumulator.contributors == {0, 1, 2}
+        accumulator = accumulate(field, 1, by_point[1])
+        assert accumulator.contributors == 0b111
         expected = field.sum(s.y for s in by_point[1])
         assert accumulator.total == expected
 
     def test_wrong_point_rejected(self, field):
-        accumulator = ShareAccumulator.empty(field(1))
         with pytest.raises(SecretSharingError):
-            accumulator.add(Share(dealer_id=0, x=field(2), y=field(5)))
+            accumulate(field, 1, [Share(dealer_id=0, x=field(2), y=field(5))])
 
     def test_double_contribution_rejected(self, field):
-        accumulator = ShareAccumulator.empty(field(1))
         share = Share(dealer_id=0, x=field(1), y=field(5))
-        accumulator.add(share)
         with pytest.raises(SecretSharingError):
-            accumulator.add(share)
-
-    def test_contributor_key_hashable(self, field):
-        accumulator = ShareAccumulator.empty(field(1))
-        accumulator.add(Share(dealer_id=3, x=field(1), y=field(5)))
-        assert accumulator.contributor_key == frozenset({3})
+            accumulate(field, 1, [share, share])
 
 
 class TestFullAggregation:
@@ -131,33 +116,6 @@ class TestConsistencyHandling:
         result = reconstruct_aggregate(field, accumulators, degree=1)
         assert result.contributors == frozenset({0, 1})
         assert result.value.value == 30
-
-    def test_expected_contributors_filter(self, field, rng):
-        secrets = [10, 20]
-        points = [1, 2, 3, 4, 5]
-        by_point = deal_all(field, rng, secrets, degree=1, points=points)
-        for x in (1, 2, 3):
-            by_point[x] = [s for s in by_point[x] if s.dealer_id == 0]
-        accumulators = list(aggregate_shares(field, by_point).values())
-        # Majority group is {0} (3 points) but we insist on the full set.
-        result = reconstruct_aggregate(
-            field, accumulators, degree=1, expected_contributors=frozenset({0, 1})
-        )
-        assert result.value.value == 30
-
-    def test_expected_contributors_unreachable(self, field, rng):
-        secrets = [10, 20]
-        by_point = deal_all(field, rng, secrets, degree=1, points=[1, 2, 3])
-        by_point[1] = [s for s in by_point[1] if s.dealer_id == 0]
-        by_point[2] = [s for s in by_point[2] if s.dealer_id == 0]
-        accumulators = list(aggregate_shares(field, by_point).values())
-        with pytest.raises(ReconstructionError):
-            reconstruct_aggregate(
-                field,
-                accumulators,
-                degree=1,
-                expected_contributors=frozenset({0, 1}),
-            )
 
     def test_no_group_reaches_threshold(self, field, rng):
         secrets = [10, 20]

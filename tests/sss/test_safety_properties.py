@@ -20,13 +20,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import accumulate
 from repro.errors import ReconstructionError
 from repro.field import MERSENNE_61, PrimeField
-from repro.sss import (
-    ShamirScheme,
-    ShareAccumulator,
-    reconstruct_aggregate,
-)
+from repro.sss import ShamirScheme, reconstruct_aggregate
 
 FIELD = PrimeField(MERSENNE_61)
 
@@ -64,14 +61,14 @@ def test_never_a_wrong_answer(case):
     scheme = ShamirScheme(FIELD, degree)
     points = list(range(1, num_points + 1))
 
-    accumulators = {x: ShareAccumulator.empty(FIELD(x)) for x in points}
+    received = {x: [] for x in points}
     for dealer_id, secret in enumerate(secrets):
         shares = scheme.split(secret, points=points, rng=rng, dealer_id=dealer_id)
         for index, share in enumerate(shares):
             if delivery[dealer_id][index]:
-                accumulators[share.x.value].add(share)
+                received[share.x.value].append(share)
 
-    candidates = [a for a in accumulators.values() if a.contributors]
+    candidates = [accumulate(FIELD, x, shares) for x, shares in received.items() if shares]
     try:
         result = reconstruct_aggregate(FIELD, candidates, degree)
     except ReconstructionError:
@@ -83,29 +80,3 @@ def test_never_a_wrong_answer(case):
     assert result.value.value == claimed
     assert result.points_used >= degree + 1
     assert result.contributors  # an empty claim would be vacuous
-
-
-@settings(max_examples=30, deadline=None)
-@given(case=lossy_delivery())
-def test_expected_contributor_pinning(case):
-    """Pinning an expected set either honours it exactly or refuses."""
-    degree, num_points, secrets, delivery, seed = case
-    rng = random.Random(seed)
-    scheme = ShamirScheme(FIELD, degree)
-    points = list(range(1, num_points + 1))
-    accumulators = {x: ShareAccumulator.empty(FIELD(x)) for x in points}
-    for dealer_id, secret in enumerate(secrets):
-        shares = scheme.split(secret, points=points, rng=rng, dealer_id=dealer_id)
-        for index, share in enumerate(shares):
-            if delivery[dealer_id][index]:
-                accumulators[share.x.value].add(share)
-    expected = frozenset(range(len(secrets)))
-    candidates = [a for a in accumulators.values() if a.contributors]
-    try:
-        result = reconstruct_aggregate(
-            FIELD, candidates, degree, expected_contributors=expected
-        )
-    except ReconstructionError:
-        return
-    assert result.contributors == expected
-    assert result.value.value == sum(secrets) % FIELD.prime

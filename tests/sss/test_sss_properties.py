@@ -14,8 +14,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import accumulate
 from repro.field import MERSENNE_61, PrimeField
-from repro.sss import ShamirScheme, ShareAccumulator, reconstruct_aggregate
+from repro.sss import ShamirScheme, reconstruct_aggregate
 
 FIELD = PrimeField(MERSENNE_61)
 
@@ -48,17 +49,14 @@ class TestSchemeProperties:
         rng = random.Random(seed)
         scheme = ShamirScheme(FIELD, degree)
         points = list(range(1, degree + 4))
-        accumulators = {
-            x: ShareAccumulator.empty(FIELD(x)) for x in points
-        }
+        received = {x: [] for x in points}
         for dealer_id, secret in enumerate(secrets):
             for share in scheme.split(
                 secret, points=points, rng=rng, dealer_id=dealer_id
             ):
-                accumulators[share.x.value].add(share)
-        result = reconstruct_aggregate(
-            FIELD, list(accumulators.values()), degree=degree
-        )
+                received[share.x.value].append(share)
+        accumulators = [accumulate(FIELD, x, shares) for x, shares in received.items()]
+        result = reconstruct_aggregate(FIELD, accumulators, degree=degree)
         assert result.value.value == sum(secrets) % FIELD.prime
 
     @settings(max_examples=30)
